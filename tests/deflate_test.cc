@@ -1,9 +1,11 @@
 #include "render/deflate.h"
 
+#include <functional>
 #include <random>
 #include <string>
 
 #include "gtest/gtest.h"
+#include "util/crc32.h"
 
 namespace vas {
 namespace {
@@ -25,6 +27,35 @@ std::string RoundTrip(const std::string& raw, const DeflateOptions& options) {
   return decoded.ok() ? *decoded : std::string("<decode failed>");
 }
 
+/// `n` bytes from the raw mt19937 stream reduced mod `alphabet`. Unlike
+/// uniform_int_distribution, whose algorithm each standard library
+/// picks, the mt19937 sequence is fixed by the standard — so goldens
+/// over these bytes hold everywhere.
+std::string SeededBytes(size_t n, uint32_t seed, uint32_t alphabet) {
+  std::mt19937 rng(seed);
+  std::string out(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>(rng() % alphabet);
+  }
+  return out;
+}
+
+/// Every default-options stream for inputs `make(n)` with n in 0..70
+/// and 250..270, each prefixed by its length: one string whose size
+/// and CRC-32 pin all of those streams' bytes. The ranges put match
+/// ends at every offset of an 8-byte word at the buffer tail, and
+/// cross the 258-byte maximum match length.
+std::string GoldenStreams(const std::function<std::string(size_t)>& make) {
+  std::string all;
+  for (size_t n = 0; n <= 270; n = n == 70 ? 250 : n + 1) {
+    const std::string raw = make(n);
+    const std::string compressed = ZlibCompress(raw);
+    EXPECT_EQ(RoundTrip(raw, DeflateOptions{}), raw) << "n=" << n;
+    all += std::to_string(compressed.size()) + ":" + compressed;
+  }
+  return all;
+}
+
 TEST(DeflateTest, EmptyInputRoundTripsBothStrategies) {
   for (auto strategy : {DeflateOptions::Strategy::kStored,
                         DeflateOptions::Strategy::kFixedHuffman}) {
@@ -40,6 +71,40 @@ TEST(DeflateTest, SmallStringsRoundTrip) {
        {"a", "ab", "abc", "hello hello hello hello", "mississippi",
         "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"}) {
     EXPECT_EQ(RoundTrip(s, options), s) << s;
+  }
+}
+
+TEST(DeflateTest, GoldenStreamsForRunsAndRandomBytes) {
+  // Size and CRC-32 of every default-options stream in each family,
+  // captured from the encoder before its table-driven rewrite: match
+  // decisions and bit packing must not change a single output byte.
+  struct Golden {
+    const char* name;
+    std::function<std::string(size_t)> make;
+    size_t length;
+    uint32_t crc;
+  };
+  const Golden goldens[] = {
+      {"byte run", [](size_t n) { return std::string(n, '\x7f'); }, 1257,
+       0x55c73c4du},
+      {"pixel run",
+       [](size_t n) {
+         std::string out(n, '\0');
+         for (size_t i = 0; i < n; ++i) out[i] = "\x1f\x77\xb4"[i % 3];
+         return out;
+       },
+       1446, 0x9a7b8be5u},
+      {"random 4 symbols",
+       [](size_t n) { return SeededBytes(n, static_cast<uint32_t>(n), 4); },
+       6227, 0xc45d7e16u},
+      {"random bytes",
+       [](size_t n) { return SeededBytes(n, static_cast<uint32_t>(n), 256); },
+       9380, 0xce793174u},
+  };
+  for (const Golden& golden : goldens) {
+    const std::string all = GoldenStreams(golden.make);
+    EXPECT_EQ(all.size(), golden.length) << golden.name;
+    EXPECT_EQ(Crc32(all), golden.crc) << golden.name;
   }
 }
 

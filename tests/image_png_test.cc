@@ -3,14 +3,17 @@
 // produce structurally valid PNGs that decode back to the exact pixels
 // — verified via chunk/CRC parsing here plus the reference inflater in
 // render/deflate and an independent unfilter pass — plus byte-level
-// goldens for both strategies, determinism (the tile cache's
-// byte-identity contract), zero-size and >65535-byte-row edge cases,
-// and a compression-wins check on renderer-like content.
+// goldens for both strategies, a differential check of the row-filter
+// choice against a scalar reference chooser, determinism (the tile
+// cache's byte-identity contract), zero-size and >65535-byte-row edge
+// cases, and a compression-wins check on renderer-like content.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,6 +58,9 @@ struct DecodedPng {
   uint32_t height = 0;
   uint8_t bit_depth = 0;
   uint8_t color_type = 0;
+  /// The inflated IDAT payload: per row, a filter-type byte followed
+  /// by that row's residuals.
+  std::string scanlines;
   /// Row-major RGB triples after unfiltering.
   std::vector<uint8_t> rgb;
 };
@@ -100,7 +106,8 @@ void DecodePng(const std::string& png, DecodedPng* out) {
 
   auto inflated = ZlibDecompress(idat);
   ASSERT_TRUE(inflated.ok()) << inflated.status().message();
-  const std::string& raw = *inflated;
+  out->scanlines = *inflated;
+  const std::string& raw = out->scanlines;
 
   // Unfilter. Reconstruction uses already-reconstructed neighbors, so
   // this independently reverses whatever per-row choice the encoder
@@ -148,6 +155,149 @@ Image TestPattern(size_t width, size_t height) {
   return image;
 }
 
+/// 500 single-pixel dots on a white 256² tile — what cold scatter
+/// tiles mostly look like.
+Image DotTile() {
+  Image image(256, 256);
+  for (size_t i = 0; i < 500; ++i) {
+    size_t x = (i * 2654435761u) % 256;
+    size_t y = (i * 40503u) % 256;
+    image.Set(x, y, Rgb{31, 119, 180});
+  }
+  return image;
+}
+
+/// A sparse density tile: seeded clusters of per-pixel counts colored
+/// through a dark-to-bright ramp over a white background, the shape of
+/// a heatmap tile drawn from a small rung. Uses only raw mt19937 output
+/// (its sequence is fixed by the standard) so goldens hold on any
+/// standard library.
+Image HeatmapLikeTile() {
+  const size_t side = 256;
+  std::mt19937 rng(17);
+  std::vector<uint32_t> counts(side * side, 0);
+  for (int blob = 0; blob < 7; ++blob) {
+    const long cx = static_cast<long>(rng() % side);
+    const long cy = static_cast<long>(rng() % side);
+    for (int i = 0; i < 700; ++i) {
+      // Triangular spread around the blob center.
+      const long dx = static_cast<long>(rng() % 25 + rng() % 25) - 24;
+      const long dy = static_cast<long>(rng() % 25 + rng() % 25) - 24;
+      const long x = cx + dx;
+      const long y = cy + dy;
+      if (x >= 0 && y >= 0 && x < static_cast<long>(side) &&
+          y < static_cast<long>(side)) {
+        ++counts[static_cast<size_t>(y) * side + static_cast<size_t>(x)];
+      }
+    }
+  }
+  Image image(side, side);
+  for (size_t y = 0; y < side; ++y) {
+    for (size_t x = 0; x < side; ++x) {
+      const uint32_t c = std::min<uint32_t>(counts[y * side + x], 12);
+      if (c == 0) continue;
+      image.Set(x, y, Rgb{static_cast<uint8_t>(68 + 15 * c),
+                          static_cast<uint8_t>(1 + 19 * c),
+                          static_cast<uint8_t>(84 + 5 * c)});
+    }
+  }
+  return image;
+}
+
+/// 22000 px * 3 + 1 filter byte = 66001 bytes per scanline — wider
+/// than one 65535-byte stored block.
+Image WideImage() {
+  Image image(22000, 2);
+  for (size_t x = 0; x < image.width(); ++x) {
+    image.Set(x, 0, Rgb{static_cast<uint8_t>(x & 0xff),
+                        static_cast<uint8_t>((x >> 8) & 0xff), 7});
+    image.Set(x, 1, Rgb{static_cast<uint8_t>((x * 3) & 0xff), 0,
+                        static_cast<uint8_t>(x & 0xff)});
+  }
+  return image;
+}
+
+/// Seeded pixels drawn from the raw mt19937 stream. `levels` bounds
+/// each channel's distinct values (256 = full noise); few levels make
+/// smooth-ish rows where several filters tie.
+Image NoiseImage(size_t width, size_t height, uint32_t seed,
+                 uint32_t levels = 256) {
+  std::mt19937 rng(seed);
+  Image image(width, height);
+  const uint32_t step = 256 / levels;
+  for (size_t y = 0; y < height; ++y) {
+    for (size_t x = 0; x < width; ++x) {
+      image.Set(x, y, Rgb{static_cast<uint8_t>(rng() % levels * step),
+                          static_cast<uint8_t>(rng() % levels * step),
+                          static_cast<uint8_t>(rng() % levels * step)});
+    }
+  }
+  return image;
+}
+
+// --- Reference filter chooser: the scalar per-row heuristic the
+// encoder shipped with first (five separate filter passes, each
+// re-scanned for its cost). It is the oracle the encoder's filter
+// choice and residuals must match byte for byte.
+
+uint64_t RefFilterCost(const uint8_t* filtered, size_t n) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint8_t v = filtered[i];
+    sum += v < 128 ? v : 256u - v;
+  }
+  return sum;
+}
+
+void RefApplyFilter(int type, const uint8_t* cur, const uint8_t* prev,
+                    size_t stride, size_t bpp, uint8_t* out) {
+  for (size_t i = 0; i < stride; ++i) {
+    uint8_t x = cur[i];
+    uint8_t a = i >= bpp ? cur[i - bpp] : 0;
+    uint8_t b = prev != nullptr ? prev[i] : 0;
+    uint8_t c = (prev != nullptr && i >= bpp) ? prev[i - bpp] : 0;
+    uint8_t pred = 0;
+    switch (type) {
+      case 0: pred = 0; break;
+      case 1: pred = a; break;
+      case 2: pred = b; break;
+      case 3: pred = static_cast<uint8_t>((static_cast<int>(a) + b) / 2);
+              break;
+      default: pred = RefPaeth(a, b, c); break;
+    }
+    out[i] = static_cast<uint8_t>(x - pred);
+  }
+}
+
+/// The filtered scanline stream the reference chooser produces: per
+/// row the first filter type (0..4) with the minimum residual cost.
+std::string RefScanlines(const Image& image) {
+  const size_t bpp = 3;
+  const size_t stride = image.width() * bpp;
+  std::string raw;
+  std::vector<uint8_t> candidate(stride);
+  std::vector<uint8_t> best(stride);
+  for (size_t y = 0; y < image.height(); ++y) {
+    const auto* cur = reinterpret_cast<const uint8_t*>(image.row(y));
+    const auto* prev =
+        y > 0 ? reinterpret_cast<const uint8_t*>(image.row(y - 1)) : nullptr;
+    int best_type = 0;
+    uint64_t best_cost = ~uint64_t{0};
+    for (int type = 0; type < 5; ++type) {
+      RefApplyFilter(type, cur, prev, stride, bpp, candidate.data());
+      uint64_t cost = RefFilterCost(candidate.data(), stride);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_type = type;
+        best.swap(candidate);
+      }
+    }
+    raw.push_back(static_cast<char>(best_type));
+    raw.append(reinterpret_cast<const char*>(best.data()), stride);
+  }
+  return raw;
+}
+
 void ExpectDecodesBack(const Image& image, const PngEncodeOptions& options) {
   DecodedPng decoded;
   ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(options), &decoded));
@@ -185,6 +335,73 @@ TEST(ImagePngTest, GoldenBytesForTinyImageStored) {
   EXPECT_EQ(image.EncodePng(PngEncodeOptions::Stored()), expected);
 }
 
+TEST(ImagePngTest, GoldenLengthAndCrcForDefaultOptions) {
+  // Length and CRC-32 of whole default-options PNGs — the bytes tiles
+  // ship with, and so their ETags, cache entries and wire size. Any
+  // encoder change that alters a served byte fails here.
+  struct Golden {
+    const char* name;
+    Image image;
+    size_t length;
+    uint32_t crc;
+  };
+  Image two_by_one(2, 1);
+  two_by_one.Set(0, 0, Rgb{255, 0, 0});
+  two_by_one.Set(1, 0, Rgb{0, 128, 255});
+  Image three_by_two(3, 2);
+  three_by_two.Set(0, 0, Rgb{10, 20, 30});
+  three_by_two.Set(1, 0, Rgb{200, 100, 50});
+  three_by_two.Set(2, 0, Rgb{255, 255, 0});
+  three_by_two.Set(0, 1, Rgb{12, 22, 29});
+  three_by_two.Set(1, 1, Rgb{0, 0, 0});
+  three_by_two.Set(2, 1, Rgb{128, 64, 250});
+  const Golden goldens[] = {
+      {"1x1", Image(1, 1, Rgb{1, 2, 3}), 69, 0xdc180e86u},
+      {"2x1", two_by_one, 72, 0x740044c8u},
+      {"3x2", three_by_two, 85, 0x1a133577u},
+      {"pattern 31x17", TestPattern(31, 17), 184, 0xc7963693u},
+      {"dot tile", DotTile(), 3268, 0x5d963dc7u},
+      {"heatmap-like tile", HeatmapLikeTile(), 7601, 0xf7b63732u},
+      {"22000x2", WideImage(), 1449, 0xb9a2edb9u},
+      {"noise 37x29", NoiseImage(37, 29, 5), 3488, 0xd5a6a33eu},
+  };
+  for (const Golden& golden : goldens) {
+    const std::string png = golden.image.EncodePng();
+    EXPECT_EQ(png.size(), golden.length) << golden.name;
+    EXPECT_EQ(RefCrc32(png), golden.crc) << golden.name;
+  }
+}
+
+TEST(ImagePngTest, FilterChoiceMatchesReferenceChooser) {
+  // Seeded differential check: the encoder's per-row filter-type bytes
+  // and residuals equal the reference chooser's for every width 1-40
+  // and height 1-4, over full noise, few-level noise (ties between
+  // filters) and flat images.
+  int type_seen[5] = {0, 0, 0, 0, 0};
+  for (size_t width = 1; width <= 40; ++width) {
+    for (size_t height = 1; height <= 4; ++height) {
+      const uint32_t seed = static_cast<uint32_t>(width * 8 + height);
+      const Image images[] = {NoiseImage(width, height, seed),
+                              NoiseImage(width, height, seed, 4),
+                              NoiseImage(width, height, seed, 2),
+                              Image(width, height, Rgb{30, 60, 90})};
+      for (const Image& image : images) {
+        DecodedPng decoded;
+        ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(), &decoded));
+        const std::string expected = RefScanlines(image);
+        ASSERT_EQ(decoded.scanlines, expected)
+            << width << "x" << height << " seed " << seed;
+        for (size_t y = 0; y < height; ++y) {
+          ++type_seen[static_cast<uint8_t>(expected[y * (1 + width * 3)])];
+        }
+      }
+    }
+  }
+  for (int type = 0; type < 5; ++type) {
+    EXPECT_GT(type_seen[type], 0) << "filter type " << type << " never chosen";
+  }
+}
+
 TEST(ImagePngTest, RoundTripsThroughIndependentDecoder) {
   ExpectDecodesBack(TestPattern(31, 17), PngEncodeOptions{});
   ExpectDecodesBack(TestPattern(31, 17), PngEncodeOptions::Stored());
@@ -216,28 +433,16 @@ TEST(ImagePngTest, FilteredDeflateBeatsStoredOnRendererContent) {
   // A mostly-background raster with sparse dots — what tiles actually
   // look like — must compress far below the stored baseline (the bench
   // gate is 40%; assert a loose 60% here on a small image).
-  Image image(256, 256);
-  for (size_t i = 0; i < 500; ++i) {
-    size_t x = (i * 2654435761u) % 256;
-    size_t y = (i * 40503u) % 256;
-    image.Set(x, y, Rgb{31, 119, 180});
-  }
+  Image image = DotTile();
   size_t fixed = image.EncodePng().size();
   size_t stored = image.EncodePng(PngEncodeOptions::Stored()).size();
   EXPECT_LT(fixed, stored * 6 / 10);
 }
 
 TEST(ImagePngTest, RowsWiderThanStoredBlockRoundTrip) {
-  // 22000 px * 3 + 1 filter byte = 66001 bytes per scanline — wider
-  // than one 65535-byte stored block, so a single row must span a
-  // block boundary and still decode exactly. Covers both strategies.
-  Image image(22000, 2);
-  for (size_t x = 0; x < image.width(); ++x) {
-    image.Set(x, 0, Rgb{static_cast<uint8_t>(x & 0xff),
-                        static_cast<uint8_t>((x >> 8) & 0xff), 7});
-    image.Set(x, 1, Rgb{static_cast<uint8_t>((x * 3) & 0xff), 0,
-                        static_cast<uint8_t>(x & 0xff)});
-  }
+  // A single row must span a stored-block boundary and still decode
+  // exactly. Covers both strategies.
+  Image image = WideImage();
   ExpectDecodesBack(image, PngEncodeOptions::Stored());
   ExpectDecodesBack(image, PngEncodeOptions{});
 }
