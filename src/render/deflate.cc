@@ -1,7 +1,8 @@
 #include "render/deflate.h"
 
 #include <algorithm>
-#include <array>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace vas {
@@ -32,88 +33,123 @@ constexpr int kDistExtra[30] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
 constexpr size_t kWindowSize = 32768;
 constexpr size_t kMinMatch = 3;
 constexpr size_t kMaxMatch = 258;
+/// A match at least this long is taken without walking the rest of the
+/// chain (zlib's "nice length" cutoff).
+constexpr size_t kNiceMatch = 128;
 
 /// `code` with its low `bits` bits mirrored — Huffman codes are packed
 /// most-significant-bit first into a least-significant-bit-first
 /// stream (RFC 1951 §3.1.1).
-uint32_t ReverseBits(uint32_t code, int bits) {
+constexpr uint32_t ReverseBits(uint32_t code, uint32_t bits) {
   uint32_t out = 0;
-  for (int i = 0; i < bits; ++i) {
+  for (uint32_t i = 0; i < bits; ++i) {
     out = (out << 1) | ((code >> i) & 1u);
   }
   return out;
 }
 
-/// Fixed literal/length code for `sym` (0..287) as (bit count, code
-/// already mirrored for the LSB-first writer).
-std::pair<int, uint32_t> FixedLitLenCode(int sym) {
-  if (sym < 144) return {8, ReverseBits(0x30 + static_cast<uint32_t>(sym), 8)};
-  if (sym < 256) {
-    return {9, ReverseBits(0x190 + static_cast<uint32_t>(sym - 144), 9)};
+/// Bits ready for the LSB-first writer: the low `count` bits of `bits`.
+struct Code {
+  uint32_t bits = 0;
+  uint32_t count = 0;
+};
+
+/// Every fixed-Huffman code the encoder emits, mirrored and — for match
+/// lengths — with the extra bits already appended, so a symbol costs
+/// one table load and one write.
+struct FixedCodes {
+  Code symbol[286];             // literal/length symbols; 256 ends a block
+  Code length[kMaxMatch + 1];   // indexed by match length 3..258
+  Code distance[30];            // 5-bit distance codes, before extras
+  /// zlib's distance-code lookup: for d = distance - 1, entry d when
+  /// d < 256, else 256 + (d >> 7) (codes 16+ start on multiples of 128).
+  uint8_t distance_code[512];
+};
+
+constexpr FixedCodes BuildFixedCodes() {
+  FixedCodes t{};
+  // RFC 1951 §3.2.6: symbols 0..143 take 8 bits counting from 0x30,
+  // 144..255 9 bits from 0x190, 256..279 7 bits from 0, 280..287 8 bits
+  // from 0xC0.
+  for (uint32_t sym = 0; sym < 286; ++sym) {
+    const Code code = sym < 144   ? Code{0x30 + sym, 8}
+                      : sym < 256 ? Code{0x190 + sym - 144, 9}
+                      : sym < 280 ? Code{sym - 256, 7}
+                                  : Code{0xC0 + sym - 280, 8};
+    t.symbol[sym] = {ReverseBits(code.bits, code.count), code.count};
   }
-  if (sym < 280) return {7, ReverseBits(static_cast<uint32_t>(sym - 256), 7)};
-  return {8, ReverseBits(0xC0 + static_cast<uint32_t>(sym - 280), 8)};
-}
-
-/// Length (3..258) -> length code index 0..28, precomputed once.
-const std::array<uint8_t, kMaxMatch - kMinMatch + 1>& LengthCodeTable() {
-  static const auto table = []() {
-    std::array<uint8_t, kMaxMatch - kMinMatch + 1> t{};
-    for (int code = 28; code >= 0; --code) {
-      for (int len = kLengthBase[code];
-           len <= static_cast<int>(kMaxMatch) &&
-           (code == 28 || len < kLengthBase[code + 1]);
-           ++len) {
-        t[static_cast<size_t>(len) - kMinMatch] = static_cast<uint8_t>(code);
-      }
-    }
-    // Length 258 uses code 285 (index 28), not the tail of 284's range.
-    t[kMaxMatch - kMinMatch] = 28;
-    return t;
-  }();
-  return table;
-}
-
-/// Distance (1..32768) -> distance code 0..29.
-int DistanceCode(size_t dist) {
-  int code = 0;
-  for (int i = 29; i >= 0; --i) {
-    if (static_cast<int>(dist) >= kDistBase[i]) {
-      code = i;
-      break;
+  for (uint32_t code = 0; code < 29; ++code) {
+    const uint32_t first = static_cast<uint32_t>(kLengthBase[code]);
+    // Length 258 has its own code (285); 284's range stops at 257.
+    const uint32_t last =
+        code == 28 ? first
+                   : std::min<uint32_t>(kLengthBase[code + 1] - 1, 257);
+    const Code sym = t.symbol[257 + code];
+    for (uint32_t len = first; len <= last; ++len) {
+      t.length[len] = {sym.bits | ((len - first) << sym.count),
+                       sym.count + static_cast<uint32_t>(kLengthExtra[code])};
     }
   }
-  return code;
+  for (uint32_t code = 0; code < 30; ++code) {
+    t.distance[code] = {ReverseBits(code, 5), 5};
+    const uint32_t first = static_cast<uint32_t>(kDistBase[code]) - 1;
+    const uint32_t span = 1u << kDistExtra[code];
+    for (uint32_t d = first; d < first + span; ++d) {
+      t.distance_code[d < 256 ? d : 256 + (d >> 7)] =
+          static_cast<uint8_t>(code);
+    }
+  }
+  return t;
 }
 
-/// LSB-first bit packer (RFC 1951 §3.1.1).
+constexpr FixedCodes kFixedCodes = BuildFixedCodes();
+
+/// Code plus extra bits of a match distance (1..32768), at most 18 bits.
+inline Code DistanceBits(size_t dist) {
+  const size_t d = dist - 1;
+  const uint32_t code = kFixedCodes.distance_code[d < 256 ? d : 256 + (d >> 7)];
+  const Code sym = kFixedCodes.distance[code];
+  const uint32_t extra =
+      static_cast<uint32_t>(dist) - static_cast<uint32_t>(kDistBase[code]);
+  return {sym.bits | (extra << sym.count),
+          sym.count + static_cast<uint32_t>(kDistExtra[code])};
+}
+
+/// LSB-first bit packer (RFC 1951 §3.1.1): a 64-bit accumulator that
+/// stores whole 32-bit little-endian words into a buffer the caller
+/// sized for the worst case.
 class BitWriter {
  public:
-  explicit BitWriter(std::string* out) : out_(out) {}
+  explicit BitWriter(uint8_t* out) : out_(out) {}
 
-  void WriteBits(uint32_t value, int bits) {
-    buffer_ |= static_cast<uint64_t>(value) << filled_;
-    filled_ += bits;
-    while (filled_ >= 8) {
-      out_->push_back(static_cast<char>(buffer_ & 0xff));
-      buffer_ >>= 8;
-      filled_ -= 8;
+  /// Appends the low `code.count` (at most 32) bits of `code.bits`;
+  /// higher bits must be zero.
+  void Write(Code code) {
+    buffer_ |= static_cast<uint64_t>(code.bits) << filled_;
+    filled_ += code.count;
+    if (filled_ >= 32) {
+      for (int k = 0; k < 4; ++k) {
+        out_[k] = static_cast<uint8_t>(buffer_ >> (8 * k));
+      }
+      out_ += 4;
+      buffer_ >>= 32;
+      filled_ -= 32;
     }
   }
 
-  /// Pads the current byte with zero bits.
-  void AlignToByte() {
-    if (filled_ > 0) {
-      out_->push_back(static_cast<char>(buffer_ & 0xff));
-      buffer_ = 0;
-      filled_ = 0;
+  /// Writes the pending bits, zero-padded to a whole byte, and returns
+  /// one past the last byte written.
+  uint8_t* Finish() {
+    for (uint32_t bits = 0; bits < filled_; bits += 8) {
+      *out_++ = static_cast<uint8_t>(buffer_ >> bits);
     }
+    return out_;
   }
 
  private:
-  std::string* out_;
+  uint8_t* out_;
   uint64_t buffer_ = 0;
-  int filled_ = 0;
+  uint32_t filled_ = 0;  // below 32 between calls
 };
 
 void AppendStoredBlocks(const std::string& raw, std::string* out) {
@@ -141,16 +177,46 @@ inline uint32_t Hash3(const unsigned char* data, size_t i) {
   return (v * 0x9E3779B1u) >> (32 - kHashBits);
 }
 
+/// The 8 bytes at `p` as a little-endian word.
+inline uint64_t LoadLe64(const unsigned char* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  v = __builtin_bswap64(v);
+#endif
+  return v;
+}
+
+/// Length of the common prefix of `a` and `b`, at most `max_len`; reads
+/// no byte at or past `a + max_len` / `b + max_len`. Compares 8 bytes at
+/// a time: the lowest set bit of two little-endian words' xor lies in
+/// their first differing byte.
+inline size_t MatchLength(const unsigned char* a, const unsigned char* b,
+                          size_t max_len) {
+  size_t len = 0;
+  while (len + 8 <= max_len) {
+    const uint64_t diff = LoadLe64(a + len) ^ LoadLe64(b + len);
+    if (diff != 0) {
+      return len + static_cast<size_t>(__builtin_ctzll(diff)) / 8;
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
+
+/// Most bytes a fixed-Huffman block of `n` input bytes takes: no symbol
+/// spends more than 9 bits per input byte (a match of L >= 3 bytes takes
+/// at most 31 bits), plus 3 header and 7 end-of-block bits.
+size_t FixedHuffmanBound(size_t n) { return (9 * n + 10 + 7) / 8; }
+
 void AppendFixedHuffmanBlock(const std::string& raw,
                              const DeflateOptions& options,
                              std::string* out) {
   const auto* data = reinterpret_cast<const unsigned char*>(raw.data());
   const size_t n = raw.size();
-  const auto& length_code = LengthCodeTable();
   const size_t max_chain =
       static_cast<size_t>(std::max(0, options.max_chain_length));
-  const size_t nice_match = std::min<size_t>(
-      kMaxMatch, static_cast<size_t>(std::max(3, options.nice_match_length)));
 
   // Hash chains over 3-byte prefixes: head[h] is the most recent
   // position hashing to h, prev[i] the next-older one — walking prev
@@ -165,14 +231,10 @@ void AppendFixedHuffmanBlock(const std::string& raw,
     head[h] = static_cast<int32_t>(i);
   };
 
-  BitWriter writer(out);
-  writer.WriteBits(1, 1);  // BFINAL
-  writer.WriteBits(1, 2);  // BTYPE=01: fixed Huffman
-
-  auto emit_symbol = [&](int sym) {
-    auto [bits, code] = FixedLitLenCode(sym);
-    writer.WriteBits(code, bits);
-  };
+  const size_t start = out->size();
+  out->resize(start + FixedHuffmanBound(n));
+  BitWriter writer(reinterpret_cast<uint8_t*>(out->data() + start));
+  writer.Write({0x3, 3});  // BFINAL=1, BTYPE=01: fixed Huffman
 
   size_t i = 0;
   while (i < n) {
@@ -192,44 +254,35 @@ void AppendFixedHuffmanBlock(const std::string& raw,
         const unsigned char* b = data + static_cast<size_t>(cand);
         // Candidates can only beat best_len if they agree there too.
         if (best_len == 0 || a[best_len] == b[best_len]) {
-          size_t len = 0;
-          while (len < max_len && a[len] == b[len]) ++len;
+          size_t len = MatchLength(a, b, max_len);
           if (len > best_len) {
             best_len = len;
             best_dist = dist;
-            if (len >= nice_match) break;
+            if (len >= kNiceMatch) break;
           }
         }
         cand = prev[static_cast<size_t>(cand)];
       }
     }
     if (best_len >= kMinMatch) {
-      int lcode = length_code[best_len - kMinMatch];
-      emit_symbol(257 + lcode);
-      if (kLengthExtra[lcode] > 0) {
-        writer.WriteBits(
-            static_cast<uint32_t>(best_len) -
-                static_cast<uint32_t>(kLengthBase[lcode]),
-            kLengthExtra[lcode]);
-      }
-      int dcode = DistanceCode(best_dist);
-      writer.WriteBits(ReverseBits(static_cast<uint32_t>(dcode), 5), 5);
-      if (kDistExtra[dcode] > 0) {
-        writer.WriteBits(
-            static_cast<uint32_t>(best_dist) -
-                static_cast<uint32_t>(kDistBase[dcode]),
-            kDistExtra[dcode]);
-      }
+      // Length code + extras (<= 13 bits) and distance code + extras
+      // (<= 18 bits) go out as one write.
+      const Code length = kFixedCodes.length[best_len];
+      const Code distance = DistanceBits(best_dist);
+      writer.Write({length.bits | (distance.bits << length.count),
+                    length.count + distance.count});
       for (size_t j = 0; j < best_len; ++j) insert(i + j);
       i += best_len;
     } else {
-      emit_symbol(data[i]);
+      writer.Write(kFixedCodes.symbol[data[i]]);
       insert(i);
       ++i;
     }
   }
-  emit_symbol(256);  // end of block
-  writer.AlignToByte();
+  writer.Write(kFixedCodes.symbol[256]);  // end of block
+  const uint8_t* end = writer.Finish();
+  out->resize(static_cast<size_t>(
+      end - reinterpret_cast<const uint8_t*>(out->data())));
 }
 
 /// LSB-first bit reader over the deflate payload; `ok()` goes false on
@@ -339,7 +392,7 @@ std::string ZlibCompress(const std::string& raw,
   std::string out;
   out.reserve(options.strategy == DeflateOptions::Strategy::kStored
                   ? raw.size() + raw.size() / 65535 * 5 + 16
-                  : raw.size() / 4 + 64);
+                  : FixedHuffmanBound(raw.size()) + 6);
   out.push_back('\x78');  // CMF: deflate, 32K window
   out.push_back('\x01');  // FLG: no dict, check bits (CMF*256+FLG)%31==0
   if (options.strategy == DeflateOptions::Strategy::kStored) {

@@ -30,9 +30,6 @@ struct DeflateOptions {
   /// output, slower encode; 0 still takes the chain head (runs and
   /// immediate repeats compress either way).
   int max_chain_length = 32;
-  /// A match at least this long is taken without walking the rest of
-  /// the chain (zlib's "nice length" cutoff).
-  int nice_match_length = 128;
 };
 
 /// RFC 1950 Adler-32 checksum of `data`.

@@ -1,9 +1,9 @@
 #include "render/image.h"
 
 #include <algorithm>
-#include <array>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
+#include <vector>
 
 #include "render/deflate.h"
 #include "util/crc32.h"
@@ -33,60 +33,92 @@ void AppendChunk(std::string* out, const char type[5],
 }
 
 // --- Row filtering (PNG filter method 0). Filters predict each byte
-// from its left/up/up-left neighbors; residuals of smooth images
-// cluster near zero, which is what makes them compressible.
+// from its left (a), up (b) and up-left (c) neighbors; residuals of
+// smooth images cluster near zero, which is what makes them
+// compressible. Each row gets the first of None/Sub/Up/Average/Paeth
+// (types 0..4) with the smallest sum of absolute residuals, residual
+// bytes read as signed deltas — the standard heuristic.
+//
+// All five candidates and their costs come out of one branch-free pass
+// per row, written for the auto-vectorizer (16-byte vectors at -O3).
+// Row 0 filters against a zero row, PNG's b = c = 0, and the first
+// pixel's bytes (a = c = 0) are peeled off, so the loop has no edge
+// tests.
 
-uint8_t PaethPredictor(uint8_t a, uint8_t b, uint8_t c) {
-  int p = static_cast<int>(a) + b - c;
-  int pa = std::abs(p - a);
-  int pb = std::abs(p - b);
-  int pc = std::abs(p - c);
-  if (pa <= pb && pa <= pc) return a;
-  if (pb <= pc) return b;
-  return c;
+/// Magnitude of residual `r` read as a signed delta: min(r, 256 - r).
+inline uint8_t ResidualCost(uint8_t r) {
+  return std::min<uint8_t>(r, static_cast<uint8_t>(-r));
 }
 
-/// Minimum-sum-of-absolute-residuals cost of one filtered row, the
-/// standard heuristic for picking the filter most likely to compress
-/// well. Residual bytes are interpreted as signed deltas.
-uint64_t FilterCost(const uint8_t* filtered, size_t n) {
-  uint64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint8_t v = filtered[i];
-    sum += v < 128 ? v : 256u - v;
+inline int16_t Abs16(int16_t v) { return v < 0 ? static_cast<int16_t>(-v) : v; }
+
+/// Paeth predictor with p = a + b - c expanded, so its three distances
+/// |p - a|, |p - b|, |p - c| fit 16-bit lanes: pa = |b - c|,
+/// pb = |a - c|, pc = |a + b - 2c|. Ties prefer a, then b.
+inline uint8_t PaethPredictor(uint8_t a, uint8_t b, uint8_t c) {
+  const int16_t pa = Abs16(static_cast<int16_t>(b - c));
+  const int16_t pb = Abs16(static_cast<int16_t>(a - c));
+  const int16_t pc = Abs16(static_cast<int16_t>(a + b - 2 * c));
+  const uint8_t b_or_c = pb <= pc ? b : c;
+  return (pa <= pb) & (pa <= pc) ? a : b_or_c;
+}
+
+/// Bytes per cost run. Runs sum costs in 16-bit lanes, which keeps the
+/// vector loop narrow: 496 costs of at most 128 stay below 65536.
+constexpr size_t kCostRun = 496;
+
+/// Filters row `cur` against `prev` into the Sub, Up, Average and Paeth
+/// residual rows (None is `cur` itself) and returns the first filter
+/// type with the minimum cost. bpp is bytes per pixel.
+int FilterRow(const uint8_t* __restrict__ cur,
+              const uint8_t* __restrict__ prev, size_t stride, size_t bpp,
+              uint8_t* __restrict__ sub, uint8_t* __restrict__ up,
+              uint8_t* __restrict__ avg, uint8_t* __restrict__ paeth) {
+  uint64_t cost[5] = {0, 0, 0, 0, 0};
+  const size_t head = std::min(bpp, stride);
+  for (size_t i = 0; i < head; ++i) {
+    const uint8_t x = cur[i];
+    const uint8_t b = prev[i];
+    sub[i] = x;
+    up[i] = static_cast<uint8_t>(x - b);
+    avg[i] = static_cast<uint8_t>(x - (b >> 1));
+    paeth[i] = up[i];  // a = c = 0 predicts b
+    cost[0] += ResidualCost(x);
+    cost[1] += ResidualCost(x);
+    cost[2] += ResidualCost(up[i]);
+    cost[3] += ResidualCost(avg[i]);
+    cost[4] += ResidualCost(paeth[i]);
   }
-  return sum;
-}
-
-/// Applies filter `type` to `cur` (with `prev` being the prior raw row,
-/// null for the first row) into `out`. bpp is bytes per pixel.
-void ApplyFilter(int type, const uint8_t* cur, const uint8_t* prev,
-                 size_t stride, size_t bpp, uint8_t* out) {
-  for (size_t i = 0; i < stride; ++i) {
-    uint8_t x = cur[i];
-    uint8_t a = i >= bpp ? cur[i - bpp] : 0;
-    uint8_t b = prev != nullptr ? prev[i] : 0;
-    uint8_t c = (prev != nullptr && i >= bpp) ? prev[i - bpp] : 0;
-    uint8_t pred = 0;
-    switch (type) {
-      case 0:
-        pred = 0;
-        break;
-      case 1:
-        pred = a;
-        break;
-      case 2:
-        pred = b;
-        break;
-      case 3:
-        pred = static_cast<uint8_t>((static_cast<int>(a) + b) / 2);
-        break;
-      default:
-        pred = PaethPredictor(a, b, c);
-        break;
+  for (size_t start = head; start < stride; start += kCostRun) {
+    const size_t end = std::min(stride, start + kCostRun);
+    uint16_t none_sum = 0, sub_sum = 0, up_sum = 0, avg_sum = 0,
+             paeth_sum = 0;
+    for (size_t i = start; i < end; ++i) {
+      const uint8_t x = cur[i];
+      const uint8_t a = cur[i - bpp];
+      const uint8_t b = prev[i];
+      const uint8_t c = prev[i - bpp];
+      sub[i] = static_cast<uint8_t>(x - a);
+      up[i] = static_cast<uint8_t>(x - b);
+      avg[i] = static_cast<uint8_t>(x - ((a + b) >> 1));
+      paeth[i] = static_cast<uint8_t>(x - PaethPredictor(a, b, c));
+      none_sum = static_cast<uint16_t>(none_sum + ResidualCost(x));
+      sub_sum = static_cast<uint16_t>(sub_sum + ResidualCost(sub[i]));
+      up_sum = static_cast<uint16_t>(up_sum + ResidualCost(up[i]));
+      avg_sum = static_cast<uint16_t>(avg_sum + ResidualCost(avg[i]));
+      paeth_sum = static_cast<uint16_t>(paeth_sum + ResidualCost(paeth[i]));
     }
-    out[i] = static_cast<uint8_t>(x - pred);
+    cost[0] += none_sum;
+    cost[1] += sub_sum;
+    cost[2] += up_sum;
+    cost[3] += avg_sum;
+    cost[4] += paeth_sum;
   }
+  int best = 0;
+  for (int type = 1; type < 5; ++type) {
+    if (cost[type] < cost[best]) best = type;
+  }
+  return best;
 }
 
 /// Builds the filtered scanline stream: per row, a filter-type byte
@@ -105,26 +137,19 @@ std::string BuildScanlines(const Rgb* pixels, size_t width, size_t height,
     }
     return raw;
   }
-  std::vector<uint8_t> candidate(stride);
-  std::vector<uint8_t> best(stride);
+  // The zero row row 0 filters against, then the four residual rows.
+  std::vector<uint8_t> rows(5 * stride, 0);
+  uint8_t* sub = rows.data() + stride;
+  uint8_t* up = sub + stride;
+  uint8_t* avg = up + stride;
+  uint8_t* paeth = avg + stride;
   for (size_t y = 0; y < height; ++y) {
     const uint8_t* cur = reinterpret_cast<const uint8_t*>(pixels + y * width);
-    const uint8_t* prev =
-        y > 0 ? reinterpret_cast<const uint8_t*>(pixels + (y - 1) * width)
-              : nullptr;
-    int best_type = 0;
-    uint64_t best_cost = ~uint64_t{0};
-    for (int type = 0; type < 5; ++type) {
-      ApplyFilter(type, cur, prev, stride, bpp, candidate.data());
-      uint64_t cost = FilterCost(candidate.data(), stride);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_type = type;
-        best.swap(candidate);
-      }
-    }
-    raw.push_back(static_cast<char>(best_type));
-    raw.append(reinterpret_cast<const char*>(best.data()), stride);
+    const uint8_t* prev = y > 0 ? cur - stride : rows.data();
+    const int type = FilterRow(cur, prev, stride, bpp, sub, up, avg, paeth);
+    const uint8_t* const filtered[5] = {cur, sub, up, avg, paeth};
+    raw.push_back(static_cast<char>(type));
+    raw.append(reinterpret_cast<const char*>(filtered[type]), stride);
   }
   return raw;
 }
