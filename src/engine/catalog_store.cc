@@ -324,7 +324,7 @@ CatalogStore::~CatalogStore() {
   }
 }
 
-Status CatalogStore::EnsurePage(size_t page) const {
+Status CatalogStore::EnsurePage(size_t page, size_t* bytes_won) const {
   if (page >= page_count_) {
     return Status::InvalidArgument("catalog page index out of range: " +
                                    path_);
@@ -347,11 +347,13 @@ Status CatalogStore::EnsurePage(size_t page) const {
   if (state.exchange(kPageVerified, std::memory_order_release) !=
       kPageVerified) {
     pages_touched_.fetch_add(1, std::memory_order_relaxed);
+    if (bytes_won != nullptr) *bytes_won += page_size_;
   }
   return Status::OK();
 }
 
-Status CatalogStore::ReadSlots(uint64_t slot, size_t n, uint64_t* out) const {
+Status CatalogStore::ReadSlots(uint64_t slot, size_t n, uint64_t* out,
+                               size_t* bytes_won) const {
   while (n > 0) {
     const size_t page = 1 + static_cast<size_t>(slot / slots_per_page_);
     const size_t offset = static_cast<size_t>(slot % slots_per_page_);
@@ -360,7 +362,7 @@ Status CatalogStore::ReadSlots(uint64_t slot, size_t n, uint64_t* out) const {
                                      path_);
     }
     const size_t take = std::min(n, slots_per_page_ - offset);
-    VAS_RETURN_IF_ERROR(EnsurePage(page));
+    VAS_RETURN_IF_ERROR(EnsurePage(page, bytes_won));
     const uint8_t* p = base_ + page * page_size_;
     const uint32_t len = LoadU32(p + 4);
     if ((offset + take) * 8 > len) {
@@ -537,8 +539,9 @@ StatusOr<std::shared_ptr<const CatalogStore>> CatalogStore::Open(
   return std::shared_ptr<const CatalogStore>(std::move(store));
 }
 
-StatusOr<SampleSet> CatalogStore::MaterializeRung(size_t k,
-                                                  size_t dataset_size) const {
+StatusOr<SampleSet> CatalogStore::MaterializeRung(
+    size_t k, size_t dataset_size, size_t* touched_bytes) const {
+  if (touched_bytes != nullptr) *touched_bytes = 0;
   if (k >= rungs_.size()) {
     return Status::InvalidArgument("catalog rung index out of range");
   }
@@ -553,12 +556,13 @@ StatusOr<SampleSet> CatalogStore::MaterializeRung(size_t k,
   }
   std::vector<uint64_t> ids(n);
   std::vector<uint64_t> perm(n);
-  VAS_RETURN_IF_ERROR(ReadSlots(r.slot_base, n, ids.data()));
-  VAS_RETURN_IF_ERROR(ReadSlots(r.perm_base, n, perm.data()));
+  VAS_RETURN_IF_ERROR(ReadSlots(r.slot_base, n, ids.data(), touched_bytes));
+  VAS_RETURN_IF_ERROR(ReadSlots(r.perm_base, n, perm.data(), touched_bytes));
   std::vector<uint64_t> density;
   if (r.has_density) {
     density.resize(n);
-    VAS_RETURN_IF_ERROR(ReadSlots(r.slot_base + n, n, density.data()));
+    VAS_RETURN_IF_ERROR(
+        ReadSlots(r.slot_base + n, n, density.data(), touched_bytes));
   }
   out.ids.assign(n, 0);
   if (r.has_density) out.density.assign(n, 0);
@@ -580,8 +584,10 @@ StatusOr<SampleSet> CatalogStore::MaterializeRung(size_t k,
   return out;
 }
 
-StatusOr<SampleSet> CatalogStore::MaterializeCells(size_t k, const Rect& query,
-                                                   size_t dataset_size) const {
+StatusOr<SampleSet> CatalogStore::MaterializeCells(
+    size_t k, const Rect& query, size_t dataset_size,
+    size_t* touched_bytes) const {
+  if (touched_bytes != nullptr) *touched_bytes = 0;
   if (k >= rungs_.size()) {
     return Status::InvalidArgument("catalog rung index out of range");
   }
@@ -613,7 +619,8 @@ StatusOr<SampleSet> CatalogStore::MaterializeCells(size_t k, const Rect& query,
     const auto run = static_cast<size_t>(e1 - e0);
     if (run == 0) continue;
     buffer.resize(run);
-    VAS_RETURN_IF_ERROR(ReadSlots(r.slot_base + e0, run, buffer.data()));
+    VAS_RETURN_IF_ERROR(
+        ReadSlots(r.slot_base + e0, run, buffer.data(), touched_bytes));
     for (uint64_t id : buffer) {
       if (dataset_size > 0 && id >= dataset_size) {
         return Status::OutOfRange("catalog sample id out of dataset range: " +
@@ -623,7 +630,8 @@ StatusOr<SampleSet> CatalogStore::MaterializeCells(size_t k, const Rect& query,
     }
     if (r.has_density) {
       VAS_RETURN_IF_ERROR(
-          ReadSlots(r.slot_base + r.count + e0, run, buffer.data()));
+          ReadSlots(r.slot_base + r.count + e0, run, buffer.data(),
+                    touched_bytes));
       out.density.insert(out.density.end(), buffer.begin(), buffer.end());
     }
   }
@@ -678,23 +686,27 @@ const SampleSet* CatalogView::ResidentRung(size_t k) const {
   return &resident_->samples()[k];
 }
 
-StatusOr<SampleSet> CatalogView::MaterializeForRect(size_t k,
-                                                    const Rect& rect) const {
+StatusOr<SampleSet> CatalogView::MaterializeForRect(
+    size_t k, const Rect& rect, size_t* touched_bytes) const {
+  if (touched_bytes != nullptr) *touched_bytes = 0;
   if (k >= rung_count()) {
     return Status::InvalidArgument("catalog rung index out of range");
   }
   if (store_ != nullptr) {
-    return store_->MaterializeCells(order_[k], rect, dataset_size_);
+    return store_->MaterializeCells(order_[k], rect, dataset_size_,
+                                    touched_bytes);
   }
   return SampleSet(resident_->samples()[k]);
 }
 
-StatusOr<SampleSet> CatalogView::MaterializeRung(size_t k) const {
+StatusOr<SampleSet> CatalogView::MaterializeRung(size_t k,
+                                                 size_t* touched_bytes) const {
+  if (touched_bytes != nullptr) *touched_bytes = 0;
   if (k >= rung_count()) {
     return Status::InvalidArgument("catalog rung index out of range");
   }
   if (store_ != nullptr) {
-    return store_->MaterializeRung(order_[k], dataset_size_);
+    return store_->MaterializeRung(order_[k], dataset_size_, touched_bytes);
   }
   return SampleSet(resident_->samples()[k]);
 }

@@ -132,16 +132,23 @@ class CatalogStore {
 
   /// Reconstructs rung `k` exactly as written (original entry order via
   /// the stored permutation). Ids are range-checked against
-  /// `dataset_size` unless it is 0.
-  StatusOr<SampleSet> MaterializeRung(size_t k, size_t dataset_size) const;
+  /// `dataset_size` unless it is 0. When `touched_bytes` is set it
+  /// receives the bytes of the pages this call faulted in first — pages
+  /// another call verified earlier (or concurrently, and first) are not
+  /// counted, so concurrent calls' counts sum to the touched_bytes()
+  /// delta.
+  StatusOr<SampleSet> MaterializeRung(size_t k, size_t dataset_size,
+                                      size_t* touched_bytes = nullptr) const;
 
   /// Materializes only the entries of rung `k` whose grid cells
   /// intersect `query` — a superset of the entries inside `query`,
   /// cell-major and id-sorted within cells, touching only the data
   /// pages those cell ranges live on. Ids are range-checked against
-  /// `dataset_size` unless it is 0.
+  /// `dataset_size` unless it is 0. `touched_bytes` as for
+  /// MaterializeRung.
   StatusOr<SampleSet> MaterializeCells(size_t k, const Rect& query,
-                                       size_t dataset_size) const;
+                                       size_t dataset_size,
+                                       size_t* touched_bytes = nullptr) const;
 
   /// Fully materializes every rung (each in original order).
   StatusOr<SampleCatalog> ReadAll(size_t dataset_size) const;
@@ -149,10 +156,13 @@ class CatalogStore {
  private:
   CatalogStore() = default;
 
-  Status EnsurePage(size_t page) const;
+  /// Verifies `page` on first touch. Adds page_size() to `*bytes_won`
+  /// (when set) if this call is the one that marked it verified.
+  Status EnsurePage(size_t page, size_t* bytes_won = nullptr) const;
   /// Copies `n` slots starting at data-region slot `slot` into `out`,
-  /// verifying each touched page's CRC.
-  Status ReadSlots(uint64_t slot, size_t n, uint64_t* out) const;
+  /// verifying each touched page's CRC; `bytes_won` as for EnsurePage.
+  Status ReadSlots(uint64_t slot, size_t n, uint64_t* out,
+                   size_t* bytes_won) const;
 
   std::string path_;
   const uint8_t* base_ = nullptr;  // mmap base (read-only)
@@ -199,10 +209,14 @@ class CatalogView {
 
   /// Entries of rung `k` whose cells intersect `rect` (store-backed:
   /// partial page touch; resident: full copy, provided for symmetry).
-  StatusOr<SampleSet> MaterializeForRect(size_t k, const Rect& rect) const;
+  /// When `touched_bytes` is set it receives the page bytes this call
+  /// faulted in first (0 when resident); see CatalogStore.
+  StatusOr<SampleSet> MaterializeForRect(size_t k, const Rect& rect,
+                                         size_t* touched_bytes = nullptr) const;
 
-  /// The whole rung, in original order.
-  StatusOr<SampleSet> MaterializeRung(size_t k) const;
+  /// The whole rung, in original order; `touched_bytes` as above.
+  StatusOr<SampleSet> MaterializeRung(size_t k,
+                                      size_t* touched_bytes = nullptr) const;
 
  private:
   std::shared_ptr<const SampleCatalog> resident_;

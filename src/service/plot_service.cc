@@ -288,17 +288,19 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   const SampleSet* sample = view.ResidentRung(rung_index);
   SampleSet materialized_storage;
   bool partial_load = false;
-  uint64_t touched_delta = 0;
+  // Page bytes this render faulted in itself; concurrent renders of the
+  // same store each count only the pages they verified first.
+  size_t touched_bytes = 0;
   if (sample == nullptr) {
     const bool identity_safe =
         style == TileStyle::kHeatmap || !state.dataset->has_values();
     const size_t materialize_span =
         trace != nullptr ? trace->BeginSpan("materialize") : 0;
-    const size_t touched_before = manager_->memory_stats().touched_page_bytes;
     auto materialized =
-        identity_safe
-            ? view.MaterializeForRect(rung_index, state.grid.TileBounds(tile))
-            : view.MaterializeRung(rung_index);
+        identity_safe ? view.MaterializeForRect(
+                            rung_index, state.grid.TileBounds(tile),
+                            &touched_bytes)
+                      : view.MaterializeRung(rung_index, &touched_bytes);
     if (!materialized.ok()) {
       {
         std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -310,15 +312,12 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
     materialized_storage = std::move(*materialized);
     sample = &materialized_storage;
     partial_load = identity_safe;
-    const size_t touched_after = manager_->memory_stats().touched_page_bytes;
-    touched_delta =
-        touched_after > touched_before ? touched_after - touched_before : 0;
     if (trace != nullptr) {
       trace->EndSpan(materialize_span);
       trace->Annotate(materialize_span, "points",
                       static_cast<int64_t>(sample->size()));
       trace->Annotate(materialize_span, "touched_bytes",
-                      static_cast<int64_t>(touched_delta));
+                      static_cast<int64_t>(touched_bytes));
     }
   }
   ScatterRenderer renderer(TileRenderOptions());
@@ -345,7 +344,7 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   (heatmap ? metrics_.heatmap_tiles : metrics_.scatter_tiles)->Increment();
   if (partial_load) {
     metrics_.partial_loads->Increment();
-    metrics_.partial_load_bytes->Increment(touched_delta);
+    metrics_.partial_load_bytes->Increment(touched_bytes);
   }
   (heatmap ? metrics_.heatmap_render_ns : metrics_.scatter_render_ns)
       ->Observe(encode_start - render_start);

@@ -2,7 +2,8 @@
 // round-trips through the cell-partitioned writer, cell-range partial
 // loads (coverage and density fidelity vs the resident rung), the
 // touched-page accounting that proves one viewport reads fewer bytes
-// than full materialization, CatalogView parity with SampleCatalog,
+// than full materialization and charges each page to exactly one
+// materialize call, CatalogView parity with SampleCatalog,
 // and corruption hardening — truncation, bit flips, out-of-range page
 // directories, and oversized cell counts must all come back as clean
 // Status errors, never crashes or silent bad data.
@@ -12,9 +13,12 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "engine/catalog_io.h"
 #include "engine/catalog_store.h"
@@ -246,6 +250,104 @@ TEST_F(CatalogStoreTest, OneViewportTouchesFewerBytesThanFullLoad) {
   EXPECT_LT((*partial)->touched_bytes(), full_touched)
       << "one viewport should fault in fewer pages than the whole rung";
   EXPECT_LT((*partial)->touched_bytes(), (*partial)->file_bytes());
+}
+
+TEST_F(CatalogStoreTest, MaterializeReportsThePagesItFaultedInFirst) {
+  // Per-call attribution: each call reports the bytes of exactly the
+  // pages it verified first — all of the store's touched_bytes() delta
+  // when it runs alone, nothing when it repeats a rect.
+  Dataset d = test::Skewed(50000);
+  SampleCatalog catalog = Build(d, {20000}, /*density=*/true);
+  CatalogWriteOptions wopt;
+  wopt.dataset = &d;
+  wopt.page_size = 512;
+  wopt.target_entries_per_cell = 256;
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
+  auto store = CatalogStore::Open(path());
+  ASSERT_TRUE(store.ok());
+  CatalogView view(*store, d.size());
+
+  Rect bounds = d.Bounds();
+  Rect viewport = Rect::Of(bounds.min_x + bounds.width() * 0.45,
+                           bounds.min_y + bounds.height() * 0.45,
+                           bounds.min_x + bounds.width() * 0.55,
+                           bounds.min_y + bounds.height() * 0.55);
+  const size_t before = (*store)->touched_bytes();
+  size_t first = 0;
+  ASSERT_TRUE(view.MaterializeForRect(0, viewport, &first).ok());
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(first, (*store)->touched_bytes() - before);
+
+  size_t repeat = 1;
+  ASSERT_TRUE(view.MaterializeForRect(0, viewport, &repeat).ok());
+  EXPECT_EQ(repeat, 0u) << "a repeated rect faults in no new pages";
+
+  // The whole rung pays only for the pages the rect left untouched.
+  const size_t after_rect = (*store)->touched_bytes();
+  size_t whole = 0;
+  ASSERT_TRUE(view.MaterializeRung(0, &whole).ok());
+  EXPECT_GT(whole, 0u);
+  EXPECT_EQ(whole, (*store)->touched_bytes() - after_rect);
+
+  CatalogView resident(std::make_shared<const SampleCatalog>(catalog));
+  size_t resident_bytes = 1;
+  ASSERT_TRUE(resident.MaterializeForRect(0, viewport, &resident_bytes).ok());
+  EXPECT_EQ(resident_bytes, 0u);
+}
+
+TEST_F(CatalogStoreTest, ConcurrentDisjointRectsSplitTheTouchedBytes) {
+  // Threads materializing disjoint rects of one store race for the
+  // pages their cell runs share; every page is charged to exactly the
+  // call that verified it, so the reports sum to the store's
+  // touched_bytes() delta.
+  Dataset d = test::Skewed(50000);
+  SampleCatalog catalog = Build(d, {20000}, /*density=*/true);
+  CatalogWriteOptions wopt;
+  wopt.dataset = &d;
+  wopt.page_size = 512;
+  wopt.target_entries_per_cell = 64;
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
+
+  constexpr size_t kSide = 4;
+  constexpr size_t kThreads = 4;
+  const Rect bounds = d.Bounds();
+  std::vector<Rect> rects;
+  for (size_t gy = 0; gy < kSide; ++gy) {
+    for (size_t gx = 0; gx < kSide; ++gx) {
+      const double w = bounds.width() / kSide;
+      const double h = bounds.height() / kSide;
+      // Shrunk a little so neighbors never share an edge.
+      rects.push_back(Rect::Of(bounds.min_x + w * (gx + 0.01),
+                               bounds.min_y + h * (gy + 0.01),
+                               bounds.min_x + w * (gx + 0.99),
+                               bounds.min_y + h * (gy + 0.99)));
+    }
+  }
+  for (int round = 0; round < 5; ++round) {
+    auto store = CatalogStore::Open(path());  // fresh accounting
+    ASSERT_TRUE(store.ok());
+    const size_t before = (*store)->touched_bytes();
+    std::vector<size_t> reported(rects.size(), 0);
+    std::vector<int> ok(rects.size(), 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t r = t; r < rects.size(); r += kThreads) {
+          ok[r] = (*store)
+                      ->MaterializeCells(0, rects[r], d.size(), &reported[r])
+                      .ok();
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    size_t sum = 0;
+    for (size_t r = 0; r < rects.size(); ++r) {
+      EXPECT_TRUE(ok[r]) << "rect " << r;
+      sum += reported[r];
+    }
+    EXPECT_GT(sum, 0u);
+    EXPECT_EQ(sum, (*store)->touched_bytes() - before) << "round " << round;
+  }
 }
 
 TEST_F(CatalogStoreTest, ViewMatchesResidentCatalogSemantics) {

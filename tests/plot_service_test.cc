@@ -4,7 +4,8 @@
 // that a served tile is byte-identical to the same rung rendered
 // directly through ScatterRenderer, rung-upgrade invalidation
 // (progressive refinement), time-budget rung selection, viewport
-// queries against brute-force counts, and drop semantics.
+// queries against brute-force counts, drop semantics, and partial loads
+// of spilled tables charged page by page to the render that paid them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -620,6 +621,80 @@ TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {
   // The tiles really came from the mapping, not a transparent reload.
   EXPECT_EQ(stats.reloads, 0u);
   EXPECT_FALSE(spilled.manager().GetStatus(key)->resident);
+}
+
+TEST(PlotServiceTest, ConcurrentSpilledRendersChargeOnlyTheirOwnPages) {
+  // Cold heatmap tiles of two spilled tables rendered concurrently:
+  // each render is charged only the pages it faulted in itself, so
+  // vas_tile_partial_load_bytes_total moves by exactly the two stores'
+  // combined touched_bytes() delta.
+  PlotService::Options tight;
+  tight.catalog.memory_budget_bytes = 1;  // evict everything not in use
+  PlotService service(tight);
+  const std::vector<std::string> names = {"a", "b"};
+  for (size_t t = 0; t < names.size(); ++t) {
+    auto dataset = SkewedShared(50000);
+    UniformReservoirSampler sampler(80 + t);
+    SampleCatalog catalog(*dataset, sampler, Ladder({8000}));
+    ASSERT_TRUE(service.AddTable(names[t], dataset, catalog).ok());
+  }
+  // Eviction spares the entry being accessed: a third registration
+  // pushes the second table out as well.
+  auto tiny_dataset = SkewedShared(2000);
+  UniformReservoirSampler tiny_sampler(82);
+  SampleCatalog tiny_catalog(*tiny_dataset, tiny_sampler, Ladder({100}));
+  ASSERT_TRUE(service.AddTable("tiny", tiny_dataset, tiny_catalog).ok());
+  for (const std::string& name : names) {
+    CatalogKey key{name, "x", "y"};
+    for (int i = 0; i < 500; ++i) {
+      auto status = service.manager().GetStatus(key);
+      ASSERT_TRUE(status.ok());
+      if (!status->resident) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_FALSE(service.manager().GetStatus(key)->resident);
+  }
+
+  // Map both stores before measuring: opening one verifies its
+  // superblock and metadata pages.
+  std::vector<std::shared_ptr<const CatalogStore>> stores;
+  size_t touched_before = 0;
+  for (const std::string& name : names) {
+    auto view = service.manager().ViewFor(CatalogKey{name, "x", "y"});
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(view->partial());
+    stores.push_back(view->store());
+    touched_before += stores.back()->touched_bytes();
+  }
+  obs::Counter* charged = service.metrics_registry()->GetCounter(
+      "vas_tile_partial_load_bytes_total", "");
+  const uint64_t charged_before = charged->Value();
+
+  // Every zoom-2 tile of each table, one thread per table.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (const std::string& name : names) {
+    threads.emplace_back([&service, &failures, name] {
+      for (uint32_t x = 0; x < 4; ++x) {
+        for (uint32_t y = 0; y < 4; ++y) {
+          auto tile = service.RenderTile(name, TileKey{2, x, y}, "",
+                                         TileStyle::kHeatmap);
+          if (!tile.ok()) failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(service.render_stats().partial_tile_loads, 32u);
+
+  size_t touched_after = 0;
+  for (const auto& store : stores) touched_after += store->touched_bytes();
+  EXPECT_GT(touched_after, touched_before);
+  EXPECT_EQ(charged->Value() - charged_before, touched_after - touched_before);
+  for (const std::string& name : names) {
+    EXPECT_FALSE(service.manager().GetStatus({name, "x", "y"})->resident);
+  }
 }
 
 TEST(PlotServiceTest, GetTableReportsWorldAndBuildState) {
