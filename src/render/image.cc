@@ -69,14 +69,14 @@ constexpr size_t kCostRun = 496;
 
 /// Filters row `cur` against `prev` into the Sub, Up, Average and Paeth
 /// residual rows (None is `cur` itself) and returns the first filter
-/// type with the minimum cost. bpp is bytes per pixel.
+/// type with the minimum cost. bpp is bytes per pixel; stride, the row
+/// length in bytes, is a nonzero multiple of it.
 int FilterRow(const uint8_t* __restrict__ cur,
               const uint8_t* __restrict__ prev, size_t stride, size_t bpp,
               uint8_t* __restrict__ sub, uint8_t* __restrict__ up,
               uint8_t* __restrict__ avg, uint8_t* __restrict__ paeth) {
   uint64_t cost[5] = {0, 0, 0, 0, 0};
-  const size_t head = std::min(bpp, stride);
-  for (size_t i = 0; i < head; ++i) {
+  for (size_t i = 0; i < bpp; ++i) {
     const uint8_t x = cur[i];
     const uint8_t b = prev[i];
     sub[i] = x;
@@ -89,7 +89,7 @@ int FilterRow(const uint8_t* __restrict__ cur,
     cost[3] += ResidualCost(avg[i]);
     cost[4] += ResidualCost(paeth[i]);
   }
-  for (size_t start = head; start < stride; start += kCostRun) {
+  for (size_t start = bpp; start < stride; start += kCostRun) {
     const size_t end = std::min(stride, start + kCostRun);
     uint16_t none_sum = 0, sub_sum = 0, up_sum = 0, avg_sum = 0,
              paeth_sum = 0;

@@ -75,9 +75,9 @@ TEST(DeflateTest, SmallStringsRoundTrip) {
 }
 
 TEST(DeflateTest, GoldenStreamsForRunsAndRandomBytes) {
-  // Size and CRC-32 of every default-options stream in each family,
-  // captured from the encoder before its table-driven rewrite: match
-  // decisions and bit packing must not change a single output byte.
+  // Size and CRC-32 of every default-options stream in each family:
+  // served tile bytes depend on every match decision and every packed
+  // bit, so neither may change a single output byte.
   struct Golden {
     const char* name;
     std::function<std::string(size_t)> make;

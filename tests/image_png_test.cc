@@ -235,10 +235,10 @@ Image NoiseImage(size_t width, size_t height, uint32_t seed,
   return image;
 }
 
-// --- Reference filter chooser: the scalar per-row heuristic the
-// encoder shipped with first (five separate filter passes, each
-// re-scanned for its cost). It is the oracle the encoder's filter
-// choice and residuals must match byte for byte.
+// --- Reference filter chooser: the plain scalar form of the per-row
+// heuristic — five separate filter passes, each re-scanned for its
+// cost. It is the oracle the encoder's fused filter pass must match
+// byte for byte, filter choice and residuals alike.
 
 uint64_t RefFilterCost(const uint8_t* filtered, size_t n) {
   uint64_t sum = 0;
