@@ -621,6 +621,113 @@ TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {
   // The tiles really came from the mapping, not a transparent reload.
   EXPECT_EQ(stats.reloads, 0u);
   EXPECT_FALSE(spilled.manager().GetStatus(key)->resident);
+
+  // Value-colored scatter tiles at zooms 3-7, including a tile across
+  // an interior cell boundary of the rung's grid and tiles at the
+  // corners of the rung's domain, where the extreme points sit.
+  auto view = spilled.manager().ViewFor(key);
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(view->partial());
+  const CatalogStore::Rung& rung = view->store()->rung(0);
+  ASSERT_GT(rung.grid_x, 1u);
+  const Rect& domain = rung.domain;
+  const TileGrid grid(dataset->Bounds());
+  const Point cell_corner{
+      domain.min_x + domain.width() / static_cast<double>(rung.grid_x),
+      domain.min_y + domain.height() / static_cast<double>(rung.grid_y)};
+  std::vector<TileKey> tiles = {grid.TileAt(5, cell_corner),
+                                grid.TileAt(6, {domain.max_x, domain.max_y}),
+                                grid.TileAt(7, {domain.min_x, domain.min_y})};
+  const Point hot = dataset->points[catalog.samples()[0].ids[0]];
+  for (uint32_t z = 3; z <= 7; ++z) tiles.push_back(grid.TileAt(z, hot));
+  for (const TileKey& t : tiles) {
+    auto baseline = resident.RenderTile("geo", t);
+    auto partial = spilled.RenderTile("geo", t);
+    ASSERT_TRUE(baseline.ok());
+    ASSERT_TRUE(partial.ok());
+    EXPECT_EQ(*partial->png, *baseline->png)
+        << "spilled scatter tile " << t.ToString()
+        << " diverged from the resident render";
+  }
+  EXPECT_EQ(spilled.manager().memory_stats().reloads, 0u);
+}
+
+TEST(PlotServiceTest, SpilledScatterTileKeepsRungDrawOrder) {
+  // Two overlapping, differently valued dots sit in grid cells whose
+  // cell-major order is the reverse of their rung order. The big dot
+  // comes first in the rung, so the small dot drawn after it stays
+  // visible ("later points win") — on the mapped path too.
+  auto dataset = std::make_shared<Dataset>();
+  dataset->Add(Point{0.0, 0.0}, 0.0);
+  dataset->Add(Point{10.0, 10.0}, 0.0);
+  dataset->Add(Point{6.02, 6.02}, 1.0);  // first in the rung, top cell
+  dataset->Add(Point{6.0, 6.0}, 5.0);    // second, bottom cell
+  dataset->CacheBounds();
+  SampleSet sample;
+  sample.method = "hand";
+  sample.ids = {2, 3};
+  sample.density = {1000, 2};
+  SampleCatalog catalog(std::vector<SampleSet>{sample});
+
+  test::ScopedTempFile file("plot_service_draw_order.vascat");
+  CatalogWriteOptions write;
+  write.dataset = dataset.get();
+  write.target_entries_per_cell = 1;  // a 2x2 grid over the two dots
+  ASSERT_TRUE(WriteCatalogPaged(catalog, file.path(), write).ok());
+
+  PlotService resident;
+  ASSERT_TRUE(resident.AddTable("dots", dataset, catalog).ok());
+  PlotService mapped;
+  ASSERT_TRUE(mapped.LoadTable("dots", dataset, file.path()).ok());
+  auto view = mapped.manager().ViewFor(CatalogKey{"dots", "x", "y"});
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(view->partial());
+  ASSERT_EQ(view->store()->rung(0).grid_x, 2u);
+
+  const TileGrid grid(dataset->Bounds());
+  for (TileKey tile : {TileKey{0, 0, 0}, grid.TileAt(4, Point{6.0, 6.0})}) {
+    auto baseline = resident.RenderTile("dots", tile);
+    auto served = mapped.RenderTile("dots", tile);
+    ASSERT_TRUE(baseline.ok());
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(*served->png, *baseline->png)
+        << "mapped tile " << tile.ToString() << " drew the dots out of order";
+  }
+}
+
+TEST(PlotServiceTest, SpilledFileWithoutValueRangeServesScatterWhole) {
+  // A file written without a recorded value range (partitioned against
+  // a value-less copy of the dataset: a cell grid, but no range) served
+  // with the valued dataset: scatter tiles must come from the whole
+  // rung and still match the resident render.
+  auto dataset = SkewedShared(20000);
+  ASSERT_TRUE(dataset->has_values());
+  UniformReservoirSampler sampler(79);
+  SampleCatalog catalog(*dataset, sampler, Ladder({5000}));
+  Dataset valueless = *dataset;
+  valueless.values.clear();
+  test::ScopedTempFile file("plot_service_no_range.vascat");
+  CatalogWriteOptions write;
+  write.dataset = &valueless;
+  ASSERT_TRUE(WriteCatalogPaged(catalog, file.path(), write).ok());
+
+  PlotService resident;
+  ASSERT_TRUE(resident.AddTable("geo", dataset, catalog).ok());
+  PlotService mapped;
+  ASSERT_TRUE(mapped.LoadTable("geo", dataset, file.path()).ok());
+  const TileGrid grid(dataset->Bounds());
+  const Point hot = dataset->points[catalog.samples()[0].ids[0]];
+  for (uint32_t z = 2; z <= 5; ++z) {
+    const TileKey tile = grid.TileAt(z, hot);
+    auto baseline = resident.RenderTile("geo", tile);
+    auto served = mapped.RenderTile("geo", tile);
+    ASSERT_TRUE(baseline.ok());
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(*served->png, *baseline->png)
+        << "mapped tile " << tile.ToString() << " diverged";
+  }
+  EXPECT_EQ(mapped.render_stats().partial_tile_loads, 0u);
+  EXPECT_EQ(mapped.render_stats().scatter_tiles_rendered, 4u);
 }
 
 TEST(PlotServiceTest, ConcurrentSpilledRendersChargeOnlyTheirOwnPages) {
