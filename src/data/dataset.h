@@ -4,8 +4,11 @@
 #ifndef VAS_DATA_DATASET_H_
 #define VAS_DATA_DATASET_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -81,6 +84,22 @@ struct Dataset {
 
   /// Materializes the tuples at `ids` (e.g. a sample) as a new Dataset.
   Dataset Gather(const std::vector<size_t>& ids) const;
+
+  /// (min, max) of the value column over `ids`, folded in order with
+  /// std::min / std::max from (+inf, -inf): NaN values are skipped, and
+  /// an empty or all-NaN selection yields (+inf, -inf). The scatter
+  /// renderer colors a sample over this fold and the CAT2 writer
+  /// records it per rung, so the two agree bit for bit. Requires
+  /// has_values().
+  std::pair<double, double> ValueRange(const std::vector<size_t>& ids) const {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (size_t id : ids) {
+      lo = std::min(lo, values[id]);
+      hi = std::max(hi, values[id]);
+    }
+    return {lo, hi};
+  }
 
  private:
   Rect bounds_cache_;

@@ -30,6 +30,10 @@ constexpr size_t kMaxMethodLen = 4096;
 constexpr uint64_t kMaxRungs = 4096;
 constexpr uint64_t kMaxGridCells = 1ULL << 22;
 constexpr uint8_t kPageVerified = 1;
+// Per-rung flags word.
+constexpr uint64_t kRungHasDensity = 1;
+constexpr uint64_t kRungHasValueRange = 2;
+constexpr uint64_t kRungFlagsMask = kRungHasDensity | kRungHasValueRange;
 
 uint64_t LoadU64(const uint8_t* p) {
   uint64_t v;
@@ -67,6 +71,42 @@ size_t CellCoord(double v, double lo, double hi, uint64_t dim) {
   return static_cast<size_t>(scaled);
 }
 
+/// A cell-range entry tagged with its position in the rung.
+struct PositionedEntry {
+  uint64_t position;
+  uint64_t index;  // into the cell-range gather buffers
+};
+
+/// Stable LSD radix sort by position, 11 bits per pass over the bits
+/// that positions below `bound` can set: two passes for rungs of up to
+/// 4M entries. Linear in the entry count, where a comparison sort made
+/// partial loads several times slower.
+void SortByPosition(std::vector<PositionedEntry>* entries, uint64_t bound) {
+  constexpr unsigned kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
+  if (entries->size() < 2) return;
+  unsigned bits = 0;
+  while (bits < 64 && ((bound - 1) >> bits) != 0) ++bits;
+  std::vector<PositionedEntry> scratch(entries->size());
+  std::vector<size_t> offsets(kDigitMask + 1);
+  for (unsigned shift = 0; shift < bits; shift += kDigitBits) {
+    std::fill(offsets.begin(), offsets.end(), 0);
+    for (const PositionedEntry& e : *entries) {
+      ++offsets[(e.position >> shift) & kDigitMask];
+    }
+    size_t sum = 0;
+    for (size_t& offset : offsets) {
+      const size_t count = offset;
+      offset = sum;
+      sum += count;
+    }
+    for (const PositionedEntry& e : *entries) {
+      scratch[offsets[(e.position >> shift) & kDigitMask]++] = e;
+    }
+    entries->swap(scratch);
+  }
+}
+
 struct RungLayout {
   uint64_t grid_x = 1;
   uint64_t grid_y = 1;
@@ -74,6 +114,9 @@ struct RungLayout {
   uint64_t max_id = 0;
   uint64_t slot_base = 0;
   uint64_t perm_base = 0;
+  bool has_value_range = false;
+  double value_lo = 0.0;
+  double value_hi = 0.0;
   std::vector<uint64_t> cell_counts;
   std::vector<uint64_t> ids;      // cell-major, id-sorted within cells
   std::vector<uint64_t> density;  // parallel to ids (empty when absent)
@@ -107,6 +150,15 @@ Status LayOutRung(const SampleSet& sample, const CatalogWriteOptions& options,
     }
     out->grid_x = GridDimFor(n, options);
     out->grid_y = out->grid_x;
+  }
+  if (dataset != nullptr && dataset->has_values()) {
+    // Exactly the fold a scatter render of the whole rung colors over.
+    const auto [lo, hi] = dataset->ValueRange(sample.ids);
+    if (std::isfinite(lo) && std::isfinite(hi) && lo <= hi) {
+      out->has_value_range = true;
+      out->value_lo = lo;
+      out->value_hi = hi;
+    }
   }
   const uint64_t gx = out->grid_x;
   const uint64_t gy = out->grid_y;
@@ -218,7 +270,9 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
     VAS_RETURN_IF_ERROR(
         WriteLengthPrefixedString(meta_stream, s.method, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, s.size(), path));
-    VAS_RETURN_IF_ERROR(WriteU64(meta_stream, s.has_density() ? 1 : 0, path));
+    const uint64_t flags = (s.has_density() ? kRungHasDensity : 0) |
+                           (l.has_value_range ? kRungHasValueRange : 0);
+    VAS_RETURN_IF_ERROR(WriteU64(meta_stream, flags, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.max_id, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.grid_x, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.grid_y, path));
@@ -232,6 +286,12 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
         WriteU64(meta_stream, DoubleToU64(l.domain.max_y), path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.slot_base, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.perm_base, path));
+    if (l.has_value_range) {
+      VAS_RETURN_IF_ERROR(
+          WriteU64(meta_stream, DoubleToU64(l.value_lo), path));
+      VAS_RETURN_IF_ERROR(
+          WriteU64(meta_stream, DoubleToU64(l.value_hi), path));
+    }
     for (uint64_t count : l.cell_counts) {
       VAS_RETURN_IF_ERROR(WriteU64(meta_stream, count, path));
     }
@@ -480,11 +540,11 @@ StatusOr<std::shared_ptr<const CatalogStore>> CatalogStore::Open(
     VAS_ASSIGN_OR_RETURN(r.method,
                          ReadLengthPrefixedString(in, kMaxMethodLen, path));
     VAS_ASSIGN_OR_RETURN(r.count, ReadU64(in, path));
-    VAS_ASSIGN_OR_RETURN(const uint64_t has_density, ReadU64(in, path));
-    if (has_density > 1) {
+    VAS_ASSIGN_OR_RETURN(const uint64_t flags, ReadU64(in, path));
+    if ((flags & ~kRungFlagsMask) != 0) {
       return Status::InvalidArgument("catalog rung header corrupt: " + path);
     }
-    r.has_density = has_density == 1;
+    r.has_density = (flags & kRungHasDensity) != 0;
     VAS_ASSIGN_OR_RETURN(r.max_id, ReadU64(in, path));
     VAS_ASSIGN_OR_RETURN(r.grid_x, ReadU64(in, path));
     VAS_ASSIGN_OR_RETURN(r.grid_y, ReadU64(in, path));
@@ -499,6 +559,18 @@ StatusOr<std::shared_ptr<const CatalogStore>> CatalogStore::Open(
                         U64ToDouble(bits[2]), U64ToDouble(bits[3]));
     VAS_ASSIGN_OR_RETURN(r.slot_base, ReadU64(in, path));
     VAS_ASSIGN_OR_RETURN(r.perm_base, ReadU64(in, path));
+    if ((flags & kRungHasValueRange) != 0) {
+      VAS_ASSIGN_OR_RETURN(const uint64_t lo_bits, ReadU64(in, path));
+      VAS_ASSIGN_OR_RETURN(const uint64_t hi_bits, ReadU64(in, path));
+      r.has_value_range = true;
+      r.value_lo = U64ToDouble(lo_bits);
+      r.value_hi = U64ToDouble(hi_bits);
+      if (!std::isfinite(r.value_lo) || !std::isfinite(r.value_hi) ||
+          r.value_lo > r.value_hi) {
+        return Status::InvalidArgument("catalog rung value range invalid: " +
+                                       path);
+      }
+    }
     const uint64_t width = r.has_density ? 2 : 1;
     if (r.count > store->total_slots_) {
       return Status::InvalidArgument("catalog rung size exceeds file slots: " +
@@ -608,32 +680,56 @@ StatusOr<SampleSet> CatalogStore::MaterializeCells(
                                r.grid_y);
   const size_t cy1 = CellCoord(query.max_y, r.domain.min_y, r.domain.max_y,
                                r.grid_y);
-  std::vector<uint64_t> buffer;
+  std::vector<uint64_t> ids;
+  std::vector<uint64_t> density;
+  std::vector<uint64_t> positions;
   for (size_t cy = cy0; cy <= cy1; ++cy) {
     // Cells of one grid row are consecutive, so a row's x-range is one
-    // contiguous entry range — two slot runs (ids + densities) per row.
+    // contiguous entry range — one slot run each of ids, densities and
+    // rung positions per row.
     const size_t c0 = cy * r.grid_x + cx0;
     const size_t c1 = cy * r.grid_x + cx1;
     const uint64_t e0 = r.cell_starts[c0];
     const uint64_t e1 = r.cell_starts[c1] + r.cell_counts[c1];
     const auto run = static_cast<size_t>(e1 - e0);
     if (run == 0) continue;
-    buffer.resize(run);
+    const size_t at = ids.size();
+    ids.resize(at + run);
+    positions.resize(at + run);
     VAS_RETURN_IF_ERROR(
-        ReadSlots(r.slot_base + e0, run, buffer.data(), touched_bytes));
-    for (uint64_t id : buffer) {
-      if (dataset_size > 0 && id >= dataset_size) {
-        return Status::OutOfRange("catalog sample id out of dataset range: " +
-                                  path_);
-      }
-      out.ids.push_back(static_cast<size_t>(id));
-    }
+        ReadSlots(r.slot_base + e0, run, ids.data() + at, touched_bytes));
     if (r.has_density) {
-      VAS_RETURN_IF_ERROR(
-          ReadSlots(r.slot_base + r.count + e0, run, buffer.data(),
-                    touched_bytes));
-      out.density.insert(out.density.end(), buffer.begin(), buffer.end());
+      density.resize(at + run);
+      VAS_RETURN_IF_ERROR(ReadSlots(r.slot_base + r.count + e0, run,
+                                    density.data() + at, touched_bytes));
     }
+    VAS_RETURN_IF_ERROR(ReadSlots(r.perm_base + e0, run,
+                                  positions.data() + at, touched_bytes));
+  }
+  // Back to rung order, so a scatter tile drawn from the cells overlaps
+  // its dots exactly as one drawn from the whole rung.
+  std::vector<PositionedEntry> order(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (dataset_size > 0 && ids[i] >= dataset_size) {
+      return Status::OutOfRange("catalog sample id out of dataset range: " +
+                                path_);
+    }
+    if (positions[i] >= r.count) {
+      return Status::InvalidArgument("catalog rung permutation corrupt: " +
+                                     path_);
+    }
+    order[i] = PositionedEntry{positions[i], i};
+  }
+  SortByPosition(&order, r.count);
+  out.ids.resize(order.size());
+  if (r.has_density) out.density.resize(order.size());
+  for (size_t j = 0; j < order.size(); ++j) {
+    if (j > 0 && order[j].position == order[j - 1].position) {
+      return Status::InvalidArgument("catalog rung permutation corrupt: " +
+                                     path_);
+    }
+    out.ids[j] = static_cast<size_t>(ids[order[j].index]);
+    if (r.has_density) out.density[j] = density[order[j].index];
   }
   return out;
 }
@@ -679,6 +775,14 @@ size_t CatalogView::ChooseForTimeBudget(double seconds,
     if (model.SecondsFor(rung_size(k)) <= seconds) best = k;
   }
   return best;
+}
+
+std::optional<std::pair<double, double>> CatalogView::RungValueRange(
+    size_t k) const {
+  if (store_ == nullptr || k >= order_.size()) return std::nullopt;
+  const CatalogStore::Rung& rung = store_->rung(order_[k]);
+  if (!rung.has_value_range) return std::nullopt;
+  return std::make_pair(rung.value_lo, rung.value_hi);
 }
 
 const SampleSet* CatalogView::ResidentRung(size_t k) const {

@@ -19,27 +19,38 @@
 // flat stream of u64 "slots" ((page_size-8)/8 per page); the remaining
 // pages hold the rung metadata stream:
 //
-//   per rung: method (length-prefixed), u64 count, u64 has_density,
+//   per rung: method (length-prefixed), u64 count, u64 flags,
 //     u64 max_id, u64 grid_x, u64 grid_y, 4 × u64 domain rect (double
 //     bit patterns), u64 slot_base, u64 perm_base,
+//     [u64 value_lo, u64 value_hi (double bit patterns)],
 //     grid_x*grid_y × u64 per-cell entry counts (row-major)
+//
+// Flags bit 0 marks a density column; bit 1 marks the rung's value
+// range, which then follows perm_base: the std::min/std::max fold of
+// the dataset's values over the rung's ids in original order
+// (Dataset::ValueRange), recorded when finite with lo <= hi. It is the
+// range a scatter render of the whole rung colors over. Files written
+// before the range existed have bit 1 clear; other bits are invalid.
 //
 // A rung's entries are grouped by grid cell (row-major over the rung's
 // domain bounding box) and sorted by id within each cell, so densities
 // ride alongside ids: slots [slot_base, +n) are the cell-major ids,
-// [slot_base+n, +n) the parallel densities (when has_density), and
-// [perm_base, +n) the original position of each entry — full
+// [slot_base+n, +n) the parallel densities (when flagged), and
+// [perm_base, +n) the original position of each entry. Full
 // materialization applies that permutation to reproduce the rung
-// byte-identically to what was written, while partial loads never touch
-// it. Page CRCs are verified lazily, once, on first touch; the verified
-// set doubles as the store's touched-page accounting.
+// byte-identically to what was written; partial loads read the
+// positions of their cell range and return its entries in rung order.
+// Page CRCs are verified lazily, once, on first touch; the verified set
+// doubles as the store's touched-page accounting.
 #ifndef VAS_ENGINE_CATALOG_STORE_H_
 #define VAS_ENGINE_CATALOG_STORE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -99,6 +110,10 @@ class CatalogStore {
     Rect domain;             // bounding box the grid spans
     uint64_t slot_base = 0;  // first slot of the cell-major id array
     uint64_t perm_base = 0;  // first slot of the original-order permutation
+    /// The recorded value range (see the format comment above).
+    bool has_value_range = false;
+    double value_lo = 0.0;
+    double value_hi = 0.0;
     std::vector<uint64_t> cell_counts;  // row-major, grid_x*grid_y entries
     std::vector<uint64_t> cell_starts;  // exclusive prefix sums of counts
     uint64_t occupied_cells = 0;
@@ -141,11 +156,12 @@ class CatalogStore {
                                       size_t* touched_bytes = nullptr) const;
 
   /// Materializes only the entries of rung `k` whose grid cells
-  /// intersect `query` — a superset of the entries inside `query`,
-  /// cell-major and id-sorted within cells, touching only the data
-  /// pages those cell ranges live on. Ids are range-checked against
-  /// `dataset_size` unless it is 0. `touched_bytes` as for
-  /// MaterializeRung.
+  /// intersect `query` — a superset of the entries inside `query`, in
+  /// rung order (MaterializeRung's order with the other cells' entries
+  /// left out), touching only the data pages that hold those cell
+  /// ranges' ids, densities and positions. Ids are range-checked
+  /// against `dataset_size` unless it is 0, and positions against the
+  /// rung size. `touched_bytes` as for MaterializeRung.
   StatusOr<SampleSet> MaterializeCells(size_t k, const Rect& query,
                                        size_t dataset_size,
                                        size_t* touched_bytes = nullptr) const;
@@ -207,8 +223,13 @@ class CatalogView {
   std::shared_ptr<const SampleCatalog> resident() const { return resident_; }
   std::shared_ptr<const CatalogStore> store() const { return store_; }
 
-  /// Entries of rung `k` whose cells intersect `rect` (store-backed:
-  /// partial page touch; resident: full copy, provided for symmetry).
+  /// Rung `k`'s recorded value range, or nullopt when the rung has none
+  /// or the view is resident.
+  std::optional<std::pair<double, double>> RungValueRange(size_t k) const;
+
+  /// Entries of rung `k` whose cells intersect `rect`, in rung order
+  /// (store-backed: partial page touch; resident: full copy, provided
+  /// for symmetry).
   /// When `touched_bytes` is set it receives the page bytes this call
   /// faulted in first (0 when resident); see CatalogStore.
   StatusOr<SampleSet> MaterializeForRect(size_t k, const Rect& rect,

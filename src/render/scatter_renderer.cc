@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <unordered_map>
 
@@ -150,17 +149,10 @@ class StencilCache {
 std::pair<double, double> ValueRange(const ScatterRenderer::Options& options,
                                      const Dataset& dataset,
                                      const SampleSet& sample) {
-  double lo = options.value_lo;
-  double hi = options.value_hi;
-  if (!(hi > lo) && dataset.has_values()) {
-    lo = std::numeric_limits<double>::infinity();
-    hi = -lo;
-    for (size_t id : sample.ids) {
-      lo = std::min(lo, dataset.values[id]);
-      hi = std::max(hi, dataset.values[id]);
-    }
+  if (!(options.value_hi > options.value_lo) && dataset.has_values()) {
+    return dataset.ValueRange(sample.ids);
   }
-  return {lo, hi};
+  return {options.value_lo, options.value_hi};
 }
 
 }  // namespace

@@ -43,8 +43,8 @@ PlotService::PlotService(const Options& options)
       {{"style", "heatmap"}});
   metrics_.partial_loads = registry_->GetCounter(
       "vas_tile_partial_loads_total",
-      "Cold renders served straight from a spilled table's mmap'd paged "
-      "catalog.");
+      "Cold renders drawn from a cell-range load of a spilled table's "
+      "mmap'd paged catalog.");
   metrics_.partial_load_bytes = registry_->GetCounter(
       "vas_tile_partial_load_bytes_total",
       "Page bytes newly faulted in by partial tile materializations.");
@@ -276,31 +276,33 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   Viewport viewport(state.grid.TileBounds(tile), options_.tile_px,
                     options_.tile_px);
   // Resolve the sample to draw. Resident ladders render their rung
-  // in place. Mapped (spilled) ladders materialize from the paged
-  // store — only the grid cells this tile's viewport intersects when
-  // that is pixel-identical to a full-rung render: heatmap bins are
-  // additive and out-of-viewport points contribute nothing, and
-  // value-less scatter stamps a constant color, so any superset of the
-  // in-viewport points draws the same pixels. Value-colored scatter
-  // normalizes colors over the *whole* rung (ValueRange) — those tiles
-  // materialize the full rung so served bytes never depend on the
-  // residency path.
+  // in place. Mapped (spilled) ladders load from the paged store only
+  // the grid cells this tile's viewport intersects, which draws the
+  // same pixels as the whole rung: both cull every point outside the
+  // tile, and the cells come back in rung order, so the in-tile dots
+  // overlap in the same order with the same densities. Heatmap bins
+  // need nothing more. Value-colored scatter also needs the color
+  // range of the whole rung, which the store records per rung; only a
+  // rung from a file written before that range existed loads whole.
+  const bool heatmap = style == TileStyle::kHeatmap;
   const SampleSet* sample = view.ResidentRung(rung_index);
+  ScatterRenderer::Options render_options = TileRenderOptions();
   SampleSet materialized_storage;
   bool partial_load = false;
   // Page bytes this render faulted in itself; concurrent renders of the
   // same store each count only the pages they verified first.
   size_t touched_bytes = 0;
   if (sample == nullptr) {
-    const bool identity_safe =
-        style == TileStyle::kHeatmap || !state.dataset->has_values();
+    const auto value_range = view.RungValueRange(rung_index);
+    partial_load =
+        heatmap || !state.dataset->has_values() || value_range.has_value();
     const size_t materialize_span =
         trace != nullptr ? trace->BeginSpan("materialize") : 0;
     auto materialized =
-        identity_safe ? view.MaterializeForRect(
-                            rung_index, state.grid.TileBounds(tile),
-                            &touched_bytes)
-                      : view.MaterializeRung(rung_index, &touched_bytes);
+        partial_load ? view.MaterializeForRect(rung_index,
+                                               state.grid.TileBounds(tile),
+                                               &touched_bytes)
+                     : view.MaterializeRung(rung_index, &touched_bytes);
     if (!materialized.ok()) {
       {
         std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -311,7 +313,12 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
     }
     materialized_storage = std::move(*materialized);
     sample = &materialized_storage;
-    partial_load = identity_safe;
+    // An operator-fixed range (value_hi > value_lo) wins on every path.
+    if (value_range.has_value() &&
+        !(render_options.value_hi > render_options.value_lo)) {
+      render_options.value_lo = value_range->first;
+      render_options.value_hi = value_range->second;
+    }
     if (trace != nullptr) {
       trace->EndSpan(materialize_span);
       trace->Annotate(materialize_span, "points",
@@ -320,10 +327,10 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
                       static_cast<int64_t>(touched_bytes));
     }
   }
-  ScatterRenderer renderer(TileRenderOptions());
+  ScatterRenderer renderer(render_options);
   const uint64_t render_start = obs::MonotonicNowNs();
   Image image = [&] {
-    if (style == TileStyle::kHeatmap) {
+    if (heatmap) {
       // Density tile: the binning pass alone (no dot rasterization),
       // weighted by embedded density when the rung carries it so counts
       // approximate the full dataset, colormapped on a per-tile log
@@ -340,7 +347,6 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   const uint64_t encode_start = obs::MonotonicNowNs();
   auto png = std::make_shared<const std::string>(image.EncodePng(options_.png));
   const uint64_t encode_end = obs::MonotonicNowNs();
-  const bool heatmap = style == TileStyle::kHeatmap;
   (heatmap ? metrics_.heatmap_tiles : metrics_.scatter_tiles)->Increment();
   if (partial_load) {
     metrics_.partial_loads->Increment();

@@ -1,17 +1,21 @@
 // CatalogStore (the paged CAT2 format): format sniffing, exact
 // round-trips through the cell-partitioned writer, cell-range partial
-// loads (coverage and density fidelity vs the resident rung), the
-// touched-page accounting that proves one viewport reads fewer bytes
-// than full materialization and charges each page to exactly one
-// materialize call, CatalogView parity with SampleCatalog,
-// and corruption hardening — truncation, bit flips, out-of-range page
-// directories, and oversized cell counts must all come back as clean
-// Status errors, never crashes or silent bad data.
+// loads (coverage, rung order and density fidelity vs the resident
+// rung), per-rung value ranges, the touched-page accounting that
+// proves one viewport reads fewer bytes than full materialization and
+// charges each page to exactly one materialize call, CatalogView
+// parity with SampleCatalog, and corruption hardening — truncation,
+// bit flips, out-of-range page directories, oversized cell counts,
+// bad rung flags and value ranges, and bad positions must all come
+// back as clean Status errors, never crashes or silent bad data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -70,6 +74,23 @@ void FixPageCrc(std::string* bytes, size_t page_size, size_t page) {
   uint32_t payload_len = 0;
   std::memcpy(&payload_len, bytes->data() + offset + 4, sizeof(payload_len));
   StoreU32(bytes, offset, Crc32(bytes->data() + offset + 8, payload_len));
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// The writer's clamped grid coordinate of `v` on [lo, hi] split into
+/// `dim` cells, restated from the format so tests can name a point's
+/// cell independently of the reader.
+size_t CellOf(double v, double lo, double hi, uint64_t dim) {
+  if (dim <= 1 || !(hi > lo)) return 0;
+  const double scaled = (v - lo) / (hi - lo) * static_cast<double>(dim);
+  if (!(scaled > 0.0)) return 0;
+  if (scaled >= static_cast<double>(dim)) return static_cast<size_t>(dim - 1);
+  return static_cast<size_t>(scaled);
 }
 
 class CatalogStoreTest : public test::TempFileTest {
@@ -400,6 +421,135 @@ TEST_F(CatalogStoreTest, MaterializeChecksIdsAgainstTheDataset) {
             StatusCode::kOutOfRange);
 }
 
+TEST_F(CatalogStoreTest, CellLoadIsTheRungFilteredToItsCellsInRungOrder) {
+  // A cell-range load returns exactly the rung's entries whose cells
+  // the query intersects, in the rung's own order, each with its own
+  // density: MaterializeRung with the other cells' entries left out.
+  Dataset d = test::Skewed(20000);
+  SampleCatalog catalog = Build(d, {5000}, /*density=*/true);
+  CatalogWriteOptions wopt;
+  wopt.dataset = &d;
+  wopt.page_size = 512;
+  wopt.target_entries_per_cell = 128;
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
+  auto store = CatalogStore::Open(path());
+  ASSERT_TRUE(store.ok());
+  const CatalogStore::Rung& meta = (*store)->rung(0);
+  ASSERT_GT(meta.grid_x, 2u);
+  auto whole = (*store)->MaterializeRung(0, d.size());
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole->ids, catalog.samples()[0].ids);
+
+  const Rect& domain = meta.domain;
+  auto at = [&](double fx0, double fy0, double fx1, double fy1) {
+    return Rect::Of(domain.min_x + domain.width() * fx0,
+                    domain.min_y + domain.height() * fy0,
+                    domain.min_x + domain.width() * fx1,
+                    domain.min_y + domain.height() * fy1);
+  };
+  const std::vector<Rect> queries = {
+      at(0.40, 0.40, 0.55, 0.55),   // interior, a few cells
+      at(0.0, 0.0, 0.05, 0.05),     // the domain's corner cell
+      at(-0.5, 0.3, 0.2, 0.35),     // overhangs the domain
+      at(0.5, 0.5, 0.5, 0.5),       // a single point
+      at(-1.0, -1.0, 2.0, 2.0)};    // everything
+  for (const Rect& query : queries) {
+    const size_t cx0 = CellOf(query.min_x, domain.min_x, domain.max_x,
+                              meta.grid_x);
+    const size_t cx1 = CellOf(query.max_x, domain.min_x, domain.max_x,
+                              meta.grid_x);
+    const size_t cy0 = CellOf(query.min_y, domain.min_y, domain.max_y,
+                              meta.grid_y);
+    const size_t cy1 = CellOf(query.max_y, domain.min_y, domain.max_y,
+                              meta.grid_y);
+    SampleSet expected;
+    for (size_t i = 0; i < whole->ids.size(); ++i) {
+      const Point p = d.points[whole->ids[i]];
+      const size_t cx = CellOf(p.x, domain.min_x, domain.max_x, meta.grid_x);
+      const size_t cy = CellOf(p.y, domain.min_y, domain.max_y, meta.grid_y);
+      if (cx < cx0 || cx > cx1 || cy < cy0 || cy > cy1) continue;
+      expected.ids.push_back(whole->ids[i]);
+      expected.density.push_back(whole->density[i]);
+    }
+    ASSERT_FALSE(expected.ids.empty());
+    auto cells = (*store)->MaterializeCells(0, query, d.size());
+    ASSERT_TRUE(cells.ok());
+    EXPECT_EQ(cells->ids, expected.ids);
+    EXPECT_EQ(cells->density, expected.density);
+  }
+}
+
+TEST_F(CatalogStoreTest, ValueRangeRoundTripsBitExact) {
+  Dataset d = test::Skewed(5000);
+  ASSERT_TRUE(d.has_values());
+  SampleCatalog catalog = Build(d, {100, 1000, 4000}, /*density=*/true);
+  CatalogWriteOptions wopt;
+  wopt.dataset = &d;
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
+  auto store = CatalogStore::Open(path());
+  ASSERT_TRUE(store.ok());
+  CatalogView view(*store, d.size());
+  for (size_t k = 0; k < catalog.samples().size(); ++k) {
+    // The scatter renderer's fold: std::min / std::max over the rung's
+    // ids in order, from (+inf, -inf).
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (size_t id : catalog.samples()[k].ids) {
+      lo = std::min(lo, d.values[id]);
+      hi = std::max(hi, d.values[id]);
+    }
+    const auto fold = d.ValueRange(catalog.samples()[k].ids);
+    EXPECT_EQ(Bits(fold.first), Bits(lo));
+    EXPECT_EQ(Bits(fold.second), Bits(hi));
+    ASSERT_LT(lo, hi);
+
+    const CatalogStore::Rung& rung = (*store)->rung(k);
+    ASSERT_TRUE(rung.has_value_range) << "rung " << k;
+    EXPECT_EQ(Bits(rung.value_lo), Bits(lo));
+    EXPECT_EQ(Bits(rung.value_hi), Bits(hi));
+    auto range = view.RungValueRange(k);
+    ASSERT_TRUE(range.has_value());
+    EXPECT_EQ(Bits(range->first), Bits(lo));
+    EXPECT_EQ(Bits(range->second), Bits(hi));
+  }
+  // A resident view carries no recorded range.
+  CatalogView resident(std::make_shared<const SampleCatalog>(catalog));
+  EXPECT_FALSE(resident.RungValueRange(0).has_value());
+}
+
+TEST_F(CatalogStoreTest, WritesWithoutUsableValuesRecordNoRange) {
+  Dataset d = test::Skewed(3000);
+  SampleCatalog catalog = Build(d, {100, 800}, /*density=*/false);
+  auto expect_no_range = [&](const CatalogWriteOptions& wopt) {
+    ASSERT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
+    auto store = CatalogStore::Open(path());
+    ASSERT_TRUE(store.ok());
+    CatalogView view(*store, d.size());
+    for (size_t k = 0; k < (*store)->rung_count(); ++k) {
+      EXPECT_FALSE((*store)->rung(k).has_value_range) << "rung " << k;
+      EXPECT_FALSE(view.RungValueRange(k).has_value());
+      auto whole = (*store)->MaterializeRung(k, d.size());
+      ASSERT_TRUE(whole.ok());
+      EXPECT_EQ(whole->ids, catalog.samples()[k].ids);
+    }
+  };
+  expect_no_range(CatalogWriteOptions{});  // no dataset at all
+
+  Dataset valueless = d;
+  valueless.values.clear();
+  CatalogWriteOptions wopt;
+  wopt.dataset = &valueless;
+  expect_no_range(wopt);
+
+  // A non-finite value in every rung leaves no finite range to record.
+  Dataset infinite = d;
+  for (const SampleSet& rung : catalog.samples()) {
+    infinite.values[rung.ids[0]] = -std::numeric_limits<double>::infinity();
+  }
+  wopt.dataset = &infinite;
+  expect_no_range(wopt);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption hardening: every mutation must surface as a Status.
 
@@ -413,6 +563,23 @@ class CatalogStoreCorruptionTest : public CatalogStoreTest {
     wopt.dataset = &d;
     EXPECT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
     return ReadFileBytes(path());
+  }
+
+  /// File offset of u64 field `field` of the single rung's metadata
+  /// record (0 = count, 1 = flags, ..., 10 = perm_base, 11/12 = the
+  /// value range), counted after its length-prefixed method name.
+  static size_t RungField(const std::string& bytes, size_t field) {
+    const size_t footer = bytes.size() - kFooterBytes;
+    const size_t page_size = LoadU64(bytes, footer + 8);
+    const size_t meta = LoadU64(bytes, footer + 24) * page_size + 8;
+    return meta + 8 + LoadU64(bytes, meta) + 8 * field;
+  }
+
+  /// Re-seals the metadata page after a test mutates a rung field.
+  static void FixMetaCrc(std::string* bytes) {
+    const size_t footer = bytes->size() - kFooterBytes;
+    FixPageCrc(bytes, LoadU64(*bytes, footer + 8),
+               LoadU64(*bytes, footer + 24));
   }
 };
 
@@ -481,6 +648,84 @@ TEST_F(CatalogStoreCorruptionTest, OversizedCellCountsAreRejected) {
   FixPageCrc(&bytes, page_size, meta_first);
   WriteFileBytes(path(), bytes);
   EXPECT_EQ(CatalogStore::Open(path()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(CatalogStoreCorruptionTest, UnknownRungFlagsAreRejected) {
+  const std::string healthy = WriteHealthy();
+  ASSERT_EQ(LoadU64(healthy, RungField(healthy, 1)), 2u)
+      << "the healthy rung records a value range and no density";
+  for (uint64_t flags : {uint64_t{4}, uint64_t{5}, uint64_t{8},
+                         uint64_t{1} << 63}) {
+    std::string bytes = healthy;
+    StoreU64(&bytes, RungField(bytes, 1), flags);
+    FixMetaCrc(&bytes);
+    WriteFileBytes(path(), bytes);
+    EXPECT_EQ(CatalogStore::Open(path()).status().code(),
+              StatusCode::kInvalidArgument)
+        << "flags " << flags;
+  }
+}
+
+TEST_F(CatalogStoreCorruptionTest, InvalidValueRangesAreRejected) {
+  const std::string healthy = WriteHealthy();
+  ASSERT_TRUE(CatalogStore::Open(path()).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> ranges = {
+      {nan, 1.0}, {0.0, nan}, {-inf, 1.0}, {0.0, inf}, {2.0, 1.0}};
+  for (const auto& [lo, hi] : ranges) {
+    std::string bytes = healthy;
+    StoreU64(&bytes, RungField(bytes, 11), Bits(lo));
+    StoreU64(&bytes, RungField(bytes, 12), Bits(hi));
+    FixMetaCrc(&bytes);
+    WriteFileBytes(path(), bytes);
+    EXPECT_EQ(CatalogStore::Open(path()).status().code(),
+              StatusCode::kInvalidArgument)
+        << "range [" << lo << ", " << hi << "]";
+  }
+  // A degenerate but finite range is valid.
+  std::string bytes = healthy;
+  StoreU64(&bytes, RungField(bytes, 11), Bits(1.5));
+  StoreU64(&bytes, RungField(bytes, 12), Bits(1.5));
+  FixMetaCrc(&bytes);
+  WriteFileBytes(path(), bytes);
+  EXPECT_TRUE(CatalogStore::Open(path()).ok());
+}
+
+TEST_F(CatalogStoreCorruptionTest, BadPositionsInACellRangeAreRejected) {
+  const std::string healthy = WriteHealthy();
+  auto store = CatalogStore::Open(path());
+  ASSERT_TRUE(store.ok());
+  const CatalogStore::Rung rung = (*store)->rung(0);
+  const size_t page_size = (*store)->page_size();
+  const size_t slots_per_page = (page_size - 8) / 8;
+  auto slot_offset = [&](uint64_t slot) {
+    return (1 + slot / slots_per_page) * page_size + 8 +
+           (slot % slots_per_page) * 8;
+  };
+  auto page_of = [&](uint64_t slot) { return 1 + slot / slots_per_page; };
+  const Rect query = rung.domain;
+
+  // A position past the end of the rung.
+  std::string bytes = healthy;
+  StoreU64(&bytes, slot_offset(rung.perm_base), rung.count);
+  FixPageCrc(&bytes, page_size, page_of(rung.perm_base));
+  WriteFileBytes(path(), bytes);
+  auto past_end = CatalogStore::Open(path());
+  ASSERT_TRUE(past_end.ok());
+  EXPECT_EQ((*past_end)->MaterializeCells(0, query, 0).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Two entries claiming the same position.
+  bytes = healthy;
+  StoreU64(&bytes, slot_offset(rung.perm_base),
+           LoadU64(bytes, slot_offset(rung.perm_base + 1)));
+  FixPageCrc(&bytes, page_size, page_of(rung.perm_base));
+  WriteFileBytes(path(), bytes);
+  auto duplicate = CatalogStore::Open(path());
+  ASSERT_TRUE(duplicate.ok());
+  EXPECT_EQ((*duplicate)->MaterializeCells(0, query, 0).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -593,10 +593,9 @@ TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {
   ASSERT_FALSE(spilled.manager().GetStatus(key)->resident);
 
   // A deep-zoom tile and both styles: the spilled service must render
-  // the very same bytes. The heatmap comes from a cell-range partial
-  // load; the scatter tile is value-colored (Skewed data has values),
-  // so pixel identity demands the whole rung and the service must NOT
-  // count it as a partial load.
+  // the very same bytes, and both come from cell-range partial loads.
+  // The scatter tile is value-colored (Skewed data has values); the
+  // rung's recorded value range stands in for the whole-rung fold.
   TileKey tile{3, 4, 3};
   for (TileStyle style : {TileStyle::kScatter, TileStyle::kHeatmap}) {
     auto baseline = resident.RenderTile("geo", tile, "", style);
@@ -608,7 +607,7 @@ TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {
     EXPECT_EQ(*partial->png, *baseline->png)
         << "spilled tile diverged from the resident render";
   }
-  EXPECT_EQ(spilled.render_stats().partial_tile_loads, 1u);
+  EXPECT_EQ(spilled.render_stats().partial_tile_loads, 2u);
   EXPECT_EQ(resident.render_stats().partial_tile_loads, 0u);
 
   // The resident-byte accounting proves the partial load: the mapped
@@ -693,6 +692,7 @@ TEST(PlotServiceTest, SpilledScatterTileKeepsRungDrawOrder) {
     EXPECT_EQ(*served->png, *baseline->png)
         << "mapped tile " << tile.ToString() << " drew the dots out of order";
   }
+  EXPECT_EQ(mapped.render_stats().partial_tile_loads, 2u);
 }
 
 TEST(PlotServiceTest, SpilledFileWithoutValueRangeServesScatterWhole) {
@@ -715,6 +715,10 @@ TEST(PlotServiceTest, SpilledFileWithoutValueRangeServesScatterWhole) {
   ASSERT_TRUE(resident.AddTable("geo", dataset, catalog).ok());
   PlotService mapped;
   ASSERT_TRUE(mapped.LoadTable("geo", dataset, file.path()).ok());
+  auto view = mapped.manager().ViewFor(CatalogKey{"geo", "x", "y"});
+  ASSERT_TRUE(view.ok());
+  ASSERT_GT(view->store()->rung(0).grid_x, 1u);
+  EXPECT_FALSE(view->RungValueRange(0).has_value());
   const TileGrid grid(dataset->Bounds());
   const Point hot = dataset->points[catalog.samples()[0].ids[0]];
   for (uint32_t z = 2; z <= 5; ++z) {
