@@ -21,7 +21,9 @@ double NormalizeValue(double v, double lo, double hi) {
 }
 
 Rgb MapColor(ColormapKind kind, double t) {
-  t = std::clamp(t, 0.0, 1.0);
+  // NaN — a NaN value, or any value normalized over an infinite range —
+  // takes the low end instead of reaching the integer casts below.
+  t = std::isnan(t) ? 0.0 : std::clamp(t, 0.0, 1.0);
   if (kind == ColormapKind::kGrayscale) {
     auto g = static_cast<uint8_t>(std::lround(t * 255.0));
     return {g, g, g};

@@ -16,7 +16,7 @@ enum class ColormapKind {
   kGrayscale,
 };
 
-/// Maps t in [0, 1] (clamped) to a color.
+/// Maps t in [0, 1] (clamped; NaN maps as 0) to a color.
 Rgb MapColor(ColormapKind kind, double t);
 
 /// Normalizes v from [lo, hi] to [0, 1]; degenerate ranges map to 0.5.

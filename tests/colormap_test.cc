@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "render/colormap.h"
 
@@ -22,6 +23,28 @@ TEST(ColormapTest, OutOfRangeInputsClampToEndpoints) {
     EXPECT_EQ(MapColor(kind, -100.0), MapColor(kind, 0.0));
     EXPECT_EQ(MapColor(kind, 100.0), MapColor(kind, 1.0));
     EXPECT_EQ(MapColor(kind, -0.0), MapColor(kind, 0.0));
+  }
+}
+
+TEST(ColormapTest, NonFiniteInputsMapToDefinedColors) {
+  // NaN reaches MapColor from a NaN value or from any value normalized
+  // over an infinite range; it takes the low end. Infinities clamp like
+  // any other out-of-range input.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (ColormapKind kind : {ColormapKind::kViridis, ColormapKind::kGrayscale}) {
+    const Rgb low = MapColor(kind, 0.0);
+    const Rgb high = MapColor(kind, 1.0);
+    EXPECT_EQ(MapColor(kind, nan), low);
+    EXPECT_EQ(MapColor(kind, -nan), low);
+    EXPECT_EQ(MapColor(kind, -inf), low);
+    EXPECT_EQ(MapColor(kind, inf), high);
+    EXPECT_EQ(MapColor(kind, NormalizeValue(nan, 0.0, 1.0)), low);
+    EXPECT_EQ(MapColor(kind, NormalizeValue(-inf, 0.0, 1.0)), low);
+    EXPECT_EQ(MapColor(kind, NormalizeValue(inf, 0.0, 1.0)), high);
+    for (double v : {-inf, -1.0, 0.0, 2.5, inf, nan}) {
+      EXPECT_EQ(MapColor(kind, NormalizeValue(v, -inf, inf)), low) << v;
+    }
   }
 }
 

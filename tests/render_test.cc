@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "data/generators.h"
 #include "render/scatter_renderer.h"
@@ -350,6 +351,45 @@ TEST(PipelineIdentityTest, SubPixelAndZeroRadiusDots) {
     opt.dot_radius_px = radius;
     ExpectPipelinesAgree(opt, d, s, Viewport(d.Bounds(), 100, 100));
   }
+}
+
+TEST(PipelineIdentityTest, NonFiniteValuesColorDotsWithDefinedColors) {
+  // A CSV value column accepts "nan" and "inf". Both pipelines must
+  // color such dots alike and with a defined color: NaN values take the
+  // low end of the map, and with -inf and +inf both in the sample the
+  // range is infinite, so every value normalizes to NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset d;
+  d.Add({1.0, 1.0}, std::numeric_limits<double>::quiet_NaN());
+  d.Add({3.0, 3.0}, inf);
+  d.Add({5.0, 5.0}, -inf);
+  d.Add({7.0, 7.0}, 0.5);
+  const SampleSet s = EveryNth(d, 1, /*with_density=*/false);
+  ScatterRenderer::Options opt;
+  opt.width_px = 64;
+  opt.height_px = 64;
+  const Viewport vp(Rect::Of(0, 0, 8, 8), 64, 64);
+  auto color_at = [&](const Image& img, Point p) {
+    auto [px, py] = vp.ToPixel(p);
+    return img.Get(static_cast<size_t>(px), static_cast<size_t>(py));
+  };
+  const Rgb low = MapColor(opt.colormap, 0.0);
+  const Rgb high = MapColor(opt.colormap, 1.0);
+
+  ExpectPipelinesAgree(opt, d, s, vp);
+  Image img =
+      RenderWith(opt, ScatterRenderer::Options::Pipeline::kBinned, d, s, vp);
+  for (const Point& p : d.points) EXPECT_EQ(color_at(img, p), low);
+
+  // Over a fixed finite range, NaN takes the low end and the
+  // infinities clamp to the ends.
+  opt.value_lo = 0.0;
+  opt.value_hi = 1.0;
+  ExpectPipelinesAgree(opt, d, s, vp);
+  img = RenderWith(opt, ScatterRenderer::Options::Pipeline::kBinned, d, s, vp);
+  EXPECT_EQ(color_at(img, d.points[0]), low);
+  EXPECT_EQ(color_at(img, d.points[1]), high);
+  EXPECT_EQ(color_at(img, d.points[2]), low);
 }
 
 TEST(RendererTest, JitteredDotsNearEdgesStayClipped) {
