@@ -251,7 +251,9 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   // Single-flight: concurrent misses on the same key (typical right
   // after a rung upgrade sweeps a hot table) elect one renderer; the
   // rest wait for its bytes instead of burning a redundant render each.
-  std::promise<std::shared_ptr<const std::string>> render_promise;
+  // A failed render hands its waiters its own error (e.g. the IoError
+  // of a corrupt page), not empty bytes.
+  std::promise<RenderedPng> render_promise;
   {
     std::unique_lock<std::mutex> lock(inflight_mu_);
     auto it = inflight_.find(cache_key);
@@ -259,13 +261,9 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
       auto pending = it->second;
       lock.unlock();
       metrics_.cache_hits->Increment();
-      result.png = pending.get();
-      if (result.png == nullptr) {
-        // The elected renderer failed (e.g. a corrupt page surfaced
-        // mid-materialization); surface an error instead of empty
-        // bytes and let the client retry.
-        return Status::Internal("tile render failed: " + cache_key);
-      }
+      const RenderedPng& rendered = pending.get();
+      if (!rendered.ok()) return rendered.status();
+      result.png = *rendered;
       result.cache_hit = true;
       return result;
     }
@@ -308,7 +306,7 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
         std::lock_guard<std::mutex> lock(inflight_mu_);
         inflight_.erase(cache_key);
       }
-      render_promise.set_value(nullptr);
+      render_promise.set_value(materialized.status());
       return materialized.status();
     }
     materialized_storage = std::move(*materialized);

@@ -300,13 +300,12 @@ class PlotService {
   mutable std::mutex mu_;
   std::map<std::string, Table> tables_;
   std::atomic<uint64_t> next_generation_{1};
+  using RenderedPng = StatusOr<std::shared_ptr<const std::string>>;
   /// Single-flight window: one render per cache key at a time; callers
-  /// that miss behind an in-flight render wait for its bytes instead
-  /// of redundantly rendering the same tile.
+  /// that miss behind an in-flight render wait for its bytes, or its
+  /// error, instead of redundantly rendering the same tile.
   std::mutex inflight_mu_;
-  std::map<std::string,
-           std::shared_future<std::shared_ptr<const std::string>>>
-      inflight_;
+  std::map<std::string, std::shared_future<RenderedPng>> inflight_;
 };
 
 }  // namespace vas

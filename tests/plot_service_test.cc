@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -806,6 +807,64 @@ TEST(PlotServiceTest, ConcurrentSpilledRendersChargeOnlyTheirOwnPages) {
   for (const std::string& name : names) {
     EXPECT_FALSE(service.manager().GetStatus({name, "x", "y"})->resident);
   }
+}
+
+TEST(PlotServiceTest, SingleFlightWaitersGetTheRendersError) {
+  // A cold tile of a mapped table with a corrupt data page: the
+  // elected render fails with the page's IoError, and every caller
+  // coalesced behind it must get that same error.
+  auto dataset = SkewedShared(200000);
+  UniformReservoirSampler sampler(83);
+  SampleCatalog catalog(*dataset, sampler, Ladder({100000}));
+  test::ScopedTempFile file("plot_service_corrupt_page.vascat");
+  CatalogWriteOptions write;
+  write.dataset = dataset.get();
+  ASSERT_TRUE(WriteCatalogPaged(catalog, file.path(), write).ok());
+  {
+    // Flip a byte of the last data page. The whole-domain tile below
+    // verifies nearly every other page before it reaches that one,
+    // which keeps the elected render in flight while others arrive.
+    std::fstream f(file.path(),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-48, std::ios::end);
+    uint64_t footer[5] = {};
+    f.read(reinterpret_cast<char*>(footer), sizeof(footer));
+    const uint64_t page_size = footer[1];
+    const uint64_t last_data_page = footer[3] - 1;
+    ASSERT_GE(last_data_page, 2u);
+    f.seekp(static_cast<std::streamoff>(last_data_page * page_size + 8));
+    f.put('\x5a');
+    ASSERT_TRUE(f.good());
+  }
+
+  constexpr size_t kThreads = 8;
+  uint64_t waiters = 0;
+  for (int round = 0; round < 20 && waiters == 0; ++round) {
+    PlotService service;  // a fresh mapping: no page verified yet
+    ASSERT_TRUE(service.LoadTable("geo", dataset, file.path()).ok());
+    std::promise<void> start;
+    std::shared_future<void> gate = start.get_future().share();
+    std::vector<StatusCode> codes(kThreads, StatusCode::kOk);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        gate.wait();
+        codes[t] = service.RenderTile("geo", TileKey{0, 0, 0}).status().code();
+      });
+    }
+    start.set_value();
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(codes[t], StatusCode::kIoError)
+          << "round " << round << ", thread " << t;
+    }
+    // Nothing was cached, so every hit is a caller that waited on the
+    // elected render.
+    waiters = service.metrics_registry()
+                  ->GetCounter("vas_tile_cache_hits_total", "")
+                  ->Value();
+  }
+  EXPECT_GT(waiters, 0u) << "no caller ever waited on an elected render";
 }
 
 TEST(PlotServiceTest, GetTableReportsWorldAndBuildState) {
