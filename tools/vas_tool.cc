@@ -471,6 +471,11 @@ int CmdCatalogInfo(FlagSet& flags, int argc, char** argv) {
         FormatWithCommas(static_cast<int64_t>(rung.count)).c_str(),
         rung.has_density ? "yes" : "no",
         FormatWithCommas(static_cast<int64_t>(rung.max_id)).c_str());
+    if (rung.has_value_range) {
+      std::printf("    value range: [%g, %g]\n", rung.value_lo, rung.value_hi);
+    } else {
+      std::printf("    value range: none\n");
+    }
     std::printf(
         "    cell index: %" PRIu64 "x%" PRIu64 " grid, %" PRIu64
         "/%" PRIu64 " cells occupied, max %" PRIu64 " entries/cell\n",
