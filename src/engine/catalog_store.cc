@@ -59,6 +59,16 @@ uint64_t DoubleToU64(double d) {
   return bits;
 }
 
+/// Set bits of `x`. Written out rather than std::bitset::count(),
+/// which compiles to a library call where the popcnt instruction is
+/// not assumed; this runs once per entry of a cell-range load.
+inline uint64_t CountBits(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return (x * 0x0101010101010101ULL) >> 56;
+}
+
 /// Clamped grid coordinate of value `v` on the axis [lo, hi] split into
 /// `dim` cells. Monotone non-decreasing in `v`, and the writer and
 /// reader share this one function, so the cell range computed for a
@@ -69,42 +79,6 @@ size_t CellCoord(double v, double lo, double hi, uint64_t dim) {
   if (!(scaled > 0.0)) return 0;
   if (scaled >= static_cast<double>(dim)) return static_cast<size_t>(dim - 1);
   return static_cast<size_t>(scaled);
-}
-
-/// A cell-range entry tagged with its position in the rung.
-struct PositionedEntry {
-  uint64_t position;
-  uint64_t index;  // into the cell-range gather buffers
-};
-
-/// Stable LSD radix sort by position, 11 bits per pass over the bits
-/// that positions below `bound` can set: two passes for rungs of up to
-/// 4M entries. Linear in the entry count, where a comparison sort made
-/// partial loads several times slower.
-void SortByPosition(std::vector<PositionedEntry>* entries, uint64_t bound) {
-  constexpr unsigned kDigitBits = 11;
-  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
-  if (entries->size() < 2) return;
-  unsigned bits = 0;
-  while (bits < 64 && ((bound - 1) >> bits) != 0) ++bits;
-  std::vector<PositionedEntry> scratch(entries->size());
-  std::vector<size_t> offsets(kDigitMask + 1);
-  for (unsigned shift = 0; shift < bits; shift += kDigitBits) {
-    std::fill(offsets.begin(), offsets.end(), 0);
-    for (const PositionedEntry& e : *entries) {
-      ++offsets[(e.position >> shift) & kDigitMask];
-    }
-    size_t sum = 0;
-    for (size_t& offset : offsets) {
-      const size_t count = offset;
-      offset = sum;
-      sum += count;
-    }
-    for (const PositionedEntry& e : *entries) {
-      scratch[offsets[(e.position >> shift) & kDigitMask]++] = e;
-    }
-    entries->swap(scratch);
-  }
 }
 
 struct RungLayout {
@@ -287,10 +261,8 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.slot_base, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.perm_base, path));
     if (l.has_value_range) {
-      VAS_RETURN_IF_ERROR(
-          WriteU64(meta_stream, DoubleToU64(l.value_lo), path));
-      VAS_RETURN_IF_ERROR(
-          WriteU64(meta_stream, DoubleToU64(l.value_hi), path));
+      VAS_RETURN_IF_ERROR(WriteU64(meta_stream, DoubleToU64(l.value_lo), path));
+      VAS_RETURN_IF_ERROR(WriteU64(meta_stream, DoubleToU64(l.value_hi), path));
     }
     for (uint64_t count : l.cell_counts) {
       VAS_RETURN_IF_ERROR(WriteU64(meta_stream, count, path));
@@ -680,56 +652,77 @@ StatusOr<SampleSet> CatalogStore::MaterializeCells(
                                r.grid_y);
   const size_t cy1 = CellCoord(query.max_y, r.domain.min_y, r.domain.max_y,
                                r.grid_y);
-  std::vector<uint64_t> ids;
-  std::vector<uint64_t> density;
-  std::vector<uint64_t> positions;
-  for (size_t cy = cy0; cy <= cy1; ++cy) {
-    // Cells of one grid row are consecutive, so a row's x-range is one
-    // contiguous entry range — one slot run each of ids, densities and
-    // rung positions per row.
-    const size_t c0 = cy * r.grid_x + cx0;
+  // Cells of one grid row are consecutive, so a row's x-range is one
+  // contiguous entry range: one slot run each of ids, densities and
+  // rung positions per row.
+  auto row_entries = [&](size_t cy) {
     const size_t c1 = cy * r.grid_x + cx1;
-    const uint64_t e0 = r.cell_starts[c0];
-    const uint64_t e1 = r.cell_starts[c1] + r.cell_counts[c1];
+    return std::make_pair(r.cell_starts[cy * r.grid_x + cx0],
+                          r.cell_starts[c1] + r.cell_counts[c1]);
+  };
+  size_t total = 0;
+  for (size_t cy = cy0; cy <= cy1; ++cy) {
+    const auto [e0, e1] = row_entries(cy);
+    total += static_cast<size_t>(e1 - e0);
+  }
+  std::vector<uint64_t> ids(total);
+  std::vector<uint64_t> density(r.has_density ? total : 0);
+  std::vector<uint64_t> positions(total);
+  size_t at = 0;
+  for (size_t cy = cy0; cy <= cy1; ++cy) {
+    const auto [e0, e1] = row_entries(cy);
     const auto run = static_cast<size_t>(e1 - e0);
     if (run == 0) continue;
-    const size_t at = ids.size();
-    ids.resize(at + run);
-    positions.resize(at + run);
     VAS_RETURN_IF_ERROR(
         ReadSlots(r.slot_base + e0, run, ids.data() + at, touched_bytes));
     if (r.has_density) {
-      density.resize(at + run);
       VAS_RETURN_IF_ERROR(ReadSlots(r.slot_base + r.count + e0, run,
                                     density.data() + at, touched_bytes));
     }
     VAS_RETURN_IF_ERROR(ReadSlots(r.perm_base + e0, run,
                                   positions.data() + at, touched_bytes));
+    at += run;
   }
   // Back to rung order, so a scatter tile drawn from the cells overlaps
-  // its dots exactly as one drawn from the whole rung.
-  std::vector<PositionedEntry> order(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
+  // its dots exactly as one drawn from the whole rung. A counting sort
+  // on position: mark the loaded positions in a bitmap over the rung
+  // and count the marks before each 64-position word; an entry's index
+  // is that count plus the marks below it in its word. Linear in the
+  // entries plus rung size / 64: sorting (position, index) pairs, even
+  // by radix, made cell-range loads several times slower.
+  struct Word {
+    uint64_t marks = 0;
+    uint64_t before = 0;
+  };
+  std::vector<Word> words(static_cast<size_t>((r.count + 63) / 64));
+  for (size_t i = 0; i < total; ++i) {
     if (dataset_size > 0 && ids[i] >= dataset_size) {
       return Status::OutOfRange("catalog sample id out of dataset range: " +
                                 path_);
     }
-    if (positions[i] >= r.count) {
+    const uint64_t p = positions[i];
+    const uint64_t bit = uint64_t{1} << (p % 64);
+    if (p >= r.count || (words[p / 64].marks & bit) != 0) {
       return Status::InvalidArgument("catalog rung permutation corrupt: " +
                                      path_);
     }
-    order[i] = PositionedEntry{positions[i], i};
+    words[p / 64].marks |= bit;
   }
-  SortByPosition(&order, r.count);
-  out.ids.resize(order.size());
-  if (r.has_density) out.density.resize(order.size());
-  for (size_t j = 0; j < order.size(); ++j) {
-    if (j > 0 && order[j].position == order[j - 1].position) {
-      return Status::InvalidArgument("catalog rung permutation corrupt: " +
-                                     path_);
-    }
-    out.ids[j] = static_cast<size_t>(ids[order[j].index]);
-    if (r.has_density) out.density[j] = density[order[j].index];
+  uint64_t before = 0;
+  for (Word& w : words) {
+    w.before = before;
+    before += CountBits(w.marks);
+  }
+  out.ids.resize(total);
+  out.density.resize(density.size());
+  for (size_t i = 0; i < total; ++i) {
+    const uint64_t p = positions[i];
+    const Word& w = words[p / 64];
+    const uint64_t below = (uint64_t{1} << (p % 64)) - 1;
+    const auto index =
+        static_cast<size_t>(w.before + CountBits(w.marks & below));
+    out.ids[index] = static_cast<size_t>(ids[i]);
+    if (r.has_density) out.density[index] = density[i];
   }
   return out;
 }

@@ -292,15 +292,15 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   size_t touched_bytes = 0;
   if (sample == nullptr) {
     const auto value_range = view.RungValueRange(rung_index);
-    partial_load =
+    const bool identity_safe =
         heatmap || !state.dataset->has_values() || value_range.has_value();
     const size_t materialize_span =
         trace != nullptr ? trace->BeginSpan("materialize") : 0;
     auto materialized =
-        partial_load ? view.MaterializeForRect(rung_index,
-                                               state.grid.TileBounds(tile),
-                                               &touched_bytes)
-                     : view.MaterializeRung(rung_index, &touched_bytes);
+        identity_safe ? view.MaterializeForRect(
+                            rung_index, state.grid.TileBounds(tile),
+                            &touched_bytes)
+                      : view.MaterializeRung(rung_index, &touched_bytes);
     if (!materialized.ok()) {
       {
         std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -311,6 +311,7 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
     }
     materialized_storage = std::move(*materialized);
     sample = &materialized_storage;
+    partial_load = identity_safe;
     // An operator-fixed range (value_hi > value_lo) wins on every path.
     if (value_range.has_value() &&
         !(render_options.value_hi > render_options.value_lo)) {

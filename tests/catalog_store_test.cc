@@ -448,11 +448,11 @@ TEST_F(CatalogStoreTest, CellLoadIsTheRungFilteredToItsCellsInRungOrder) {
                     domain.min_y + domain.height() * fy1);
   };
   const std::vector<Rect> queries = {
-      at(0.40, 0.40, 0.55, 0.55),   // interior, a few cells
-      at(0.0, 0.0, 0.05, 0.05),     // the domain's corner cell
-      at(-0.5, 0.3, 0.2, 0.35),     // overhangs the domain
-      at(0.5, 0.5, 0.5, 0.5),       // a single point
-      at(-1.0, -1.0, 2.0, 2.0)};    // everything
+      at(0.40, 0.40, 0.55, 0.55),  // interior, a few cells
+      at(0.0, 0.0, 0.05, 0.05),    // the domain's corner cell
+      at(-0.5, 0.3, 0.2, 0.35),    // overhangs the domain
+      at(0.5, 0.5, 0.5, 0.5),      // a single point
+      at(-1.0, -1.0, 2.0, 2.0)};   // everything
   for (const Rect& query : queries) {
     const size_t cx0 = CellOf(query.min_x, domain.min_x, domain.max_x,
                               meta.grid_x);
@@ -655,8 +655,8 @@ TEST_F(CatalogStoreCorruptionTest, UnknownRungFlagsAreRejected) {
   const std::string healthy = WriteHealthy();
   ASSERT_EQ(LoadU64(healthy, RungField(healthy, 1)), 2u)
       << "the healthy rung records a value range and no density";
-  for (uint64_t flags : {uint64_t{4}, uint64_t{5}, uint64_t{8},
-                         uint64_t{1} << 63}) {
+  const uint64_t unknown[] = {4, 5, 8, uint64_t{1} << 63};
+  for (uint64_t flags : unknown) {
     std::string bytes = healthy;
     StoreU64(&bytes, RungField(bytes, 1), flags);
     FixMetaCrc(&bytes);
