@@ -252,7 +252,7 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   // after a rung upgrade sweeps a hot table) elect one renderer; the
   // rest wait for its bytes instead of burning a redundant render each.
   // A failed render hands its waiters its own error (e.g. the IoError
-  // of a corrupt page), not empty bytes.
+  // of a corrupt page).
   std::promise<RenderedPng> render_promise;
   {
     std::unique_lock<std::mutex> lock(inflight_mu_);

@@ -4,8 +4,10 @@
 // that a served tile is byte-identical to the same rung rendered
 // directly through ScatterRenderer, rung-upgrade invalidation
 // (progressive refinement), time-budget rung selection, viewport
-// queries against brute-force counts, drop semantics, and partial loads
-// of spilled tables charged page by page to the render that paid them.
+// queries against brute-force counts, drop semantics, partial loads of
+// spilled tables (both styles, drawn in rung order) charged page by
+// page to the render that paid them, and single-flight waiters that
+// receive a failed render's own error.
 #include <gtest/gtest.h>
 
 #include <atomic>
