@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -28,6 +29,7 @@
 #include "service/plot_service.h"
 #include "sampling/uniform_sampler.h"
 #include "test_util.h"
+#include "util/strings.h"
 
 namespace vas {
 namespace {
@@ -793,6 +795,61 @@ TEST(HttpServerTest, BadBindAddressFailsToStart) {
   EXPECT_FALSE(server.Start().ok());
 }
 
+/// The fields of a JSON body in document order, nested objects' fields
+/// included: each key with its raw value text (quotes kept on strings;
+/// "" for an object or array, whose fields follow). Enough for the
+/// flat, escape-free bodies the routes emit.
+std::vector<std::pair<std::string, std::string>> JsonFields(
+    const std::string& body) {
+  std::vector<std::pair<std::string, std::string>> fields;
+  size_t at = 0;
+  while ((at = body.find('"', at)) != std::string::npos) {
+    size_t close = body.find('"', at + 1);
+    if (close == std::string::npos) break;
+    std::string key = body.substr(at + 1, close - at - 1);
+    at = close + 1;
+    if (at >= body.size() || body[at] != ':') continue;  // a string value
+    size_t end = ++at;
+    if (body[at] == '"') {
+      end = body.find('"', at + 1) + 1;
+    } else if (body[at] != '{' && body[at] != '[') {
+      end = body.find_first_of(",}]", at);
+    }
+    fields.emplace_back(key, body.substr(at, end - at));
+    at = end;
+  }
+  return fields;
+}
+
+std::vector<std::string> JsonKeys(const std::string& body) {
+  std::vector<std::string> keys;
+  for (const auto& field : JsonFields(body)) keys.push_back(field.first);
+  return keys;
+}
+
+/// Prometheus text exposition as series -> value ("name{labels}" keys,
+/// comments skipped).
+std::map<std::string, int64_t> ParseExposition(const std::string& text) {
+  std::map<std::string, int64_t> series;
+  for (const std::string& line : Split(text, '\n')) {
+    if (line.empty() || line[0] == '#') continue;
+    size_t space = line.rfind(' ');
+    series[line.substr(0, space)] = std::stoll(line.substr(space + 1));
+  }
+  return series;
+}
+
+/// Sum of every series whose name (labels included) starts with
+/// `prefix` — e.g. all styles of one family.
+int64_t SeriesSum(const std::map<std::string, int64_t>& series,
+                  const std::string& prefix) {
+  int64_t total = 0;
+  for (const auto& [name, value] : series) {
+    if (name.compare(0, prefix.size(), prefix) == 0) total += value;
+  }
+  return total;
+}
+
 /// The full service surface over real sockets: one PlotService with a
 /// finished two-rung ladder behind MakeServiceHandler.
 class ServiceEndpointTest : public ::testing::Test {
@@ -868,6 +925,16 @@ TEST_F(ServiceEndpointTest, StatusReportsBuildMemoryAndCache) {
   EXPECT_NE(result.body.find("\"build\":"), std::string::npos);
   EXPECT_NE(result.body.find("\"memory\":"), std::string::npos);
   EXPECT_NE(result.body.find("\"tile_cache\":"), std::string::npos);
+  // The whole shape, in order: clients parse these bodies by key.
+  EXPECT_EQ(JsonKeys(result.body),
+            (std::vector<std::string>{
+                "build", "table", "x", "y", "rows", "rungs_ready",
+                "rungs_total", "done", "resident", "memory_bytes", "world",
+                "memory", "budget_bytes", "resident_bytes", "mapped_bytes",
+                "touched_page_bytes", "evictions", "reloads", "spill_writes",
+                "tile_cache", "hits", "misses", "evictions", "invalidated",
+                "entries", "bytes"}))
+      << result.body;
   EXPECT_EQ(Get("/status/nope").status, 404);
 }
 
@@ -1170,10 +1237,69 @@ TEST_F(ObservedServiceTest, MintedRequestIdReachesDebugRing) {
 }
 
 TEST_F(ObservedServiceTest, StatsAndMetricsAgreeByConstruction) {
-  ASSERT_EQ(Get("/tiles/geo/0/0/0.png").status, 200);
-  ASSERT_EQ(Get("/tiles/geo/0/0/0.png?style=heatmap").status, 200);
-  auto stats = Get("/stats");
+  // Every request rides one keep-alive connection, so between the
+  // /stats and /metrics fetches the only count that moves is the
+  // /stats request itself, counted once its response is queued.
+  auto client = HttpClient::Connect(server_->port());
+  ASSERT_TRUE(client.ok());
+  auto fetch = [&client](const std::string& target) {
+    auto result = client->Get(target);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? *result : HttpFetchResult{};
+  };
+  ASSERT_EQ(fetch("/tiles/geo/0/0/0.png").status, 200);
+  ASSERT_EQ(fetch("/tiles/geo/0/0/0.png?style=heatmap").status, 200);
+  auto stats = fetch("/stats");
   EXPECT_EQ(stats.status, 200);
+  auto exposition = fetch("/metrics");
+  ASSERT_EQ(exposition.status, 200);
+
+  EXPECT_EQ(JsonKeys(stats.body),
+            (std::vector<std::string>{
+                "requests_served", "connections_accepted",
+                "connections_refused", "active_connections", "render",
+                "tiles_rendered", "scatter_tiles_rendered",
+                "heatmap_tiles_rendered", "partial_tile_loads",
+                "render_nanos", "encode_nanos", "encode_bytes_in",
+                "encode_bytes_out"}))
+      << stats.body;
+  std::map<std::string, std::string> field;
+  for (const auto& [key, value] : JsonFields(stats.body)) field[key] = value;
+  const std::map<std::string, int64_t> series =
+      ParseExposition(exposition.body);
+  auto value_of = [&series](const std::string& name) {
+    auto it = series.find(name);
+    EXPECT_NE(it, series.end()) << name << " missing from /metrics";
+    return it == series.end() ? int64_t{-1} : it->second;
+  };
+  EXPECT_EQ(field["requests_served"],
+            std::to_string(value_of("vas_http_requests_total") - 1));
+  EXPECT_EQ(field["connections_accepted"],
+            std::to_string(value_of("vas_http_connections_accepted_total")));
+  EXPECT_EQ(field["connections_refused"],
+            std::to_string(value_of("vas_http_connections_refused_total")));
+  EXPECT_EQ(field["active_connections"],
+            std::to_string(value_of("vas_http_active_connections")));
+  EXPECT_EQ(field["tiles_rendered"],
+            std::to_string(SeriesSum(series, "vas_tiles_rendered_total{")));
+  EXPECT_EQ(field["scatter_tiles_rendered"],
+            std::to_string(
+                value_of("vas_tiles_rendered_total{style=\"scatter\"}")));
+  EXPECT_EQ(field["heatmap_tiles_rendered"],
+            std::to_string(
+                value_of("vas_tiles_rendered_total{style=\"heatmap\"}")));
+  EXPECT_EQ(field["partial_tile_loads"],
+            std::to_string(value_of("vas_tile_partial_loads_total")));
+  EXPECT_EQ(field["render_nanos"],
+            std::to_string(SeriesSum(series, "vas_tile_render_ns_sum{")));
+  EXPECT_EQ(field["encode_nanos"],
+            std::to_string(SeriesSum(series, "vas_tile_encode_ns_sum{")));
+  EXPECT_EQ(field["encode_bytes_in"],
+            std::to_string(value_of("vas_tile_encode_bytes_in_total")));
+  EXPECT_EQ(field["encode_bytes_out"],
+            std::to_string(value_of("vas_tile_encode_bytes_out_total")));
+  EXPECT_EQ(field["tiles_rendered"], "2");
+  EXPECT_NE(field["render_nanos"], "0");
   // The JSON fields are read back from the same registry objects the
   // exposition renders, so the two surfaces cannot drift.
   auto scatter = registry_.GetCounter(
