@@ -12,6 +12,7 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <memory>
 #include <vector>
 
@@ -151,11 +152,12 @@ int Run(int argc, char** argv) {
   for (size_t r = 0; same && r < built.samples().size(); ++r) {
     same = (*reloaded)->samples()[r].ids == built.samples()[r].ids;
   }
-  stats = manager.memory_stats();
   std::printf(
-      "evicted catalog served again in %.3fs (%zu reloads, ids identical: "
-      "%s)\n",
-      reload_secs, stats.reloads, same ? "yes" : "NO — EVICTION BUG");
+      "evicted catalog served again in %.3fs (%" PRId64
+      " reloads, ids identical: %s)\n",
+      reload_secs,
+      manager.metrics_registry()->Total("vas_catalog_reloads_total"),
+      same ? "yes" : "NO — EVICTION BUG");
   if (!same) return 1;
 
   // --- Paged store: full load vs single-tile partial touch ----------

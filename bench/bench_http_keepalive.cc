@@ -264,7 +264,7 @@ int Run(int argc, char** argv) {
   PrintMode("idle fan-in", idle);
   std::printf("  (%zu connections held, %zu active threads)\n", idle_conns,
               clients);
-  size_t refused = server.stats().connections_refused;
+  size_t refused = server.connections_refused();
   herd.clear();
   server.Stop();
 

@@ -8,7 +8,7 @@
 
 #include "engine/catalog_io.h"
 #include "engine/catalog_store.h"
-#include "util/logging.h"
+#include "obs/log.h"
 
 namespace vas {
 
@@ -377,8 +377,10 @@ void CatalogManager::PerformSpills(std::vector<SpillJob> jobs) const {
     if (!written.ok()) {
       // Dropping an unpersisted ladder would lose it for good; it stays
       // resident and the budget is best-effort.
-      VAS_LOG(WARN) << "catalog spill failed for " << job.key.ToString()
-                    << ": " << written.ToString();
+      obs::Log(obs::LogLevel::kWarn, "catalog spill failed",
+               obs::LogFields()
+                   .Add("catalog", job.key.ToString())
+                   .Add("error", written.ToString()));
     } else if (!mapped) {
       // Drop() raced the write and already deleted its spill path; the
       // file just created would otherwise leak.
@@ -683,11 +685,6 @@ CatalogManager::MemoryStats CatalogManager::memory_stats() const {
       stats.touched_page_bytes += entry->store->touched_bytes();
     }
   }
-  // Read back from the registry counters so this snapshot can never
-  // disagree with /metrics.
-  stats.evictions = evictions_free_->Value() + evictions_spill_->Value();
-  stats.reloads = reloads_count_->Value();
-  stats.spill_writes = spill_writes_count_->Value();
   return stats;
 }
 

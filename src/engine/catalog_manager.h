@@ -92,7 +92,8 @@ class CatalogManager {
     /// Metrics sink for rung/spill/eviction counters, build-pool queue
     /// instrumentation, and the resident/mapped/touched byte gauges.
     /// Null = a private registry owned by this manager (counters still
-    /// back memory_stats(); they are just not exported anywhere).
+    /// count, readable by name via metrics_registry(); they are just
+    /// not exported anywhere).
     obs::MetricsRegistry* registry = nullptr;
   };
 
@@ -110,7 +111,8 @@ class CatalogManager {
     size_t memory_bytes = 0;
   };
 
-  /// Aggregate accounting across every key.
+  /// Aggregate byte accounting across every key. Event counts
+  /// (evictions, reloads, spill writes) live only in the registry.
   struct MemoryStats {
     size_t budget_bytes = 0;
     size_t resident_bytes = 0;
@@ -119,11 +121,6 @@ class CatalogManager {
     /// Bytes of mapped pages actually faulted in (CRC-verified) so far
     /// — the real memory cost of serving through mapped stores.
     size_t touched_page_bytes = 0;
-    size_t evictions = 0;
-    size_t reloads = 0;
-    /// Spill files written. Evictions of ladders whose backing file is
-    /// already current don't write, so evictions can exceed this.
-    size_t spill_writes = 0;
   };
 
   /// `num_threads` sizes the shared build pool; 0 = hardware
@@ -210,6 +207,10 @@ class CatalogManager {
 
   /// Memory accounting snapshot (racy by nature, exact under quiesce).
   MemoryStats memory_stats() const;
+
+  /// The registry the manager's counters and gauges live in
+  /// (Options.registry, or the manager's private one).
+  obs::MetricsRegistry* metrics_registry() const { return registry_; }
 
   /// The shared build pool — samplers that shard internally (e.g.
   /// ParallelInterchangeSampler) may reuse it instead of spawning their
@@ -336,10 +337,11 @@ class CatalogManager {
   /// same filename fragment.
   mutable uint64_t spill_seq_ = 0;
   mutable size_t resident_bytes_ = 0;
-  /// Event counters live in the registry — the same objects /metrics
-  /// renders — and memory_stats() reads them back, so the two surfaces
-  /// agree by construction. Free evictions drop an already-persisted
-  /// ladder; spill evictions paid a serialization first.
+  /// Event counters live only in the registry — the same objects
+  /// /metrics renders, and that /status reads back by name. Free
+  /// evictions drop an already-persisted ladder; spill evictions paid a
+  /// serialization first. Evictions of ladders whose backing file is
+  /// already current don't write, so evictions can exceed spill writes.
   obs::Counter* rungs_built_ = nullptr;
   obs::Counter* evictions_free_ = nullptr;
   obs::Counter* evictions_spill_ = nullptr;

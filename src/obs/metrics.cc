@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -253,6 +254,39 @@ void MetricsRegistry::RemoveCallbackGauge(const std::string& name,
   if (it == families_.end()) return;
   it->second.children.erase(SerializeLabels(labels));
   if (it->second.children.empty()) families_.erase(it);
+}
+
+int64_t MetricsRegistry::Total(const std::string& name,
+                               const LabelSet& match) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = families_.find(name);
+  if (it == families_.end()) return 0;
+  const Family& family = it->second;
+  int64_t total = 0;
+  for (const auto& entry : family.children) {
+    const Child& child = *entry.second;
+    bool matches = std::all_of(
+        match.begin(), match.end(), [&child](const auto& label) {
+          return std::find(child.labels.begin(), child.labels.end(),
+                           label) != child.labels.end();
+        });
+    if (!matches) continue;
+    switch (family.kind) {
+      case Kind::kCounter:
+        total += static_cast<int64_t>(child.counter->Value());
+        break;
+      case Kind::kGauge:
+        total += child.gauge->Value();
+        break;
+      case Kind::kCallbackGauge:
+        total += child.callback ? child.callback() : 0;
+        break;
+      case Kind::kHistogram:
+        total += static_cast<int64_t>(child.histogram->Sum());
+        break;
+    }
+  }
+  return total;
 }
 
 std::string MetricsRegistry::RenderPrometheusText() const {

@@ -4,7 +4,7 @@
 // relaxed atomics, so concurrent writers never contend on a cache
 // line), and the registry renders everything as Prometheus text
 // exposition for GET /metrics. /stats-style JSON endpoints read the
-// *same* objects via Value()/Sum(), so the two surfaces can never
+// *same* families back by name (Total), so the two surfaces can never
 // disagree.
 //
 // Naming convention: `vas_<layer>_<what>[_total]` with unit suffixes
@@ -166,6 +166,14 @@ class MetricsRegistry {
   void SetCallbackGauge(const std::string& name, const std::string& help,
                         const LabelSet& labels, std::function<int64_t()> fn);
   void RemoveCallbackGauge(const std::string& name, const LabelSet& labels);
+
+  /// Sum over the children of family `name` whose labels include every
+  /// pair in `match`: counter and gauge values, callback-gauge results,
+  /// and histogram observation sums. 0 for an absent name, which is
+  /// never registered as a side effect. Takes the registry mutex like
+  /// RenderPrometheusText: it serves read-back surfaces (/stats,
+  /// /status) and tests, not hot paths.
+  int64_t Total(const std::string& name, const LabelSet& match = {}) const;
 
   /// Prometheus text exposition (format version 0.0.4): families
   /// sorted by name, each with # HELP / # TYPE, histogram children

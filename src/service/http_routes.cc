@@ -199,10 +199,20 @@ HttpResponse HandlePlot(PlotService* service, const HttpRequest& request) {
   return JsonResponse(std::move(out));
 }
 
+/// `"key":N` where N is the registry's Total for `metric` (see
+/// MetricsRegistry::Total: label-subset match, histogram sums).
+std::string CountField(const obs::MetricsRegistry& registry, const char* key,
+                       const char* metric, const obs::LabelSet& match = {}) {
+  return "\"" + std::string(key) + "\":" +
+         std::to_string(registry.Total(metric, match));
+}
+
 HttpResponse HandleStatus(PlotService* service, const std::string& table) {
   auto info = service->GetTable(table);
   if (!info.ok()) return ErrorResponse(info.status());
-  auto memory = service->manager().memory_stats();
+  const CatalogManager& manager = service->manager();
+  auto memory = manager.memory_stats();
+  const obs::MetricsRegistry& counts = *manager.metrics_registry();
   auto cache = service->cache_stats();
   std::string out = "{";
   out += "\"build\":" + BuildStatusJson(*info);
@@ -212,9 +222,10 @@ HttpResponse HandleStatus(PlotService* service, const std::string& table) {
   out += ",\"mapped_bytes\":" + std::to_string(memory.mapped_bytes);
   out += ",\"touched_page_bytes\":" +
          std::to_string(memory.touched_page_bytes);
-  out += ",\"evictions\":" + std::to_string(memory.evictions);
-  out += ",\"reloads\":" + std::to_string(memory.reloads);
-  out += ",\"spill_writes\":" + std::to_string(memory.spill_writes);
+  out += "," + CountField(counts, "evictions", "vas_catalog_evictions_total");
+  out += "," + CountField(counts, "reloads", "vas_catalog_reloads_total");
+  out += "," + CountField(counts, "spill_writes",
+                          "vas_catalog_spill_writes_total");
   out += "}";
   out += ",\"tile_cache\":{";
   out += "\"hits\":" + std::to_string(cache.hits);
@@ -225,6 +236,35 @@ HttpResponse HandleStatus(PlotService* service, const std::string& table) {
   out += ",\"bytes\":" + std::to_string(cache.bytes);
   out += "}}\n";
   return JsonResponse(std::move(out));
+}
+
+/// /stats: transport and render counts, read from `registry` by metric
+/// name — the very series /metrics renders.
+std::string BuildStatsJson(const obs::MetricsRegistry& registry) {
+  std::string out = "{";
+  out += CountField(registry, "requests_served", "vas_http_requests_total");
+  out += "," + CountField(registry, "connections_accepted",
+                          "vas_http_connections_accepted_total");
+  out += "," + CountField(registry, "connections_refused",
+                          "vas_http_connections_refused_total");
+  out += "," + CountField(registry, "active_connections",
+                          "vas_http_active_connections");
+  out += ",\"render\":{";
+  out += CountField(registry, "tiles_rendered", "vas_tiles_rendered_total");
+  out += "," + CountField(registry, "scatter_tiles_rendered",
+                          "vas_tiles_rendered_total", {{"style", "scatter"}});
+  out += "," + CountField(registry, "heatmap_tiles_rendered",
+                          "vas_tiles_rendered_total", {{"style", "heatmap"}});
+  out += "," + CountField(registry, "partial_tile_loads",
+                          "vas_tile_partial_loads_total");
+  out += "," + CountField(registry, "render_nanos", "vas_tile_render_ns");
+  out += "," + CountField(registry, "encode_nanos", "vas_tile_encode_ns");
+  out += "," + CountField(registry, "encode_bytes_in",
+                          "vas_tile_encode_bytes_in_total");
+  out += "," + CountField(registry, "encode_bytes_out",
+                          "vas_tile_encode_bytes_out_total");
+  out += "}}\n";
+  return out;
 }
 
 }  // namespace
@@ -250,71 +290,9 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-HttpServer::Handler MakeServiceHandler(
-    PlotService* service, std::function<HttpServerStats()> stats_fn) {
-  ServiceHandlerOptions options;
-  options.stats_fn = std::move(stats_fn);
-  return MakeServiceHandler(service, std::move(options));
-}
-
 HttpServer::Handler MakeServiceHandler(PlotService* service,
                                        ServiceHandlerOptions options) {
-  HttpServer::Handler base = MakeServiceHandler(service);
-  return [service, base = std::move(base), options = std::move(options)](
-             const HttpRequest& request) -> HttpResponse {
-    if (request.path == "/metrics" && options.registry != nullptr) {
-      HttpResponse response;
-      response.content_type = obs::MetricsRegistry::ExpositionContentType();
-      response.body = options.registry->RenderPrometheusText();
-      response.extra_headers.emplace_back("Cache-Control", "no-cache");
-      return response;
-    }
-    if (request.path == "/debug/requests" && options.trace_ring != nullptr) {
-      std::string out = "{\"requests\":[";
-      bool first = true;
-      for (const auto& trace : options.trace_ring->Snapshot()) {
-        if (!first) out += ",";
-        first = false;
-        out += obs::TraceToJson(*trace);
-      }
-      out += "]}\n";
-      return JsonResponse(std::move(out));
-    }
-    if (request.path == "/stats" && options.stats_fn != nullptr) {
-      const std::function<HttpServerStats()>& stats_fn = options.stats_fn;
-      HttpServerStats stats = stats_fn();
-      PlotService::RenderStats render = service->render_stats();
-      std::string out = "{";
-      out += "\"requests_served\":" + std::to_string(stats.requests_served);
-      out += ",\"connections_accepted\":" +
-             std::to_string(stats.connections_accepted);
-      out += ",\"connections_refused\":" +
-             std::to_string(stats.connections_refused);
-      out += ",\"active_connections\":" +
-             std::to_string(stats.active_connections);
-      out += ",\"render\":{";
-      out += "\"tiles_rendered\":" + std::to_string(render.tiles_rendered);
-      out += ",\"scatter_tiles_rendered\":" +
-             std::to_string(render.scatter_tiles_rendered);
-      out += ",\"heatmap_tiles_rendered\":" +
-             std::to_string(render.heatmap_tiles_rendered);
-      out += ",\"partial_tile_loads\":" +
-             std::to_string(render.partial_tile_loads);
-      out += ",\"render_nanos\":" + std::to_string(render.render_nanos);
-      out += ",\"encode_nanos\":" + std::to_string(render.encode_nanos);
-      out += ",\"encode_bytes_in\":" +
-             std::to_string(render.encode_bytes_in);
-      out += ",\"encode_bytes_out\":" +
-             std::to_string(render.encode_bytes_out);
-      out += "}}\n";
-      return JsonResponse(std::move(out));
-    }
-    return base(request);
-  };
-}
-
-HttpServer::Handler MakeServiceHandler(PlotService* service) {
-  return [service](const HttpRequest& request) -> HttpResponse {
+  return [service, options](const HttpRequest& request) -> HttpResponse {
     if (request.path == "/healthz") {
       HttpResponse response;
       response.body = "ok\n";
@@ -332,6 +310,30 @@ HttpServer::Handler MakeServiceHandler(PlotService* service) {
       return JsonResponse(std::move(out));
     }
     if (request.path == "/plot") return HandlePlot(service, request);
+    if (options.registry != nullptr) {
+      if (request.path == "/metrics") {
+        HttpResponse response;
+        response.content_type =
+            obs::MetricsRegistry::ExpositionContentType();
+        response.body = options.registry->RenderPrometheusText();
+        response.extra_headers.emplace_back("Cache-Control", "no-cache");
+        return response;
+      }
+      if (request.path == "/stats") {
+        return JsonResponse(BuildStatsJson(*options.registry));
+      }
+    }
+    if (request.path == "/debug/requests" && options.trace_ring != nullptr) {
+      std::string out = "{\"requests\":[";
+      bool first = true;
+      for (const auto& trace : options.trace_ring->Snapshot()) {
+        if (!first) out += ",";
+        first = false;
+        out += obs::TraceToJson(*trace);
+      }
+      out += "]}\n";
+      return JsonResponse(std::move(out));
+    }
 
     HttpResponse not_found;
     not_found.status = 404;
@@ -339,10 +341,7 @@ HttpServer::Handler MakeServiceHandler(PlotService* service) {
     if (request.path.empty() || request.path[0] != '/') return not_found;
 
     // Segment routes: /status/{table} and /tiles/{table}/{z}/{x}/{y}.png.
-    std::vector<std::string> segments;
-    for (const std::string& s : Split(request.path.substr(1), '/')) {
-      segments.push_back(s);
-    }
+    std::vector<std::string> segments = Split(request.path.substr(1), '/');
     if (segments.size() == 2 && segments[0] == "status") {
       return HandleStatus(service, segments[1]);
     }

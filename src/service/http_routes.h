@@ -6,10 +6,10 @@
 //   GET /healthz                          liveness probe, "ok"
 //   GET /catalogs                         every registered table, JSON
 //   GET /status/{table}                   build/rung/eviction + cache state
-//   GET /stats                            transport counters (requests,
-//                                         connections accepted/refused/
-//                                         active), JSON — with the
-//                                         stats-aware overload below
+//   GET /stats                            transport + render counts read
+//                                         from the registry by name, JSON
+//   GET /metrics                          Prometheus text exposition
+//   GET /debug/requests                   recent request traces, JSON
 //   GET /tiles/{table}/{z}/{x}/{y}.png    rendered tile, image/png
 //   GET /plot?table=T&xmin=&ymin=&xmax=&ymax=&budget=
 //                                         viewport counts from the cached
@@ -24,7 +24,6 @@
 #ifndef VAS_SERVICE_HTTP_ROUTES_H_
 #define VAS_SERVICE_HTTP_ROUTES_H_
 
-#include <functional>
 #include <string>
 
 #include "obs/metrics.h"
@@ -34,34 +33,24 @@
 
 namespace vas {
 
-/// Observability wiring for the full-featured handler overload. All
-/// referenced objects must outlive the handler.
+/// Observability wiring for the handler. All referenced objects must
+/// outlive the handler.
 struct ServiceHandlerOptions {
-  /// Enables `/stats` (transport + render counters, JSON). Typically
-  /// `server.stats()` bound after the server is constructed — the
-  /// handler only calls it per request, so it may be bound late.
-  std::function<HttpServerStats()> stats_fn;
-  /// Enables `GET /metrics` (Prometheus text exposition).
+  /// Enables `GET /metrics` (Prometheus text exposition) and `GET
+  /// /stats` (transport + render counts, JSON). /stats reads each count
+  /// by metric name, so this must be the registry the HttpServer and
+  /// the PlotService write to.
   obs::MetricsRegistry* registry = nullptr;
   /// Enables `GET /debug/requests` (recently finished request traces,
   /// newest first, JSON).
   obs::TraceRing* trace_ring = nullptr;
 };
 
-/// Builds the request handler serving `service`'s tables. The service
-/// must outlive the returned handler.
-HttpServer::Handler MakeServiceHandler(PlotService* service);
-
-/// Like above, plus a `/stats` endpoint reporting the transport
-/// counters `stats_fn` returns. Kept for callers that predate the
-/// options overload below.
-HttpServer::Handler MakeServiceHandler(
-    PlotService* service, std::function<HttpServerStats()> stats_fn);
-
-/// The full surface: tiles/status/plot plus whichever of /stats,
-/// /metrics, and /debug/requests `options` enables.
+/// Builds the request handler serving `service`'s tables plus whichever
+/// of /stats, /metrics, and /debug/requests `options` enables. The
+/// service must outlive the returned handler.
 HttpServer::Handler MakeServiceHandler(PlotService* service,
-                                       ServiceHandlerOptions options);
+                                       ServiceHandlerOptions options = {});
 
 /// Escapes `s` for embedding in a JSON string literal. Exposed for
 /// tests.

@@ -79,16 +79,6 @@ std::string UriDecode(const std::string& in);
 /// `etag` is the server's current entity tag including quotes.
 bool EtagMatches(const std::string& if_none_match, const std::string& etag);
 
-/// Transport-level counters, snapshot together so /stats-style
-/// endpoints report a consistent view of load (accepted + refused =
-/// every connection attempt the server saw).
-struct HttpServerStats {
-  size_t requests_served = 0;
-  size_t connections_accepted = 0;
-  size_t connections_refused = 0;
-  size_t active_connections = 0;
-};
-
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -182,18 +172,6 @@ class HttpServer {
   /// Connections refused with 503 because the connection limit was hit.
   size_t connections_refused() const { return connections_refused_->Value(); }
 
-  /// All transport counters in one snapshot. These read the same
-  /// registry objects /metrics renders, so the two surfaces agree by
-  /// construction.
-  HttpServerStats stats() const {
-    HttpServerStats s;
-    s.requests_served = requests_served();
-    s.connections_accepted = connections_accepted();
-    s.connections_refused = connections_refused();
-    s.active_connections = active_connections();
-    return s;
-  }
-
   /// The registry the transport counters live in (the Options one, or
   /// the server's private registry when none was given).
   obs::MetricsRegistry* metrics_registry() const { return registry_; }
@@ -239,8 +217,8 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
   /// Transport metrics, owned by registry_. The registry objects are
-  /// the only storage — stats()/accessors read them, /metrics renders
-  /// them.
+  /// the only storage — the accessors read them, /metrics renders
+  /// them, and /stats reads them by name.
   obs::Counter* requests_served_ = nullptr;
   obs::Gauge* active_connections_ = nullptr;
   obs::Counter* connections_accepted_ = nullptr;

@@ -177,24 +177,6 @@ ScatterRenderer::Options PlotService::TileRenderOptions() const {
   return render_options;
 }
 
-PlotService::RenderStats PlotService::render_stats() const {
-  // Read back from the registry objects — the same ones /metrics
-  // renders, so the two surfaces agree by construction.
-  RenderStats stats;
-  stats.scatter_tiles_rendered = metrics_.scatter_tiles->Value();
-  stats.heatmap_tiles_rendered = metrics_.heatmap_tiles->Value();
-  stats.tiles_rendered =
-      stats.scatter_tiles_rendered + stats.heatmap_tiles_rendered;
-  stats.partial_tile_loads = metrics_.partial_loads->Value();
-  stats.render_nanos =
-      metrics_.scatter_render_ns->Sum() + metrics_.heatmap_render_ns->Sum();
-  stats.encode_nanos =
-      metrics_.scatter_encode_ns->Sum() + metrics_.heatmap_encode_ns->Sum();
-  stats.encode_bytes_in = metrics_.encode_bytes_in->Value();
-  stats.encode_bytes_out = metrics_.encode_bytes_out->Value();
-  return stats;
-}
-
 StatusOr<PlotService::TileResult> PlotService::RenderTile(
     const std::string& table, const TileKey& tile,
     const std::string& if_none_match, TileStyle style,

@@ -87,31 +87,11 @@ class PlotService {
     /// Colormap for ?style=heatmap tiles.
     ColormapKind heatmap_colormap = ColormapKind::kViridis;
     /// Registry the render/cache/catalog metrics live in. Null = the
-    /// service owns a private registry; render_stats() works either
-    /// way. Propagated into the owned CatalogManager (unless
-    /// catalog.registry is already set) so one registry covers the
-    /// whole serving stack.
+    /// service owns a private registry (read it via
+    /// metrics_registry()). Propagated into the owned CatalogManager
+    /// (unless catalog.registry is already set) so one registry covers
+    /// the whole serving stack.
     obs::MetricsRegistry* registry = nullptr;
-  };
-
-  /// Counters for the render->encode hot path, served via /stats so
-  /// compression and vectorization wins are observable in production.
-  struct RenderStats {
-    /// Cold tile renders performed (cache hits and 304s excluded).
-    uint64_t tiles_rendered = 0;
-    uint64_t scatter_tiles_rendered = 0;
-    uint64_t heatmap_tiles_rendered = 0;
-    /// Cold renders that served a spilled table straight from its
-    /// mmap'd paged catalog, materializing only the grid cells the
-    /// tile's viewport intersects (instead of reloading the ladder).
-    uint64_t partial_tile_loads = 0;
-    /// Wall time split between rasterizing and PNG encoding.
-    uint64_t render_nanos = 0;
-    uint64_t encode_nanos = 0;
-    /// Encoder input (raw RGB pixel bytes) vs output (PNG bytes): the
-    /// live compression ratio of served tiles.
-    uint64_t encode_bytes_in = 0;
-    uint64_t encode_bytes_out = 0;
   };
 
   struct TileResult {
@@ -224,7 +204,6 @@ class PlotService {
 
   CatalogManager& manager() { return *manager_; }
   TileCache::Stats cache_stats() const { return cache_.stats(); }
-  RenderStats render_stats() const;
   const Options& options() const { return options_; }
 
   /// The registry the render metrics live in (Options.registry, or the
@@ -275,8 +254,8 @@ class PlotService {
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_ = nullptr;
   /// Render-path metrics, owned by registry_. These are the *only*
-  /// storage — render_stats() reads them back, so /stats and /metrics
-  /// can never disagree. Touched only on the cold render path.
+  /// storage — /stats reads them back by name, so it and /metrics can
+  /// never disagree. Touched only on the cold render path.
   struct RenderMetrics {
     obs::Counter* scatter_tiles = nullptr;
     obs::Counter* heatmap_tiles = nullptr;

@@ -1,32 +1,15 @@
 #include "util/logging.h"
 
-#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 
 namespace vas::internal_logging {
-
-namespace {
-std::atomic<int> g_log_level{1};
-}  // namespace
 
 void CheckFailed(const char* file, int line, const char* expr,
                  const std::string& extra) {
   std::fprintf(stderr, "[FATAL] %s:%d: check failed: %s%s%s\n", file, line,
                expr, extra.empty() ? "" : " — ", extra.c_str());
   std::abort();
-}
-
-LogLine::LogLine(const char* level, const char* file, int line) {
-  stream_ << "[" << level << "] " << file << ":" << line << ": ";
-}
-
-LogLine::~LogLine() {
-  std::fprintf(stderr, "%s\n", stream_.str().c_str());
-}
-
-int GetLogLevel() { return g_log_level.load(std::memory_order_relaxed); }
-
-void SetLogLevel(int level) {
-  g_log_level.store(level, std::memory_order_relaxed);
 }
 
 }  // namespace vas::internal_logging

@@ -1,13 +1,10 @@
-// Lightweight check macros and leveled logging for library internals.
-// VAS_CHECK* are invariants: they fire in every build type and abort,
-// because a broken invariant in a sampler or index means silently wrong
-// query answers downstream.
+// Check macros for library internals. VAS_CHECK* are invariants: they
+// fire in every build type and abort, because a broken invariant in a
+// sampler or index means silently wrong query answers downstream.
+// Diagnostics that do not abort go through obs/log.h.
 #ifndef VAS_UTIL_LOGGING_H_
 #define VAS_UTIL_LOGGING_H_
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <string>
 
 namespace vas::internal_logging {
@@ -15,28 +12,6 @@ namespace vas::internal_logging {
 /// Terminates the process after printing a formatted check failure.
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
                               const std::string& extra);
-
-/// Stream sink used by VAS_LOG; writes one line to stderr on destruction.
-class LogLine {
- public:
-  LogLine(const char* level, const char* file, int line);
-  ~LogLine();
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
-
-  template <typename T>
-  LogLine& operator<<(const T& v) {
-    stream_ << v;
-    return *this;
-  }
-
- private:
-  std::ostringstream stream_;
-};
-
-/// Global log verbosity: 0 = errors only, 1 = info (default), 2 = debug.
-int GetLogLevel();
-void SetLogLevel(int level);
 
 }  // namespace vas::internal_logging
 
@@ -56,8 +31,5 @@ void SetLogLevel(int level);
   } while (false)
 
 #define VAS_DCHECK(expr) VAS_CHECK(expr)
-
-#define VAS_LOG(level)                                                \
-  ::vas::internal_logging::LogLine(#level, __FILE__, __LINE__)
 
 #endif  // VAS_UTIL_LOGGING_H_

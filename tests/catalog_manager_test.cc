@@ -75,6 +75,12 @@ SamplerFactory GatedFactory(uint64_t seed, size_t gate_at_k,
   };
 }
 
+/// One of `manager`'s event counts, read from its registry by metric
+/// name (the way /status reads it).
+int64_t Count(const CatalogManager& manager, const std::string& metric) {
+  return manager.metrics_registry()->Total(metric);
+}
+
 SamplerFactory UniformFactory(uint64_t seed) {
   return [seed]() { return std::make_unique<UniformReservoirSampler>(seed); };
 }
@@ -359,7 +365,7 @@ TEST(CatalogManagerTest, EvictsLruUnderBudgetAndReloadsOnAccess) {
   ASSERT_TRUE(s2.ok());
   EXPECT_TRUE(s2->resident);
   auto stats = manager.memory_stats();
-  EXPECT_GE(stats.evictions, 1u);
+  EXPECT_GE(Count(manager, "vas_catalog_evictions_total"), 1);
   EXPECT_LE(stats.resident_bytes, stats.budget_bytes);
 
   // The next access reloads k1 transparently and serves the exact rung
@@ -370,7 +376,7 @@ TEST(CatalogManagerTest, EvictsLruUnderBudgetAndReloadsOnAccess) {
   for (size_t r = 0; r < pre_evict_ids.size(); ++r) {
     EXPECT_EQ((*after)->samples()[r].ids, pre_evict_ids[r]);
   }
-  EXPECT_GE(manager.memory_stats().reloads, 1u);
+  EXPECT_GE(Count(manager, "vas_catalog_reloads_total"), 1);
 }
 
 TEST(CatalogManagerTest, ManagerBackedSessionSurvivesEvictReloadCycle) {
@@ -450,9 +456,8 @@ TEST(CatalogManagerTest, ConcurrentSnapshotsDuringEvictionAreSafe) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(failed.load());
-  auto stats = manager.memory_stats();
-  EXPECT_GE(stats.evictions, 1u);
-  EXPECT_GE(stats.reloads, 1u);
+  EXPECT_GE(Count(manager, "vas_catalog_evictions_total"), 1);
+  EXPECT_GE(Count(manager, "vas_catalog_reloads_total"), 1);
 }
 
 TEST(CatalogManagerTest, FinishedBuildsEnterAccountingWithoutAnyAccess) {
@@ -525,7 +530,7 @@ TEST(CatalogManagerTest, CollidingSanitizedKeysSpillToDistinctFiles) {
     EXPECT_EQ((*underscore_after)->samples()[0].ids,
               (*underscore_before)->samples()[0].ids);
   }
-  EXPECT_GE(manager.memory_stats().evictions, 2u);
+  EXPECT_GE(Count(manager, "vas_catalog_evictions_total"), 2);
 }
 
 TEST(CatalogManagerTest, DropUnregistersAndAllowsReRegistration) {
@@ -628,8 +633,8 @@ TEST(CatalogManagerTest, ConcurrentAccessAcrossKeysWhileSpillsAreInFlight) {
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(failed.load());
   auto stats = manager.memory_stats();
-  EXPECT_GE(stats.evictions, 3u);
-  EXPECT_GE(stats.reloads, 3u);
+  EXPECT_GE(Count(manager, "vas_catalog_evictions_total"), 3);
+  EXPECT_GE(Count(manager, "vas_catalog_reloads_total"), 3);
   EXPECT_LE(stats.resident_bytes,
             stats.budget_bytes + 2 * 24 * 1024)
       << "residency may transiently exceed budget while writes are in "
@@ -671,7 +676,7 @@ TEST(CatalogManagerTest, MappedCatalogEvictsWithoutRewritingItsSpill) {
   ASSERT_TRUE(status.ok());
   EXPECT_TRUE(status->mapped) << "a CAT2 load should mmap, not read";
   EXPECT_GT(manager.memory_stats().mapped_bytes, 0u);
-  EXPECT_EQ(manager.memory_stats().spill_writes, 0u);
+  EXPECT_EQ(Count(manager, "vas_catalog_spill_writes_total"), 0);
 
   for (int round = 0; round < 3; ++round) {
     for (const CatalogKey& k : {key, other}) {
@@ -682,9 +687,8 @@ TEST(CatalogManagerTest, MappedCatalogEvictsWithoutRewritingItsSpill) {
       EXPECT_EQ((*snapshot)->samples()[1].ids, (*built)->samples()[1].ids);
     }
   }
-  auto stats = manager.memory_stats();
-  EXPECT_GE(stats.evictions, 2u);
-  EXPECT_EQ(stats.spill_writes, 0u)
+  EXPECT_GE(Count(manager, "vas_catalog_evictions_total"), 2);
+  EXPECT_EQ(Count(manager, "vas_catalog_spill_writes_total"), 0)
       << "evicting a catalog with current CAT2 backing must be free";
 
   // A built (never-saved) ladder has no backing yet, so its first
@@ -696,11 +700,12 @@ TEST(CatalogManagerTest, MappedCatalogEvictsWithoutRewritingItsSpill) {
                   .ok());
   ASSERT_TRUE(manager.WaitUntilDone(fresh).ok());
   ASSERT_TRUE(manager.Snapshot(key).ok());  // evicts "fresh": must spill
-  for (int i = 0; i < 500 && manager.memory_stats().spill_writes == 0;
+  for (int i = 0;
+       i < 500 && Count(manager, "vas_catalog_spill_writes_total") == 0;
        ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(manager.memory_stats().spill_writes, 1u);
+  EXPECT_EQ(Count(manager, "vas_catalog_spill_writes_total"), 1);
 }
 
 TEST(CatalogManagerTest, ViewForServesSpilledCatalogsWithoutReloading) {
@@ -734,7 +739,7 @@ TEST(CatalogManagerTest, ViewForServesSpilledCatalogsWithoutReloading) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_FALSE(manager.GetStatus(key)->resident);
-  const size_t reloads_before = manager.memory_stats().reloads;
+  const int64_t reloads_before = Count(manager, "vas_catalog_reloads_total");
 
   auto view = manager.ViewFor(key);
   ASSERT_TRUE(view.ok());
@@ -758,7 +763,7 @@ TEST(CatalogManagerTest, ViewForServesSpilledCatalogsWithoutReloading) {
   EXPECT_EQ(whole->ids, (*built)->samples()[1].ids);
 
   auto stats = manager.memory_stats();
-  EXPECT_EQ(stats.reloads, reloads_before)
+  EXPECT_EQ(Count(manager, "vas_catalog_reloads_total"), reloads_before)
       << "serving through a view must not trigger a full reload";
   EXPECT_GT(stats.mapped_bytes, 0u);
   EXPECT_GT(stats.touched_page_bytes, 0u);
@@ -768,7 +773,7 @@ TEST(CatalogManagerTest, ViewForServesSpilledCatalogsWithoutReloading) {
   // yields a resident (non-partial) view.
   auto reloaded = manager.Snapshot(key);
   ASSERT_TRUE(reloaded.ok());
-  EXPECT_GE(manager.memory_stats().reloads, reloads_before + 1);
+  EXPECT_GE(Count(manager, "vas_catalog_reloads_total"), reloads_before + 1);
   auto resident_view = manager.ViewFor(key);
   ASSERT_TRUE(resident_view.ok());
   ASSERT_TRUE(resident_view->valid());

@@ -690,11 +690,10 @@ TEST(HttpEpollTest, ManyMostlyIdleConnectionsAreHeldWithoutRefusals) {
     EXPECT_EQ(result->status, 200) << "no 503s under the fd-based limit";
     clients.push_back(std::move(*client));
   }
-  HttpServerStats stats = server.stats();
-  EXPECT_EQ(stats.connections_refused, 0u);
-  EXPECT_EQ(stats.connections_accepted, held);
-  EXPECT_EQ(stats.active_connections, held);
-  EXPECT_EQ(stats.requests_served, held);
+  EXPECT_EQ(server.connections_refused(), 0u);
+  EXPECT_EQ(server.connections_accepted(), held);
+  EXPECT_EQ(server.active_connections(), held);
+  EXPECT_EQ(server.requests_served(), held);
 
   // The parked sockets are all still live, not just counted.
   auto again = clients.front().Get("/again");
@@ -719,10 +718,9 @@ TEST(HttpEpollTest, RefusedConnectionsAreCounted) {
   auto refused = HttpGet(server.port(), "/y");
   ASSERT_TRUE(refused.ok());
   EXPECT_EQ(refused->status, 503);
-  HttpServerStats stats = server.stats();
-  EXPECT_EQ(stats.connections_refused, 1u)
+  EXPECT_EQ(server.connections_refused(), 1u)
       << "refusals must show up in the server's own accounting";
-  EXPECT_EQ(stats.connections_accepted, 1u)
+  EXPECT_EQ(server.connections_accepted(), 1u)
       << "a refused socket is not an accepted connection";
   server.Stop();
 }
@@ -851,11 +849,15 @@ int64_t SeriesSum(const std::map<std::string, int64_t>& series,
 }
 
 /// The full service surface over real sockets: one PlotService with a
-/// finished two-rung ladder behind MakeServiceHandler.
+/// finished two-rung ladder behind MakeServiceHandler. One registry is
+/// wired through the service, the transport, and the handler, which is
+/// what /stats reads its counts from.
 class ServiceEndpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    service_ = std::make_unique<PlotService>();
+    PlotService::Options service_options;
+    service_options.registry = &registry_;
+    service_ = std::make_unique<PlotService>(service_options);
     auto dataset = std::make_shared<Dataset>(test::Skewed(4000));
     dataset->CacheBounds();
     ASSERT_TRUE(service_
@@ -872,12 +874,12 @@ class ServiceEndpointTest : public ::testing::Test {
                         }())
                     .ok());
     ASSERT_TRUE(service_->manager().WaitUntilDone(CatalogKey{"geo"}).ok());
-    // The stats lambda reads server_ lazily — it only runs per request,
-    // after the server exists and has started.
+    HttpServer::Options server_options = EphemeralPort();
+    server_options.registry = &registry_;
+    ServiceHandlerOptions handler_options;
+    handler_options.registry = &registry_;
     server_ = std::make_unique<HttpServer>(
-        EphemeralPort(),
-        MakeServiceHandler(service_.get(),
-                           [this]() { return server_->stats(); }));
+        server_options, MakeServiceHandler(service_.get(), handler_options));
     ASSERT_TRUE(server_->Start().ok());
   }
 
@@ -887,6 +889,7 @@ class ServiceEndpointTest : public ::testing::Test {
     return result.ok() ? *result : HttpFetchResult{};
   }
 
+  obs::MetricsRegistry registry_;
   std::unique_ptr<PlotService> service_;
   std::unique_ptr<HttpServer> server_;
 };
@@ -1114,12 +1117,10 @@ class ObservedServiceTest : public ::testing::Test {
     server_options.registry = &registry_;
     server_options.trace_ring = &ring_;
     ServiceHandlerOptions handler_options;
-    handler_options.stats_fn = [this]() { return server_->stats(); };
     handler_options.registry = &registry_;
     handler_options.trace_ring = &ring_;
     server_ = std::make_unique<HttpServer>(
-        server_options,
-        MakeServiceHandler(service_.get(), std::move(handler_options)));
+        server_options, MakeServiceHandler(service_.get(), handler_options));
     ASSERT_TRUE(server_->Start().ok());
   }
 

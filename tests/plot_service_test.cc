@@ -33,6 +33,13 @@ SamplerFactory UniformFactory(uint64_t seed) {
   return [seed]() { return std::make_unique<UniformReservoirSampler>(seed); };
 }
 
+/// One of `service`'s counts, read from its registry by metric name
+/// (the way /stats reads it).
+int64_t Count(const PlotService& service, const std::string& metric,
+              const obs::LabelSet& match = {}) {
+  return service.metrics_registry()->Total(metric, match);
+}
+
 SampleCatalog::Options Ladder(std::vector<size_t> rungs) {
   SampleCatalog::Options options;
   options.ladder = std::move(rungs);
@@ -529,15 +536,14 @@ TEST(PlotServiceTest, HeatmapTileMatchesDirectDensityRender) {
   EXPECT_EQ(direct.EncodePng(service.options().png), *served->png);
 }
 
-TEST(PlotServiceTest, RenderStatsCountColdRendersPerStyle) {
+TEST(PlotServiceTest, RenderCountersCountColdRendersPerStyle) {
   PlotService service;
   ASSERT_TRUE(service
                   .RegisterTable("geo", SkewedShared(2000), UniformFactory(3),
                                  Ladder({200}))
                   .ok());
-  auto zero = service.render_stats();
-  EXPECT_EQ(zero.tiles_rendered, 0u);
-  EXPECT_EQ(zero.encode_bytes_out, 0u);
+  EXPECT_EQ(Count(service, "vas_tiles_rendered_total"), 0);
+  EXPECT_EQ(Count(service, "vas_tile_encode_bytes_out_total"), 0);
 
   TileKey tile{0, 0, 0};
   auto scatter = service.RenderTile("geo", tile);
@@ -548,16 +554,17 @@ TEST(PlotServiceTest, RenderStatsCountColdRendersPerStyle) {
   ASSERT_TRUE(service.RenderTile("geo", tile)->cache_hit);
   ASSERT_TRUE(service.RenderTile("geo", tile, scatter->etag)->not_modified);
 
-  auto stats = service.render_stats();
-  EXPECT_EQ(stats.tiles_rendered, 2u);
-  EXPECT_EQ(stats.scatter_tiles_rendered, 1u);
-  EXPECT_EQ(stats.heatmap_tiles_rendered, 1u);
-  size_t px = service.options().tile_px;
-  EXPECT_EQ(stats.encode_bytes_in, 2u * px * px * 3u);
-  EXPECT_EQ(stats.encode_bytes_out,
-            scatter->png->size() + heatmap->png->size());
-  EXPECT_GT(stats.render_nanos, 0u);
-  EXPECT_GT(stats.encode_nanos, 0u);
+  EXPECT_EQ(Count(service, "vas_tiles_rendered_total"), 2);
+  EXPECT_EQ(Count(service, "vas_tiles_rendered_total", {{"style", "scatter"}}),
+            1);
+  EXPECT_EQ(Count(service, "vas_tiles_rendered_total", {{"style", "heatmap"}}),
+            1);
+  int64_t px = service.options().tile_px;
+  EXPECT_EQ(Count(service, "vas_tile_encode_bytes_in_total"), 2 * px * px * 3);
+  EXPECT_EQ(Count(service, "vas_tile_encode_bytes_out_total"),
+            static_cast<int64_t>(scatter->png->size() + heatmap->png->size()));
+  EXPECT_GT(Count(service, "vas_tile_render_ns"), 0);
+  EXPECT_GT(Count(service, "vas_tile_encode_ns"), 0);
 }
 
 TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {
@@ -610,8 +617,8 @@ TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {
     EXPECT_EQ(*partial->png, *baseline->png)
         << "spilled tile diverged from the resident render";
   }
-  EXPECT_EQ(spilled.render_stats().partial_tile_loads, 2u);
-  EXPECT_EQ(resident.render_stats().partial_tile_loads, 0u);
+  EXPECT_EQ(Count(spilled, "vas_tile_partial_loads_total"), 2);
+  EXPECT_EQ(Count(resident, "vas_tile_partial_loads_total"), 0);
 
   // The resident-byte accounting proves the partial load: the mapped
   // store faulted in some pages, but strictly fewer than the whole
@@ -621,7 +628,7 @@ TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {
   EXPECT_GT(stats.touched_page_bytes, 0u);
   EXPECT_LT(stats.touched_page_bytes, stats.mapped_bytes);
   // The tiles really came from the mapping, not a transparent reload.
-  EXPECT_EQ(stats.reloads, 0u);
+  EXPECT_EQ(Count(spilled, "vas_catalog_reloads_total"), 0);
   EXPECT_FALSE(spilled.manager().GetStatus(key)->resident);
 
   // Value-colored scatter tiles at zooms 3-7, including a tile across
@@ -651,7 +658,7 @@ TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {
         << "spilled scatter tile " << t.ToString()
         << " diverged from the resident render";
   }
-  EXPECT_EQ(spilled.manager().memory_stats().reloads, 0u);
+  EXPECT_EQ(Count(spilled, "vas_catalog_reloads_total"), 0);
 }
 
 TEST(PlotServiceTest, SpilledScatterTileKeepsRungDrawOrder) {
@@ -695,7 +702,7 @@ TEST(PlotServiceTest, SpilledScatterTileKeepsRungDrawOrder) {
     EXPECT_EQ(*served->png, *baseline->png)
         << "mapped tile " << tile.ToString() << " drew the dots out of order";
   }
-  EXPECT_EQ(mapped.render_stats().partial_tile_loads, 2u);
+  EXPECT_EQ(Count(mapped, "vas_tile_partial_loads_total"), 2);
 }
 
 TEST(PlotServiceTest, SpilledFileWithoutValueRangeServesScatterWhole) {
@@ -733,8 +740,9 @@ TEST(PlotServiceTest, SpilledFileWithoutValueRangeServesScatterWhole) {
     EXPECT_EQ(*served->png, *baseline->png)
         << "mapped tile " << tile.ToString() << " diverged";
   }
-  EXPECT_EQ(mapped.render_stats().partial_tile_loads, 0u);
-  EXPECT_EQ(mapped.render_stats().scatter_tiles_rendered, 4u);
+  EXPECT_EQ(Count(mapped, "vas_tile_partial_loads_total"), 0);
+  EXPECT_EQ(Count(mapped, "vas_tiles_rendered_total", {{"style", "scatter"}}),
+            4);
 }
 
 TEST(PlotServiceTest, ConcurrentSpilledRendersChargeOnlyTheirOwnPages) {
@@ -800,7 +808,7 @@ TEST(PlotServiceTest, ConcurrentSpilledRendersChargeOnlyTheirOwnPages) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(service.render_stats().partial_tile_loads, 32u);
+  EXPECT_EQ(Count(service, "vas_tile_partial_loads_total"), 32);
 
   size_t touched_after = 0;
   for (const auto& store : stores) touched_after += store->touched_bytes();

@@ -279,19 +279,11 @@ int ServeMain(int argc, char** argv) {
   server_options.registry = &registry;
   server_options.trace_ring = &trace_ring;
   server_options.slow_request_ms = flags.GetInt("slow-request-ms");
-  // The handler is built before the server it reports on, so /stats
-  // reads through a pointer slot filled in right after construction.
-  auto server_slot = std::make_shared<HttpServer*>(nullptr);
   ServiceHandlerOptions handler_options;
-  handler_options.stats_fn = [server_slot]() {
-    return *server_slot != nullptr ? (*server_slot)->stats()
-                                   : HttpServerStats{};
-  };
   handler_options.registry = &registry;
   handler_options.trace_ring = &trace_ring;
   HttpServer server(server_options,
-                    MakeServiceHandler(&service, std::move(handler_options)));
-  *server_slot = &server;
+                    MakeServiceHandler(&service, handler_options));
   Status started = server.Start();
   if (!started.ok()) return FailServe(started);
   std::printf("vas_serve listening on %s:%u\n",

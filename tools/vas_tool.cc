@@ -343,8 +343,10 @@ int CmdBuildCatalog(FlagSet& flags, int argc, char** argv) {
   auto stats = manager.memory_stats();
   if (stats.budget_bytes > 0) {
     std::printf(
-        "memory: %zu bytes resident of %zu budget (%zu evictions)\n",
-        stats.resident_bytes, stats.budget_bytes, stats.evictions);
+        "memory: %zu bytes resident of %zu budget (%" PRId64
+        " evictions)\n",
+        stats.resident_bytes, stats.budget_bytes,
+        manager.metrics_registry()->Total("vas_catalog_evictions_total"));
   }
   return 0;
 }
