@@ -1,7 +1,8 @@
 // The observability layer: sharded counters and histograms staying
 // exact under concurrent writers, the Prometheus text exposition
-// (golden-checked), request traces and the ring at /debug/requests,
-// and the structured log line formats.
+// (golden-checked), read-back by name (MetricsRegistry::Total), request
+// traces and the ring at /debug/requests, and the structured log line
+// formats.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -208,6 +209,55 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationAndWrites) {
                               std::vector<uint64_t>{100, 1000})
                 ->TotalCount(),
             kThreads * kPerThread);
+}
+
+TEST(MetricsRegistryTest, TotalReadsEveryFamilyKind) {
+  MetricsRegistry registry;
+  registry.GetCounter("vas_t_total", "")->Increment(7);
+  registry.GetGauge("vas_t_gauge", "")->Set(-3);
+  Histogram* h = registry.GetHistogram("vas_t_ns", "", {},
+                                       std::vector<uint64_t>{10, 100});
+  h->Observe(5);
+  h->Observe(500);
+  int calls = 0;
+  registry.SetCallbackGauge("vas_t_live", "", {}, [&calls]() {
+    ++calls;
+    return int64_t{11};
+  });
+  EXPECT_EQ(registry.Total("vas_t_total"), 7);
+  EXPECT_EQ(registry.Total("vas_t_gauge"), -3);
+  EXPECT_EQ(registry.Total("vas_t_ns"), 505) << "histograms sum observations";
+  EXPECT_EQ(registry.Total("vas_t_live"), 11);
+  EXPECT_EQ(calls, 1) << "a callback gauge is evaluated at read time";
+}
+
+TEST(MetricsRegistryTest, TotalMatchesLabelSubsets) {
+  MetricsRegistry registry;
+  registry.GetCounter("vas_m_total", "", {{"style", "scatter"}})
+      ->Increment(2);
+  registry.GetCounter("vas_m_total", "", {{"style", "heatmap"}})
+      ->Increment(5);
+  registry
+      .GetCounter("vas_m_total", "", {{"pool", "a"}, {"style", "scatter"}})
+      ->Increment(11);
+  EXPECT_EQ(registry.Total("vas_m_total"), 18) << "no match = every child";
+  EXPECT_EQ(registry.Total("vas_m_total", {{"style", "scatter"}}), 13)
+      << "a child matches when its labels include every pair";
+  EXPECT_EQ(registry.Total("vas_m_total", {{"style", "heatmap"}}), 5);
+  EXPECT_EQ(registry.Total("vas_m_total",
+                           {{"style", "scatter"}, {"pool", "a"}}),
+            11)
+      << "pair order in the match does not matter";
+  EXPECT_EQ(registry.Total("vas_m_total", {{"style", "sepia"}}), 0);
+}
+
+TEST(MetricsRegistryTest, TotalOfAbsentNameRegistersNothing) {
+  MetricsRegistry registry;
+  registry.GetCounter("vas_a_total", "A counter.")->Increment(3);
+  const std::string before = registry.RenderPrometheusText();
+  EXPECT_EQ(registry.Total("vas_absent_total"), 0);
+  EXPECT_EQ(registry.Total("vas_absent_total", {{"k", "v"}}), 0);
+  EXPECT_EQ(registry.RenderPrometheusText(), before);
 }
 
 TEST(MetricsRegistryTest, ContentTypeIsPrometheusText) {
