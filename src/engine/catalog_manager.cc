@@ -82,6 +82,9 @@ CatalogManager::CatalogManager(const Options& options)
       "Spilled catalogs read back into memory on access.");
   spill_writes_count_ = registry_->GetCounter(
       "vas_catalog_spill_writes_total", "Spill files written to disk.");
+  spill_failures_count_ = registry_->GetCounter(
+      "vas_catalog_spill_failures_total",
+      "Spill writes that failed; the ladder stayed resident.");
   registry_->SetCallbackGauge(
       "vas_catalog_resident_bytes",
       "Bytes of finished catalog ladders currently held in memory.", {},
@@ -377,6 +380,7 @@ void CatalogManager::PerformSpills(std::vector<SpillJob> jobs) const {
     if (!written.ok()) {
       // Dropping an unpersisted ladder would lose it for good; it stays
       // resident and the budget is best-effort.
+      spill_failures_count_->Increment();
       obs::Log(obs::LogLevel::kWarn, "catalog spill failed",
                obs::LogFields()
                    .Add("catalog", job.key.ToString())

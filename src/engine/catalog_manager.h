@@ -347,6 +347,7 @@ class CatalogManager {
   obs::Counter* evictions_spill_ = nullptr;
   obs::Counter* reloads_count_ = nullptr;
   obs::Counter* spill_writes_count_ = nullptr;
+  obs::Counter* spill_failures_count_ = nullptr;
 };
 
 }  // namespace vas

@@ -2,8 +2,8 @@
 // polling, progressive serving through InteractiveSession, the
 // headline property (over a 1M-point dataset the smallest rung is
 // servable while the largest is still building), and the persistence
-// lifecycle: save/load, memory-budget LRU eviction to spill files, and
-// transparent reload on the next access.
+// lifecycle: save/load, memory-budget LRU eviction to spill files,
+// transparent reload on the next access, and spill writes that fail.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -824,6 +824,62 @@ TEST(CatalogManagerTest, CorruptSpillFileSurfacesAsCleanError) {
   std::filesystem::resize_file(file.path(), 200);
   CatalogManager fresh(1);
   EXPECT_FALSE(fresh.LoadCatalog(CatalogKey{"t"}, d, file.path()).ok());
+}
+
+TEST(CatalogManagerTest, FailedSpillKeepsTheLadderResidentAndCountsIt) {
+  // A spill dir below a regular file fails every spill write with
+  // ENOTDIR (even as root). Dropping an unpersisted ladder would lose
+  // it, so both ladders must stay resident and serve their own ids,
+  // over budget; the failures are counted and no spill write is.
+  test::ScopedTempFile blocker("catalog_manager_spill_blocker");
+  std::ofstream(blocker.path()) << "a regular file, not a directory";
+  auto d = std::make_shared<Dataset>(test::Skewed(3000));
+  d->CacheBounds();
+  CatalogManager::Options options;
+  options.num_threads = 1;
+  options.memory_budget_bytes = 1;  // evict everything not in use
+  options.spill_dir = blocker.path() + "/spills";
+  CatalogManager manager(options);
+
+  const std::vector<CatalogKey> keys = {CatalogKey{"first"},
+                                        CatalogKey{"second"}};
+  std::vector<std::shared_ptr<const SampleCatalog>> built;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(manager
+                    .StartBuild(keys[i], d, UniformFactory(61 + i),
+                                NoDensityLadder({100, 800}))
+                    .ok());
+    auto done = manager.WaitUntilDone(keys[i]);
+    ASSERT_TRUE(done.ok());
+    built.push_back(*done);
+  }
+  // Each access makes the other key the eviction victim, and every
+  // attempt to spill it fails.
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto snapshot = manager.Snapshot(keys[i]);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      ASSERT_EQ((*snapshot)->samples().size(), 2u);
+      for (size_t r = 0; r < 2; ++r) {
+        EXPECT_EQ((*snapshot)->samples()[r].ids, built[i]->samples()[r].ids);
+      }
+    }
+  }
+  for (int i = 0;
+       i < 500 && Count(manager, "vas_catalog_spill_failures_total") == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(Count(manager, "vas_catalog_spill_failures_total"), 1);
+  EXPECT_EQ(Count(manager, "vas_catalog_spill_writes_total"), 0);
+  EXPECT_EQ(Count(manager, "vas_catalog_evictions_total"), 0);
+  for (const CatalogKey& key : keys) {
+    auto status = manager.GetStatus(key);
+    ASSERT_TRUE(status.ok());
+    EXPECT_TRUE(status->resident) << key.ToString();
+  }
+  EXPECT_GT(manager.memory_stats().resident_bytes, options.memory_budget_bytes)
+      << "the budget is best-effort when spills fail";
 }
 
 TEST(CatalogManagerTest, DropRacingAnInFlightSpillLeavesNoFiles) {
