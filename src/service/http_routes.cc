@@ -1,5 +1,6 @@
 #include "service/http_routes.h"
 
+#include <charconv>
 #include <cstdio>
 #include <vector>
 
@@ -40,9 +41,14 @@ HttpResponse ErrorResponse(const Status& status) {
   return response;
 }
 
-/// Doubles render compactly and stably for JSON ("%g" never emits the
-/// locale decimal comma because the C locale is never changed here).
-std::string JsonDouble(double v) { return StrFormat("%g", v); }
+/// Doubles render in the shortest form that parses back to the same
+/// value, so a client can rebuild the server's TileGrid from `world`
+/// (std::to_chars is locale-independent).
+std::string JsonDouble(double v) {
+  char buffer[32];
+  return std::string(buffer,
+                     std::to_chars(buffer, buffer + sizeof(buffer), v).ptr);
+}
 
 std::string BuildStatusJson(const PlotService::TableInfo& info) {
   std::string out = "{";

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -920,6 +921,37 @@ TEST_F(ServiceEndpointTest, CatalogsListsTheTable) {
   EXPECT_NE(result.body.find("\"rungs_ready\":2"), std::string::npos);
   EXPECT_NE(result.body.find("\"done\":true"), std::string::npos);
   EXPECT_NE(result.body.find("\"world\":["), std::string::npos);
+}
+
+TEST_F(ServiceEndpointTest, CatalogsWorldRoundTripsExactly) {
+  // Clients rebuild the server's TileGrid from `world`, so each bound
+  // must parse back to the very double tiles are addressed with.
+  auto result = Get("/catalogs");
+  ASSERT_EQ(result.status, 200);
+  const std::string open = "\"world\":[";
+  size_t begin = result.body.find(open);
+  ASSERT_NE(begin, std::string::npos) << result.body;
+  begin += open.size();
+  std::vector<std::string> bounds =
+      Split(result.body.substr(begin, result.body.find(']', begin) - begin),
+            ',');
+  ASSERT_EQ(bounds.size(), 4u) << result.body;
+  auto grid = service_->GridFor("geo");
+  ASSERT_TRUE(grid.ok());
+  const Rect& world = grid->world();
+  const double expected[4] = {world.min_x, world.min_y, world.max_x,
+                              world.max_y};
+  auto bits = [](double v) {
+    uint64_t out;
+    std::memcpy(&out, &v, sizeof(out));
+    return out;
+  };
+  for (size_t i = 0; i < 4; ++i) {
+    double parsed = std::strtod(bounds[i].c_str(), nullptr);
+    EXPECT_EQ(bits(parsed), bits(expected[i]))
+        << "served " << bounds[i] << " for "
+        << StrFormat("%.17g", expected[i]);
+  }
 }
 
 TEST_F(ServiceEndpointTest, StatusReportsBuildMemoryAndCache) {
