@@ -299,6 +299,27 @@ std::string JsonEscape(const std::string& s) {
 HttpServer::Handler MakeServiceHandler(PlotService* service,
                                        ServiceHandlerOptions options) {
   return [service, options](const HttpRequest& request) -> HttpResponse {
+    if (request.path == "/metrics" && options.registry != nullptr) {
+      HttpResponse response;
+      response.content_type = obs::MetricsRegistry::ExpositionContentType();
+      response.body = options.registry->RenderPrometheusText();
+      response.extra_headers.emplace_back("Cache-Control", "no-cache");
+      return response;
+    }
+    if (request.path == "/debug/requests" && options.trace_ring != nullptr) {
+      std::string out = "{\"requests\":[";
+      bool first = true;
+      for (const auto& trace : options.trace_ring->Snapshot()) {
+        if (!first) out += ",";
+        first = false;
+        out += obs::TraceToJson(*trace);
+      }
+      out += "]}\n";
+      return JsonResponse(std::move(out));
+    }
+    if (request.path == "/stats" && options.registry != nullptr) {
+      return JsonResponse(BuildStatsJson(*options.registry));
+    }
     if (request.path == "/healthz") {
       HttpResponse response;
       response.body = "ok\n";
@@ -316,30 +337,6 @@ HttpServer::Handler MakeServiceHandler(PlotService* service,
       return JsonResponse(std::move(out));
     }
     if (request.path == "/plot") return HandlePlot(service, request);
-    if (options.registry != nullptr) {
-      if (request.path == "/metrics") {
-        HttpResponse response;
-        response.content_type =
-            obs::MetricsRegistry::ExpositionContentType();
-        response.body = options.registry->RenderPrometheusText();
-        response.extra_headers.emplace_back("Cache-Control", "no-cache");
-        return response;
-      }
-      if (request.path == "/stats") {
-        return JsonResponse(BuildStatsJson(*options.registry));
-      }
-    }
-    if (request.path == "/debug/requests" && options.trace_ring != nullptr) {
-      std::string out = "{\"requests\":[";
-      bool first = true;
-      for (const auto& trace : options.trace_ring->Snapshot()) {
-        if (!first) out += ",";
-        first = false;
-        out += obs::TraceToJson(*trace);
-      }
-      out += "]}\n";
-      return JsonResponse(std::move(out));
-    }
 
     HttpResponse not_found;
     not_found.status = 404;
@@ -347,7 +344,10 @@ HttpServer::Handler MakeServiceHandler(PlotService* service,
     if (request.path.empty() || request.path[0] != '/') return not_found;
 
     // Segment routes: /status/{table} and /tiles/{table}/{z}/{x}/{y}.png.
-    std::vector<std::string> segments = Split(request.path.substr(1), '/');
+    std::vector<std::string> segments;
+    for (const std::string& s : Split(request.path.substr(1), '/')) {
+      segments.push_back(s);
+    }
     if (segments.size() == 2 && segments[0] == "status") {
       return HandleStatus(service, segments[1]);
     }
