@@ -73,10 +73,18 @@ Status ValidateCatalogAgainst(const SampleCatalog& catalog,
 
 size_t CatalogMemoryBytes(const SampleCatalog& catalog) {
   size_t bytes = sizeof(SampleCatalog);
-  for (const SampleSet& rung : catalog.samples()) {
+  for (size_t k = 0; k < catalog.samples().size(); ++k) {
+    const SampleSet& rung = catalog.samples()[k];
     bytes += sizeof(SampleSet) + rung.method.capacity();
     bytes += rung.ids.capacity() * sizeof(size_t);
     bytes += rung.density.capacity() * sizeof(uint64_t);
+    if (const auto& layout = catalog.layout(k)) {
+      bytes += sizeof(RungLayout);
+      bytes += layout->positions.capacity() * sizeof(uint32_t);
+      bytes += (layout->cell_counts.capacity() +
+                layout->cell_starts.capacity()) *
+               sizeof(uint64_t);
+    }
   }
   return bytes;
 }

@@ -43,8 +43,8 @@ StatusOr<SampleCatalog> ReadCatalog(const std::string& path);
 Status ValidateCatalogAgainst(const SampleCatalog& catalog,
                               size_t dataset_size);
 
-/// Approximate heap footprint of a resident catalog — the accounting
-/// unit of CatalogManager's memory budget.
+/// Approximate heap footprint of a resident catalog, rung layouts
+/// included — the accounting unit of CatalogManager's memory budget.
 size_t CatalogMemoryBytes(const SampleCatalog& catalog);
 
 }  // namespace vas

@@ -188,6 +188,7 @@ Status CatalogManager::AddCatalog(const CatalogKey& key,
     return Status::InvalidArgument("empty catalog for " + key.ToString());
   }
   VAS_RETURN_IF_ERROR(ValidateCatalogAgainst(catalog, dataset->size()));
+  VAS_RETURN_IF_ERROR(catalog.LayOut(*dataset));
   auto entry = std::make_shared<Entry>();
   entry->dataset = std::move(dataset);
   entry->rungs_total = catalog.samples().size();
@@ -251,8 +252,9 @@ Status CatalogManager::SaveCatalog(const CatalogKey& key,
   }
   auto snapshot = Resolve(key, entry, WaitMode::kAll);
   if (!snapshot.ok()) return snapshot.status();
-  // The dataset is at hand, so saved files get real cell partitioning
-  // (partial tile loads), unlike the dataset-less WriteCatalog surface.
+  // The dataset is at hand, so saved files keep each rung's cell
+  // layout (partial tile loads), unlike the dataset-less WriteCatalog
+  // surface.
   CatalogWriteOptions options;
   options.dataset = entry->dataset.get();
   return WriteCatalogPaged(**snapshot, path, options);
@@ -356,8 +358,9 @@ void CatalogManager::PerformSpills(std::vector<SpillJob> jobs) const {
   for (SpillJob& job : jobs) {
     // The expensive serialization runs with no manager lock held, so
     // other keys' snapshots, builds, and reloads proceed concurrently.
-    // Spills are cell-partitioned against the entry's dataset so the
-    // file supports partial (per-cell) loads when served back.
+    // Given the entry's dataset, the writer writes each rung's
+    // published cell layout as is, so the file supports partial
+    // (per-cell) loads when served back.
     CatalogWriteOptions options;
     options.dataset = job.entry->dataset.get();
     Status written = WriteCatalogPaged(*job.catalog, job.path, options);
@@ -414,8 +417,9 @@ Status CatalogManager::ReloadLocked(const CatalogKey& key, Entry& entry,
                             key.ToString());
   }
   // Prefer reading back through the mmap'd store (reuses an already
-  // open mapping and its verified pages); fall back to the serial
-  // reader for CAT1 backing files.
+  // open mapping and its verified pages, and each rung's layout comes
+  // with it); fall back to the serial reader for CAT1 backing files,
+  // whose rungs are laid out below.
   SampleCatalog loaded(std::vector<SampleSet>{});
   Status ensured = EnsureStoreLocked(entry);
   if (ensured.ok()) {
@@ -434,6 +438,7 @@ Status CatalogManager::ReloadLocked(const CatalogKey& key, Entry& entry,
   // A damaged (or swapped) spill file must never reach a session: ids
   // out of range for the entry's dataset would index out of bounds.
   Status valid = ValidateCatalogAgainst(loaded, entry.dataset->size());
+  if (valid.ok()) valid = loaded.LayOut(*entry.dataset);
   if (!valid.ok()) {
     return Status::Internal("spill file corrupt for " + key.ToString() +
                             ": " + valid.ToString());

@@ -14,7 +14,7 @@
 // server holds is bounded by disk, not RAM.
 //
 // Spills are written in the paged CAT2 format (engine/catalog_store),
-// cell-partitioned against the entry's dataset. Because finished
+// each rung laid out by grid cell as it was published. Because finished
 // ladders are immutable, a current backing file makes eviction free:
 // the victim's in-memory ladder is simply dropped (no serialization),
 // and eviction prefers such victims over ones whose ladder would first
@@ -143,7 +143,8 @@ class CatalogManager {
 
   /// Registers an already-built ladder (e.g. one reloaded from a
   /// catalog file) so it serves without rebuilding. The ids are
-  /// validated against the dataset. InvalidArgument for an empty
+  /// validated against the dataset, and rungs that arrive without a
+  /// layout are laid out against it. InvalidArgument for an empty
   /// ladder or an already-registered key.
   Status AddCatalog(const CatalogKey& key,
                     std::shared_ptr<const Dataset> dataset,
@@ -306,7 +307,9 @@ class CatalogManager {
   /// returning, so eviction post-conditions are unchanged.
   void PerformSpills(std::vector<SpillJob> jobs) const;
 
-  /// Reads the entry's spill file back into memory. Caller holds mu_;
+  /// Reads the entry's spill file back into memory, with each rung's
+  /// layout taken from a CAT2 file (a CAT1 file's rungs are laid out
+  /// against the entry's dataset). Caller holds mu_;
   /// the disk read runs under the mutex, which serializes reloads
   /// across keys — acceptable because reloads are cache misses, and it
   /// keeps every state transition on one lock. Evictions the reload

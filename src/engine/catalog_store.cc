@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -69,113 +71,6 @@ inline uint64_t CountBits(uint64_t x) {
   return (x * 0x0101010101010101ULL) >> 56;
 }
 
-/// Clamped grid coordinate of value `v` on the axis [lo, hi] split into
-/// `dim` cells. Monotone non-decreasing in `v`, and the writer and
-/// reader share this one function, so the cell range computed for a
-/// query interval is guaranteed to cover every point inside it.
-size_t CellCoord(double v, double lo, double hi, uint64_t dim) {
-  if (dim <= 1 || !(hi > lo)) return 0;
-  double scaled = (v - lo) / (hi - lo) * static_cast<double>(dim);
-  if (!(scaled > 0.0)) return 0;
-  if (scaled >= static_cast<double>(dim)) return static_cast<size_t>(dim - 1);
-  return static_cast<size_t>(scaled);
-}
-
-struct RungLayout {
-  uint64_t grid_x = 1;
-  uint64_t grid_y = 1;
-  Rect domain;
-  uint64_t max_id = 0;
-  uint64_t slot_base = 0;
-  uint64_t perm_base = 0;
-  bool has_value_range = false;
-  double value_lo = 0.0;
-  double value_hi = 0.0;
-  std::vector<uint64_t> cell_counts;
-  std::vector<uint64_t> ids;      // cell-major, id-sorted within cells
-  std::vector<uint64_t> density;  // parallel to ids (empty when absent)
-  std::vector<uint64_t> perm;     // original position of each entry
-};
-
-/// Chooses a square grid aiming at `target_entries_per_cell`.
-uint64_t GridDimFor(size_t count, const CatalogWriteOptions& options) {
-  size_t per_cell = std::max<size_t>(1, options.target_entries_per_cell);
-  double cells =
-      static_cast<double>(count) / static_cast<double>(per_cell);
-  auto dim = static_cast<uint64_t>(std::ceil(std::sqrt(std::max(cells, 1.0))));
-  return std::max<uint64_t>(
-      1, std::min<uint64_t>(dim, std::max<size_t>(1, options.max_grid_dim)));
-}
-
-Status LayOutRung(const SampleSet& sample, const CatalogWriteOptions& options,
-                  RungLayout* out) {
-  const size_t n = sample.size();
-  if (sample.has_density() && sample.density.size() != n) {
-    return Status::InvalidArgument("rung density column not parallel to ids");
-  }
-  const Dataset* dataset = options.dataset;
-  if (dataset != nullptr && n > 0) {
-    for (size_t id : sample.ids) {
-      if (id >= dataset->size()) {
-        return Status::InvalidArgument(
-            "sample id out of range of the partitioning dataset");
-      }
-      out->domain.Extend(dataset->points[id]);
-    }
-    out->grid_x = GridDimFor(n, options);
-    out->grid_y = out->grid_x;
-  }
-  if (dataset != nullptr && dataset->has_values()) {
-    // Exactly the fold a scatter render of the whole rung colors over.
-    const auto [lo, hi] = dataset->ValueRange(sample.ids);
-    if (std::isfinite(lo) && std::isfinite(hi) && lo <= hi) {
-      out->has_value_range = true;
-      out->value_lo = lo;
-      out->value_hi = hi;
-    }
-  }
-  const uint64_t gx = out->grid_x;
-  const uint64_t gy = out->grid_y;
-
-  // Bucket entries by cell, then sort by (cell, id): cell-major runs are
-  // what partial loads read contiguously, and within-cell id order keeps
-  // the layout deterministic.
-  std::vector<uint32_t> cell_of(n, 0);
-  if (dataset != nullptr && gx * gy > 1) {
-    for (size_t i = 0; i < n; ++i) {
-      const Point p = dataset->points[sample.ids[i]];
-      const size_t cx =
-          CellCoord(p.x, out->domain.min_x, out->domain.max_x, gx);
-      const size_t cy =
-          CellCoord(p.y, out->domain.min_y, out->domain.max_y, gy);
-      cell_of[i] = static_cast<uint32_t>(cy * gx + cx);
-    }
-  }
-  std::vector<uint64_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint64_t a, uint64_t b) {
-                     if (cell_of[a] != cell_of[b]) {
-                       return cell_of[a] < cell_of[b];
-                     }
-                     return sample.ids[a] < sample.ids[b];
-                   });
-
-  out->cell_counts.assign(gx * gy, 0);
-  out->ids.resize(n);
-  out->perm.resize(n);
-  if (sample.has_density()) out->density.resize(n);
-  for (size_t e = 0; e < n; ++e) {
-    const uint64_t src = order[e];
-    ++out->cell_counts[cell_of[src]];
-    out->ids[e] = sample.ids[src];
-    out->perm[e] = src;
-    if (sample.has_density()) out->density[e] = sample.density[src];
-    out->max_id = std::max<uint64_t>(out->max_id, sample.ids[src]);
-  }
-  return Status::OK();
-}
-
 Status WritePage(std::ofstream& out, const uint8_t* payload, size_t len,
                  size_t page_size, const std::string& path) {
   uint8_t header[kPageHeaderBytes];
@@ -224,15 +119,40 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
     return Status::InvalidArgument("catalog has too many rungs");
   }
 
-  std::vector<RungLayout> layouts(rungs.size());
+  struct PlacedRung {
+    std::shared_ptr<const RungLayout> layout;
+    uint64_t max_id = 0;
+    uint64_t slot_base = 0;
+    uint64_t perm_base = 0;
+  };
+  std::vector<PlacedRung> placed(rungs.size());
   uint64_t next_slot = 0;
   for (size_t k = 0; k < rungs.size(); ++k) {
-    VAS_RETURN_IF_ERROR(LayOutRung(rungs[k], options, &layouts[k]));
-    const uint64_t n = rungs[k].size();
-    const uint64_t width = rungs[k].has_density() ? 2 : 1;
-    layouts[k].slot_base = next_slot;
-    layouts[k].perm_base = next_slot + n * width;
-    next_slot = layouts[k].perm_base + n;
+    const SampleSet& rung = rungs[k];
+    PlacedRung& p = placed[k];
+    p.layout = catalog.layout(k);
+    // The published layout is exactly what partitioning again would
+    // produce when it was laid out against this dataset on this grid.
+    const bool reuse =
+        p.layout != nullptr && options.dataset != nullptr &&
+        p.layout->laid_out_against == options.dataset &&
+        p.layout->grid_x == GridDimFor(rung.size(),
+                                       options.target_entries_per_cell,
+                                       options.max_grid_dim);
+    if (!reuse) {
+      VAS_ASSIGN_OR_RETURN(
+          p.layout, LayOutRung(options.dataset, rung,
+                               options.target_entries_per_cell,
+                               options.max_grid_dim));
+    }
+    for (size_t id : rung.ids) {
+      p.max_id = std::max<uint64_t>(p.max_id, id);
+    }
+    const uint64_t n = rung.size();
+    const uint64_t width = rung.has_density() ? 2 : 1;
+    p.slot_base = next_slot;
+    p.perm_base = next_slot + n * width;
+    next_slot = p.perm_base + n;
   }
   const uint64_t total_slots = next_slot;
 
@@ -240,14 +160,15 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
   std::ostringstream meta_stream(std::ios::binary);
   for (size_t k = 0; k < rungs.size(); ++k) {
     const SampleSet& s = rungs[k];
-    const RungLayout& l = layouts[k];
+    const PlacedRung& p = placed[k];
+    const RungLayout& l = *p.layout;
     VAS_RETURN_IF_ERROR(
         WriteLengthPrefixedString(meta_stream, s.method, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, s.size(), path));
     const uint64_t flags = (s.has_density() ? kRungHasDensity : 0) |
-                           (l.has_value_range ? kRungHasValueRange : 0);
+                           (l.value_range ? kRungHasValueRange : 0);
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, flags, path));
-    VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.max_id, path));
+    VAS_RETURN_IF_ERROR(WriteU64(meta_stream, p.max_id, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.grid_x, path));
     VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.grid_y, path));
     VAS_RETURN_IF_ERROR(
@@ -258,11 +179,13 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
         WriteU64(meta_stream, DoubleToU64(l.domain.max_x), path));
     VAS_RETURN_IF_ERROR(
         WriteU64(meta_stream, DoubleToU64(l.domain.max_y), path));
-    VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.slot_base, path));
-    VAS_RETURN_IF_ERROR(WriteU64(meta_stream, l.perm_base, path));
-    if (l.has_value_range) {
-      VAS_RETURN_IF_ERROR(WriteU64(meta_stream, DoubleToU64(l.value_lo), path));
-      VAS_RETURN_IF_ERROR(WriteU64(meta_stream, DoubleToU64(l.value_hi), path));
+    VAS_RETURN_IF_ERROR(WriteU64(meta_stream, p.slot_base, path));
+    VAS_RETURN_IF_ERROR(WriteU64(meta_stream, p.perm_base, path));
+    if (l.value_range) {
+      VAS_RETURN_IF_ERROR(
+          WriteU64(meta_stream, DoubleToU64(l.value_range->first), path));
+      VAS_RETURN_IF_ERROR(
+          WriteU64(meta_stream, DoubleToU64(l.value_range->second), path));
     }
     for (uint64_t count : l.cell_counts) {
       VAS_RETURN_IF_ERROR(WriteU64(meta_stream, count, path));
@@ -278,8 +201,19 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
       std::max<size_t>(1, (meta.size() + payload_cap - 1) / payload_cap);
   const size_t page_count = 1 + data_pages + meta_pages;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
+  // Written beside `path` and renamed over it once complete: a write
+  // that fails part-way leaves any previous catalog at `path` intact.
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IoError("cannot open for writing: " + tmp);
+  // Removes the temporary file on every exit but the final rename.
+  struct TempFile {
+    const std::string& path;
+    bool renamed = false;
+    ~TempFile() {
+      if (!renamed) std::remove(path.c_str());
+    }
+  } temp_file{tmp};
 
   // Superblock.
   {
@@ -310,17 +244,27 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
       window.clear();
       return Status::OK();
     };
-    auto append = [&](const std::vector<uint64_t>& slots) -> Status {
-      for (uint64_t slot : slots) {
-        window.push_back(slot);
+    // Appends slot(pos) for each cell-major entry's rung position.
+    auto append = [&](const std::vector<uint32_t>& positions,
+                      auto slot) -> Status {
+      for (uint32_t pos : positions) {
+        window.push_back(slot(pos));
         if (window.size() == slots_per_page) VAS_RETURN_IF_ERROR(flush());
       }
       return Status::OK();
     };
-    for (const RungLayout& l : layouts) {
-      VAS_RETURN_IF_ERROR(append(l.ids));
-      VAS_RETURN_IF_ERROR(append(l.density));
-      VAS_RETURN_IF_ERROR(append(l.perm));
+    for (size_t k = 0; k < rungs.size(); ++k) {
+      const SampleSet& s = rungs[k];
+      const std::vector<uint32_t>& positions = placed[k].layout->positions;
+      VAS_RETURN_IF_ERROR(append(positions, [&](uint32_t pos) {
+        return static_cast<uint64_t>(s.ids[pos]);
+      }));
+      if (s.has_density()) {
+        VAS_RETURN_IF_ERROR(
+            append(positions, [&](uint32_t pos) { return s.density[pos]; }));
+      }
+      VAS_RETURN_IF_ERROR(
+          append(positions, [](uint32_t pos) { return uint64_t{pos}; }));
     }
     VAS_RETURN_IF_ERROR(flush());
   }
@@ -345,8 +289,12 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
     std::memcpy(footer + sizeof(fields), &crc, sizeof(crc));
     VAS_RETURN_IF_ERROR(WriteRaw(out, footer, sizeof(footer), path));
   }
-  out.flush();
+  out.close();
   if (!out) return Status::IoError("failed writing catalog: " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::IoError("cannot rename " + tmp + " to " + path);
+  }
+  temp_file.renamed = true;
   return Status::OK();
 }
 
@@ -585,6 +533,12 @@ StatusOr<std::shared_ptr<const CatalogStore>> CatalogStore::Open(
 
 StatusOr<SampleSet> CatalogStore::MaterializeRung(
     size_t k, size_t dataset_size, size_t* touched_bytes) const {
+  return ReadRung(k, dataset_size, touched_bytes, /*positions=*/nullptr);
+}
+
+StatusOr<SampleSet> CatalogStore::ReadRung(
+    size_t k, size_t dataset_size, size_t* touched_bytes,
+    std::vector<uint32_t>* positions) const {
   if (touched_bytes != nullptr) *touched_bytes = 0;
   if (k >= rungs_.size()) {
     return Status::InvalidArgument("catalog rung index out of range");
@@ -625,6 +579,7 @@ StatusOr<SampleSet> CatalogStore::MaterializeRung(
     out.ids[pos] = static_cast<size_t>(ids[e]);
     if (r.has_density) out.density[pos] = density[e];
   }
+  if (positions != nullptr) positions->assign(perm.begin(), perm.end());
   return out;
 }
 
@@ -638,39 +593,18 @@ StatusOr<SampleSet> CatalogStore::MaterializeCells(
   const Rung& r = rungs_[k];
   SampleSet out;
   out.method = r.method;
-  if (r.count == 0 || query.empty()) return out;
-  // Every point of the rung lies inside its recorded domain, so a query
-  // that misses the domain loads nothing. (Rungs written without a
-  // partitioning dataset have an empty domain and a 1×1 grid; they fall
-  // through and load whole.)
-  if (!r.domain.empty() && !query.Intersects(r.domain)) return out;
-  const size_t cx0 = CellCoord(query.min_x, r.domain.min_x, r.domain.max_x,
-                               r.grid_x);
-  const size_t cx1 = CellCoord(query.max_x, r.domain.min_x, r.domain.max_x,
-                               r.grid_x);
-  const size_t cy0 = CellCoord(query.min_y, r.domain.min_y, r.domain.max_y,
-                               r.grid_y);
-  const size_t cy1 = CellCoord(query.max_y, r.domain.min_y, r.domain.max_y,
-                               r.grid_y);
-  // Cells of one grid row are consecutive, so a row's x-range is one
-  // contiguous entry range: one slot run each of ids, densities and
-  // rung positions per row.
-  auto row_entries = [&](size_t cy) {
-    const size_t c1 = cy * r.grid_x + cx1;
-    return std::make_pair(r.cell_starts[cy * r.grid_x + cx0],
-                          r.cell_starts[c1] + r.cell_counts[c1]);
-  };
+  if (r.count == 0) return out;
+  // Each grid row's x-range is one contiguous entry range: one slot run
+  // each of ids, densities and rung positions per row.
+  const auto rows = r.RowRanges(query);
   size_t total = 0;
-  for (size_t cy = cy0; cy <= cy1; ++cy) {
-    const auto [e0, e1] = row_entries(cy);
-    total += static_cast<size_t>(e1 - e0);
-  }
+  for (const auto& [e0, e1] : rows) total += static_cast<size_t>(e1 - e0);
+  if (total == 0) return out;
   std::vector<uint64_t> ids(total);
   std::vector<uint64_t> density(r.has_density ? total : 0);
   std::vector<uint64_t> positions(total);
   size_t at = 0;
-  for (size_t cy = cy0; cy <= cy1; ++cy) {
-    const auto [e0, e1] = row_entries(cy);
+  for (const auto& [e0, e1] : rows) {
     const auto run = static_cast<size_t>(e1 - e0);
     if (run == 0) continue;
     VAS_RETURN_IF_ERROR(
@@ -729,12 +663,29 @@ StatusOr<SampleSet> CatalogStore::MaterializeCells(
 
 StatusOr<SampleCatalog> CatalogStore::ReadAll(size_t dataset_size) const {
   std::vector<SampleSet> samples;
+  std::vector<std::shared_ptr<const RungLayout>> layouts;
   samples.reserve(rungs_.size());
+  layouts.reserve(rungs_.size());
   for (size_t k = 0; k < rungs_.size(); ++k) {
-    VAS_ASSIGN_OR_RETURN(SampleSet s, MaterializeRung(k, dataset_size));
+    const Rung& r = rungs_[k];
+    // Positions are u32; a rung too large for them is served whole.
+    const bool fits = r.count <= std::numeric_limits<uint32_t>::max();
+    auto layout = std::make_shared<RungLayout>();
+    VAS_ASSIGN_OR_RETURN(
+        SampleSet s, ReadRung(k, dataset_size, /*touched_bytes=*/nullptr,
+                              fits ? &layout->positions : nullptr));
+    if (fits) {
+      static_cast<CellGrid&>(*layout) = r;  // the file's grid and cells
+      if (r.has_value_range) {
+        layout->value_range = std::make_pair(r.value_lo, r.value_hi);
+      }
+      layouts.push_back(std::move(layout));
+    } else {
+      layouts.push_back(nullptr);
+    }
     samples.push_back(std::move(s));
   }
-  return SampleCatalog(std::move(samples));
+  return SampleCatalog(std::move(samples), std::move(layouts));
 }
 
 CatalogView::CatalogView(std::shared_ptr<const SampleCatalog> resident)
@@ -772,7 +723,11 @@ size_t CatalogView::ChooseForTimeBudget(double seconds,
 
 std::optional<std::pair<double, double>> CatalogView::RungValueRange(
     size_t k) const {
-  if (store_ == nullptr || k >= order_.size()) return std::nullopt;
+  if (k >= rung_count()) return std::nullopt;
+  if (resident_ != nullptr) {
+    const auto& layout = resident_->layout(k);
+    return layout != nullptr ? layout->value_range : std::nullopt;
+  }
   const CatalogStore::Rung& rung = store_->rung(order_[k]);
   if (!rung.has_value_range) return std::nullopt;
   return std::make_pair(rung.value_lo, rung.value_hi);
@@ -781,6 +736,16 @@ std::optional<std::pair<double, double>> CatalogView::RungValueRange(
 const SampleSet* CatalogView::ResidentRung(size_t k) const {
   if (resident_ == nullptr) return nullptr;
   return &resident_->samples()[k];
+}
+
+const SampleSet* CatalogView::WholeRung(size_t k, const Rect& rect) const {
+  if (resident_ == nullptr || k >= rung_count()) return nullptr;
+  const SampleSet& rung = resident_->samples()[k];
+  const auto& layout = resident_->layout(k);
+  if (layout == nullptr || layout->CountSelected(rect) == rung.size()) {
+    return &rung;
+  }
+  return nullptr;
 }
 
 StatusOr<SampleSet> CatalogView::MaterializeForRect(
@@ -793,7 +758,9 @@ StatusOr<SampleSet> CatalogView::MaterializeForRect(
     return store_->MaterializeCells(order_[k], rect, dataset_size_,
                                     touched_bytes);
   }
-  return SampleSet(resident_->samples()[k]);
+  const SampleSet& rung = resident_->samples()[k];
+  const auto& layout = resident_->layout(k);
+  return layout != nullptr ? layout->Select(rung, rect) : SampleSet(rung);
 }
 
 StatusOr<SampleSet> CatalogView::MaterializeRung(size_t k,

@@ -33,15 +33,19 @@
 // before the range existed have bit 1 clear; other bits are invalid.
 //
 // A rung's entries are grouped by grid cell (row-major over the rung's
-// domain bounding box) and sorted by id within each cell, so densities
-// ride alongside ids: slots [slot_base, +n) are the cell-major ids,
-// [slot_base+n, +n) the parallel densities (when flagged), and
-// [perm_base, +n) the original position of each entry. Full
-// materialization applies that permutation to reproduce the rung
-// byte-identically to what was written; partial loads read the
-// positions of their cell range and return its entries in rung order.
-// Page CRCs are verified lazily, once, on first touch; the verified set
-// doubles as the store's touched-page accounting.
+// domain bounding box) and kept in rung order within each cell — the
+// rung's RungLayout (engine/rung_layout), the same partition a resident
+// rung is served from — so densities ride alongside ids: slots
+// [slot_base, +n) are the cell-major ids, [slot_base+n, +n) the
+// parallel densities (when flagged), and [perm_base, +n) the original
+// position of each entry. Full materialization applies that
+// permutation to reproduce the rung byte-identically to what was
+// written; partial loads read the positions of their cell range and
+// return its entries in rung order. No reader depends on the order
+// within a cell: files from earlier writers, which sorted each cell by
+// id, load the same way. Page CRCs are verified lazily, once, on first
+// touch; the verified set doubles as the store's touched-page
+// accounting.
 #ifndef VAS_ENGINE_CATALOG_STORE_H_
 #define VAS_ENGINE_CATALOG_STORE_H_
 
@@ -54,6 +58,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "engine/rung_layout.h"
 #include "engine/sample_catalog.h"
 #include "geom/rect.h"
 #include "sampling/sample_set.h"
@@ -82,13 +87,17 @@ struct CatalogWriteOptions {
   /// Page size in bytes. Must be a multiple of 8 in [512, 1 MiB].
   size_t page_size = 4096;
   /// Grid sizing target: aim for roughly this many entries per cell.
-  size_t target_entries_per_cell = 2048;
+  size_t target_entries_per_cell = kDefaultEntriesPerCell;
   /// Upper bound on grid_x / grid_y.
-  size_t max_grid_dim = 64;
+  size_t max_grid_dim = kDefaultMaxGridDim;
 };
 
 /// Writes every rung of `catalog` to `path` in the CAT2 paged format,
-/// overwriting.
+/// replacing any file there. A rung whose published layout was laid out
+/// against `options.dataset` on the grid `options` asks for is written
+/// as laid out; any other rung is partitioned by LayOutRung. The file
+/// is written to `path + ".tmp"` and renamed over `path` only once
+/// complete, so a failed write leaves a previous file intact.
 Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
                          const CatalogWriteOptions& options = {});
 
@@ -99,23 +108,19 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
 /// called concurrently.
 class CatalogStore {
  public:
-  /// Everything known about one rung without touching its data pages.
-  struct Rung {
+  /// Everything known about one rung without touching its data pages:
+  /// its cell grid, and where its slots are.
+  struct Rung : CellGrid {
     std::string method;
     uint64_t count = 0;
     bool has_density = false;
     uint64_t max_id = 0;     // largest sample id in the rung
-    uint64_t grid_x = 1;     // cell grid dimensions
-    uint64_t grid_y = 1;
-    Rect domain;             // bounding box the grid spans
     uint64_t slot_base = 0;  // first slot of the cell-major id array
     uint64_t perm_base = 0;  // first slot of the original-order permutation
     /// The recorded value range (see the format comment above).
     bool has_value_range = false;
     double value_lo = 0.0;
     double value_hi = 0.0;
-    std::vector<uint64_t> cell_counts;  // row-major, grid_x*grid_y entries
-    std::vector<uint64_t> cell_starts;  // exclusive prefix sums of counts
     uint64_t occupied_cells = 0;
     uint64_t max_cell_entries = 0;
   };
@@ -166,11 +171,19 @@ class CatalogStore {
                                        size_t dataset_size,
                                        size_t* touched_bytes = nullptr) const;
 
-  /// Fully materializes every rung (each in original order).
+  /// Fully materializes every rung (each in original order), each with
+  /// its stored layout: the file's cell grid, value range and
+  /// permutation, read as written rather than partitioned again.
   StatusOr<SampleCatalog> ReadAll(size_t dataset_size) const;
 
  private:
   CatalogStore() = default;
+
+  /// MaterializeRung; when `positions` is set it also receives the
+  /// rung's cell-major permutation.
+  StatusOr<SampleSet> ReadRung(size_t k, size_t dataset_size,
+                               size_t* touched_bytes,
+                               std::vector<uint32_t>* positions) const;
 
   /// Verifies `page` on first touch. Adds page_size() to `*bytes_won`
   /// (when set) if this call is the one that marked it verified.
@@ -223,15 +236,22 @@ class CatalogView {
   std::shared_ptr<const SampleCatalog> resident() const { return resident_; }
   std::shared_ptr<const CatalogStore> store() const { return store_; }
 
-  /// Rung `k`'s recorded value range, or nullopt when the rung has none
-  /// or the view is resident.
+  /// The resident rung itself when MaterializeForRect(k, rect) would
+  /// return all of it (its cells all intersect `rect`, or it has no
+  /// layout), so a caller can use it in place instead of copying it;
+  /// null otherwise, and always when store-backed.
+  const SampleSet* WholeRung(size_t k, const Rect& rect) const;
+
+  /// Rung `k`'s value range — the file's recorded range when
+  /// store-backed, the layout's when resident — or nullopt when the
+  /// rung has none.
   std::optional<std::pair<double, double>> RungValueRange(size_t k) const;
 
-  /// Entries of rung `k` whose cells intersect `rect`, in rung order
-  /// (store-backed: partial page touch; resident: full copy, provided
-  /// for symmetry).
-  /// When `touched_bytes` is set it receives the page bytes this call
-  /// faulted in first (0 when resident); see CatalogStore.
+  /// Entries of rung `k` whose cells intersect `rect`, in rung order.
+  /// Store-backed views touch only those cells' pages; resident views
+  /// select them from the rung's layout, or copy the whole rung when it
+  /// has none. When `touched_bytes` is set it receives the page bytes
+  /// this call faulted in first (0 when resident); see CatalogStore.
   StatusOr<SampleSet> MaterializeForRect(size_t k, const Rect& rect,
                                          size_t* touched_bytes = nullptr) const;
 

@@ -31,14 +31,53 @@ SampleCatalog::SampleCatalog(const Dataset& dataset, Sampler& sampler,
     if (options.embed_density) EmbedDensity(dataset, &s);
     samples_.push_back(std::move(s));
   }
+  layouts_.resize(samples_.size());
+  // The sampler's ids index `dataset` and its densities are parallel,
+  // so the only possible failure is a rung of 2^32 entries or more,
+  // which is then served whole.
+  (void)LayOut(dataset);
 }
 
 SampleCatalog::SampleCatalog(std::vector<SampleSet> samples)
-    : samples_(std::move(samples)) {
-  std::sort(samples_.begin(), samples_.end(),
-            [](const SampleSet& a, const SampleSet& b) {
-              return a.size() < b.size();
-            });
+    : SampleCatalog(std::move(samples),
+                    std::vector<std::shared_ptr<const RungLayout>>()) {}
+
+SampleCatalog::SampleCatalog(
+    std::vector<SampleSet> samples,
+    std::vector<std::shared_ptr<const RungLayout>> layouts) {
+  if (layouts.empty()) layouts.resize(samples.size());
+  VAS_CHECK_MSG(layouts.size() == samples.size(),
+                "layouts not parallel to rungs");
+  std::vector<size_t> order(samples.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    VAS_CHECK_MSG(layouts[k] == nullptr ||
+                      layouts[k]->positions.size() == samples[k].size(),
+                  "layout built for a different rung");
+    order[k] = k;
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return samples[a].size() < samples[b].size();
+  });
+  samples_.reserve(order.size());
+  layouts_.reserve(order.size());
+  for (size_t k : order) {
+    samples_.push_back(std::move(samples[k]));
+    layouts_.push_back(std::move(layouts[k]));
+  }
+}
+
+Status SampleCatalog::LayOut(const Dataset& dataset) {
+  Status first = Status::OK();
+  for (size_t k = 0; k < samples_.size(); ++k) {
+    if (layouts_[k] != nullptr) continue;
+    auto layout = LayOutRung(&dataset, samples_[k]);
+    if (layout.ok()) {
+      layouts_[k] = std::move(*layout);
+    } else if (first.ok()) {
+      first = layout.status();
+    }
+  }
+  return first;
 }
 
 const SampleSet& SampleCatalog::ChooseForTimeBudget(
@@ -108,6 +147,12 @@ void SampleCatalog::Builder::BuildRung(size_t k) {
   VAS_CHECK_MSG(sampler != nullptr, "SamplerFactory returned null");
   SampleSet s = sampler->Sample(*dataset_, k);
   if (options_.embed_density) EmbedDensity(*dataset_, &s);
+  // Laid out once, here; every later snapshot shares it. A rung that
+  // cannot be laid out (2^32 entries or more) is published without one
+  // and served whole.
+  auto laid_out = LayOutRung(dataset_.get(), s);
+  std::shared_ptr<const RungLayout> layout =
+      laid_out.ok() ? std::move(*laid_out) : nullptr;
 
   // The callback (and the counts it is told) must be copied out under
   // the lock: the moment the final publication is notified, a waiting
@@ -118,12 +163,15 @@ void SampleCatalog::Builder::BuildRung(size_t k) {
   size_t total = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), s,
-                                   [](const SampleSet& a, const SampleSet& b) {
-                                     return a.size() < b.size();
-                                   }),
-                  std::move(s));
-    snapshot_ = std::make_shared<const SampleCatalog>(ready_);
+    const auto at =
+        std::upper_bound(ready_.begin(), ready_.end(), s,
+                         [](const SampleSet& a, const SampleSet& b) {
+                           return a.size() < b.size();
+                         }) -
+        ready_.begin();
+    ready_.insert(ready_.begin() + at, std::move(s));
+    ready_layouts_.insert(ready_layouts_.begin() + at, std::move(layout));
+    snapshot_ = std::make_shared<const SampleCatalog>(ready_, ready_layouts_);
     ++completed_;
     callback = on_rung_;
     ready = completed_;

@@ -10,7 +10,9 @@
 // Builder submits one task per rung to a ThreadPool and publishes each
 // rung the moment it finishes, so a serving layer (CatalogManager /
 // InteractiveSession) can answer from the smallest rung while larger
-// ones are still being sampled.
+// ones are still being sampled. Both lay each rung out by grid cell
+// (engine/rung_layout) before publishing it; the layout is shared, not
+// copied, by every catalog that holds the rung.
 #ifndef VAS_ENGINE_SAMPLE_CATALOG_H_
 #define VAS_ENGINE_SAMPLE_CATALOG_H_
 
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "engine/rung_layout.h"
 #include "render/scatter_renderer.h"
 #include "sampling/sample_set.h"
 #include "sampling/sampler.h"
@@ -46,17 +49,35 @@ class SampleCatalog {
   };
 
   /// Builds every ladder rung with `sampler` (the offline, expensive
-  /// step), blocking until the whole ladder exists. Rungs larger than
-  /// the dataset are clamped and deduplicated.
+  /// step) and lays it out against `dataset`, blocking until the whole
+  /// ladder exists. Rungs larger than the dataset are clamped and
+  /// deduplicated.
   SampleCatalog(const Dataset& dataset, Sampler& sampler, Options options);
 
-  /// Wraps an already-built ladder (the Builder's publication path).
-  /// Rungs are sorted ascending by size.
+  /// Wraps an already-built ladder, without layouts. Rungs are sorted
+  /// ascending by size.
   explicit SampleCatalog(std::vector<SampleSet> samples);
+
+  /// Wraps an already-built ladder with `layouts` parallel to `samples`
+  /// (entries may be null; a non-null layout must have been built for
+  /// its rung), or empty for none. Rungs are sorted ascending by size,
+  /// layouts with them.
+  SampleCatalog(std::vector<SampleSet> samples,
+                std::vector<std::shared_ptr<const RungLayout>> layouts);
 
   class Builder;
 
   const std::vector<SampleSet>& samples() const { return samples_; }
+
+  /// Rung `k`'s cell layout; null when the rung has none.
+  const std::shared_ptr<const RungLayout>& layout(size_t k) const {
+    return layouts_[k];
+  }
+
+  /// Lays out every rung that has no layout yet against `dataset`, the
+  /// dataset its ids index. Returns the first error; a rung that fails
+  /// keeps no layout (and is served whole).
+  Status LayOut(const Dataset& dataset);
 
   /// Largest sample whose estimated viz time fits `seconds` under
   /// `model`. Falls back to the smallest rung when none fits (serving
@@ -69,6 +90,7 @@ class SampleCatalog {
 
  private:
   std::vector<SampleSet> samples_;  // ascending by size
+  std::vector<std::shared_ptr<const RungLayout>> layouts_;  // parallel
 };
 
 /// Asynchronous ladder construction. Each rung becomes one ThreadPool
@@ -133,6 +155,7 @@ class SampleCatalog::Builder {
   mutable std::mutex mu_;
   mutable std::condition_variable rung_published_;
   std::vector<SampleSet> ready_;  // ascending by size
+  std::vector<std::shared_ptr<const RungLayout>> ready_layouts_;  // parallel
   std::shared_ptr<const SampleCatalog> snapshot_;
   size_t completed_ = 0;
   bool started_ = false;

@@ -44,7 +44,8 @@ PlotService::PlotService(const Options& options)
   metrics_.partial_loads = registry_->GetCounter(
       "vas_tile_partial_loads_total",
       "Cold renders drawn from a cell-range load of a spilled table's "
-      "mmap'd paged catalog.");
+      "mmap'd paged catalog (mapped loads only; resident cell ranges are "
+      "not counted).");
   metrics_.partial_load_bytes = registry_->GetCounter(
       "vas_tile_partial_load_bytes_total",
       "Page bytes newly faulted in by partial tile materializations.");
@@ -253,36 +254,38 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   }
   metrics_.cache_misses->Increment();
 
-  Viewport viewport(state.grid.TileBounds(tile), options_.tile_px,
-                    options_.tile_px);
-  // Resolve the sample to draw. Resident ladders render their rung
-  // in place. Mapped (spilled) ladders load from the paged store only
-  // the grid cells this tile's viewport intersects, which draws the
-  // same pixels as the whole rung: both cull every point outside the
-  // tile, and the cells come back in rung order, so the in-tile dots
-  // overlap in the same order with the same densities. Heatmap bins
-  // need nothing more. Value-colored scatter also needs the color
-  // range of the whole rung, which the store records per rung; only a
-  // rung from a file written before that range existed loads whole.
+  const Rect bounds = state.grid.TileBounds(tile);
+  Viewport viewport(bounds, options_.tile_px, options_.tile_px);
+  // Resolve the sample to draw from the grid cells this tile's viewport
+  // intersects: a resident rung selects them from its layout, a mapped
+  // (spilled) one loads them from the paged store. That draws the same
+  // pixels as the whole rung: both cull every point outside the tile,
+  // and the cells come back in rung order, so the in-tile dots overlap
+  // in the same order with the same densities. Heatmap bins need
+  // nothing more. Value-colored scatter also needs the color range of
+  // the whole rung, recorded with its layout; only a rung without one
+  // (a file written before the range existed, or non-finite values) is
+  // drawn whole. A resident rung whose cells all intersect the tile is
+  // drawn in place, uncopied.
   const bool heatmap = style == TileStyle::kHeatmap;
-  const SampleSet* sample = view.ResidentRung(rung_index);
+  const auto value_range = view.RungValueRange(rung_index);
+  const bool cells_suffice =
+      heatmap || !state.dataset->has_values() || value_range.has_value();
   ScatterRenderer::Options render_options = TileRenderOptions();
+  const size_t materialize_span =
+      trace != nullptr ? trace->BeginSpan("materialize") : 0;
+  const SampleSet* sample = cells_suffice
+                                ? view.WholeRung(rung_index, bounds)
+                                : view.ResidentRung(rung_index);
   SampleSet materialized_storage;
-  bool partial_load = false;
   // Page bytes this render faulted in itself; concurrent renders of the
   // same store each count only the pages they verified first.
   size_t touched_bytes = 0;
   if (sample == nullptr) {
-    const auto value_range = view.RungValueRange(rung_index);
-    const bool identity_safe =
-        heatmap || !state.dataset->has_values() || value_range.has_value();
-    const size_t materialize_span =
-        trace != nullptr ? trace->BeginSpan("materialize") : 0;
     auto materialized =
-        identity_safe ? view.MaterializeForRect(
-                            rung_index, state.grid.TileBounds(tile),
-                            &touched_bytes)
-                      : view.MaterializeRung(rung_index, &touched_bytes);
+        cells_suffice
+            ? view.MaterializeForRect(rung_index, bounds, &touched_bytes)
+            : view.MaterializeRung(rung_index, &touched_bytes);
     if (!materialized.ok()) {
       {
         std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -293,20 +296,19 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
     }
     materialized_storage = std::move(*materialized);
     sample = &materialized_storage;
-    partial_load = identity_safe;
-    // An operator-fixed range (value_hi > value_lo) wins on every path.
-    if (value_range.has_value() &&
-        !(render_options.value_hi > render_options.value_lo)) {
-      render_options.value_lo = value_range->first;
-      render_options.value_hi = value_range->second;
-    }
-    if (trace != nullptr) {
-      trace->EndSpan(materialize_span);
-      trace->Annotate(materialize_span, "points",
-                      static_cast<int64_t>(sample->size()));
-      trace->Annotate(materialize_span, "touched_bytes",
-                      static_cast<int64_t>(touched_bytes));
-    }
+  }
+  // An operator-fixed range (value_hi > value_lo) wins on every path.
+  if (value_range.has_value() &&
+      !(render_options.value_hi > render_options.value_lo)) {
+    render_options.value_lo = value_range->first;
+    render_options.value_hi = value_range->second;
+  }
+  if (trace != nullptr) {
+    trace->EndSpan(materialize_span);
+    trace->Annotate(materialize_span, "points",
+                    static_cast<int64_t>(sample->size()));
+    trace->Annotate(materialize_span, "touched_bytes",
+                    static_cast<int64_t>(touched_bytes));
   }
   ScatterRenderer renderer(render_options);
   const uint64_t render_start = obs::MonotonicNowNs();
@@ -329,7 +331,7 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   auto png = std::make_shared<const std::string>(image.EncodePng(options_.png));
   const uint64_t encode_end = obs::MonotonicNowNs();
   (heatmap ? metrics_.heatmap_tiles : metrics_.scatter_tiles)->Increment();
-  if (partial_load) {
+  if (cells_suffice && view.partial()) {
     metrics_.partial_loads->Increment();
     metrics_.partial_load_bytes->Increment(touched_bytes);
   }

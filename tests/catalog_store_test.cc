@@ -1,19 +1,23 @@
 // CatalogStore (the paged CAT2 format): format sniffing, exact
 // round-trips through the cell-partitioned writer, cell-range partial
 // loads (coverage, rung order and density fidelity vs the resident
-// rung), per-rung value ranges, the touched-page accounting that
-// proves one viewport reads fewer bytes than full materialization and
-// charges each page to exactly one materialize call, CatalogView
-// parity with SampleCatalog, and corruption hardening — truncation,
-// bit flips, out-of-range page directories, oversized cell counts,
-// bad rung flags and value ranges, and bad positions must all come
-// back as clean Status errors, never crashes or silent bad data.
+// rung), resident views answering the same cell ranges from each
+// rung's layout, one partitioner for published and written layouts,
+// crash-safe writes, per-rung value ranges, the touched-page
+// accounting that proves one viewport reads fewer bytes than full
+// materialization and charges each page to exactly one materialize
+// call, CatalogView parity with SampleCatalog, and corruption
+// hardening — truncation, bit flips, out-of-range page directories,
+// oversized cell counts, bad rung flags and value ranges, and bad
+// positions must all come back as clean Status errors, never crashes
+// or silent bad data.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -479,6 +483,188 @@ TEST_F(CatalogStoreTest, CellLoadIsTheRungFilteredToItsCellsInRungOrder) {
   }
 }
 
+TEST_F(CatalogStoreTest, ResidentAndMappedViewsSelectTheSameCells) {
+  // A resident view answers MaterializeForRect from each rung's layout;
+  // a mapped view of the same ladder loads the same cells from the
+  // file. Both return the same entries, densities and order for every
+  // kind of rect, and WholeRung hands out the resident rung exactly
+  // when the selection is all of it.
+  Dataset d = test::Skewed(40000);
+  for (bool density : {false, true}) {
+    SCOPED_TRACE(density ? "with density" : "without density");
+    SampleCatalog catalog = Build(d, {500, 12000}, density);
+    const RungLayout* layout = catalog.layout(1).get();
+    ASSERT_NE(layout, nullptr);
+    ASSERT_GE(layout->grid_x, 2u);
+    ASSERT_GE(layout->grid_y, 2u);
+    CatalogWriteOptions wopt;
+    wopt.dataset = &d;
+    ASSERT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
+    auto store = CatalogStore::Open(path());
+    ASSERT_TRUE(store.ok());
+    CatalogView mapped(*store, d.size());
+    CatalogView resident(std::make_shared<const SampleCatalog>(catalog));
+
+    const Rect& domain = layout->domain;
+    const double cw = domain.width() / static_cast<double>(layout->grid_x);
+    const double ch = domain.height() / static_cast<double>(layout->grid_y);
+    auto at = [&](double cx0, double cy0, double cx1, double cy1) {
+      return Rect::Of(domain.min_x + cw * cx0, domain.min_y + ch * cy0,
+                      domain.min_x + cw * cx1, domain.min_y + ch * cy1);
+    };
+    const std::vector<Rect> rects = {
+        at(0.25, 0.25, 0.75, 0.75),  // inside one cell
+        at(0.5, 0.5, 1.5, 1.5),      // across four cells
+        at(1.0, 1.0, 2.0, 2.0),      // exactly on one cell's edges
+        at(1.0, 0.0, 1.0, 2.0),      // a line along an interior edge
+        domain,                      // the whole domain
+        Rect::Of(domain.min_x - 1, domain.min_y - 1, domain.max_x + 1,
+                 domain.max_y + 1),  // beyond it
+        Rect::Of(domain.max_x + 1, domain.max_y + 1, domain.max_x + 2,
+                 domain.max_y + 2),  // disjoint from it
+        Rect()};                     // empty
+    for (size_t k = 0; k < catalog.samples().size(); ++k) {
+      const SampleSet& rung = catalog.samples()[k];
+      for (size_t r = 0; r < rects.size(); ++r) {
+        SCOPED_TRACE("rung " + std::to_string(k) + ", rect " +
+                     std::to_string(r));
+        size_t touched = 1;
+        auto from_layout = resident.MaterializeForRect(k, rects[r], &touched);
+        auto from_file = mapped.MaterializeForRect(k, rects[r]);
+        ASSERT_TRUE(from_layout.ok());
+        ASSERT_TRUE(from_file.ok());
+        EXPECT_EQ(touched, 0u);
+        EXPECT_EQ(from_layout->method, from_file->method);
+        EXPECT_EQ(from_layout->ids, from_file->ids);
+        EXPECT_EQ(from_layout->density, from_file->density);
+        const SampleSet* whole = resident.WholeRung(k, rects[r]);
+        if (from_layout->size() == rung.size()) {
+          EXPECT_EQ(whole, resident.ResidentRung(k));
+          EXPECT_EQ(from_layout->ids, rung.ids);
+        } else {
+          EXPECT_EQ(whole, nullptr);
+        }
+        EXPECT_EQ(mapped.WholeRung(k, rects[r]), nullptr);
+      }
+    }
+    // The big rung's cells really narrow the selection.
+    EXPECT_GT(resident.MaterializeForRect(1, rects[0])->size(), 0u);
+    EXPECT_LT(resident.MaterializeForRect(1, rects[0])->size(), 12000u);
+    EXPECT_EQ(resident.MaterializeForRect(1, rects[6])->size(), 0u);
+    EXPECT_EQ(resident.MaterializeForRect(1, rects[7])->size(), 0u);
+  }
+}
+
+TEST_F(CatalogStoreTest, OnePartitionerForPublishedAndWrittenLayouts) {
+  // A rung's published layout and the writer's own partitioning are
+  // one function: writing the published layouts and writing the same
+  // rungs without layouts give byte-identical files. Each cell keeps
+  // its entries in rung order, and ReadAll hands the stored layout
+  // back as written.
+  Dataset d = test::Skewed(30000);
+  SampleCatalog published = Build(d, {300, 9000}, /*density=*/true);
+  SampleCatalog bare(std::vector<SampleSet>(published.samples()));
+  ASSERT_EQ(bare.layout(1), nullptr);
+  CatalogWriteOptions wopt;
+  wopt.dataset = &d;
+  ASSERT_TRUE(WriteCatalogPaged(bare, path(), wopt).ok());
+  const std::string partitioned = ReadFileBytes(path());
+  ASSERT_TRUE(WriteCatalogPaged(published, path(), wopt).ok());
+  EXPECT_EQ(ReadFileBytes(path()), partitioned);
+
+  auto store = CatalogStore::Open(path());
+  ASSERT_TRUE(store.ok());
+  auto all = (*store)->ReadAll(d.size());
+  ASSERT_TRUE(all.ok());
+  for (size_t k = 0; k < published.samples().size(); ++k) {
+    const RungLayout& want = *published.layout(k);
+    const RungLayout* got = all->layout(k).get();
+    ASSERT_NE(got, nullptr) << "rung " << k;
+    EXPECT_EQ(got->grid_x, want.grid_x);
+    EXPECT_EQ(got->grid_y, want.grid_y);
+    EXPECT_EQ(got->domain, want.domain);
+    EXPECT_EQ(got->cell_counts, want.cell_counts);
+    EXPECT_EQ(got->cell_starts, want.cell_starts);
+    EXPECT_EQ(got->positions, want.positions);
+    EXPECT_EQ(got->value_range, want.value_range);
+    EXPECT_EQ(got->laid_out_against, nullptr);
+    EXPECT_EQ(all->samples()[k].ids, published.samples()[k].ids);
+  }
+
+  // Rung order within each cell, and every entry in its point's cell.
+  const RungLayout& layout = *published.layout(1);
+  const SampleSet& rung = published.samples()[1];
+  ASSERT_GE(layout.grid_x, 2u);
+  std::vector<uint8_t> seen(rung.size(), 0);
+  for (size_t c = 0; c < layout.cell_counts.size(); ++c) {
+    for (uint64_t e = layout.cell_starts[c];
+         e < layout.cell_starts[c] + layout.cell_counts[c]; ++e) {
+      const uint32_t pos = layout.positions[e];
+      ASSERT_LT(pos, rung.size());
+      EXPECT_EQ(seen[pos], 0) << "position " << pos << " placed twice";
+      seen[pos] = 1;
+      if (e > layout.cell_starts[c]) {
+        EXPECT_LT(layout.positions[e - 1], pos) << "cell " << c;
+      }
+      const Point p = d.points[rung.ids[pos]];
+      const size_t cx = CellOf(p.x, layout.domain.min_x, layout.domain.max_x,
+                               layout.grid_x);
+      const size_t cy = CellOf(p.y, layout.domain.min_y, layout.domain.max_y,
+                               layout.grid_y);
+      EXPECT_EQ(cy * layout.grid_x + cx, c) << "position " << pos;
+    }
+  }
+
+  // A writer asked for a different grid lays the rung out again.
+  wopt.target_entries_per_cell = 128;
+  ASSERT_TRUE(WriteCatalogPaged(published, path(), wopt).ok());
+  auto regridded = CatalogStore::Open(path());
+  ASSERT_TRUE(regridded.ok());
+  EXPECT_EQ((*regridded)->rung(1).grid_x, GridDimFor(9000, 128, 64));
+  EXPECT_NE((*regridded)->rung(1).grid_x, layout.grid_x);
+  auto whole = (*regridded)->MaterializeRung(1, d.size());
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(whole->ids, rung.ids);
+  EXPECT_EQ(whole->density, rung.density);
+}
+
+TEST_F(CatalogStoreTest, FailedWriteLeavesThePreviousFileIntact) {
+  // The writer builds the file beside its destination and renames it
+  // into place only once complete, so a write that fails leaves the
+  // catalog already there whole.
+  Dataset d = test::Skewed(3000);
+  SampleCatalog original = Build(d, {100, 800}, /*density=*/true);
+  ASSERT_TRUE(WriteCatalogPaged(original, path()).ok());
+  const std::string before = ReadFileBytes(path());
+
+  const std::string tmp = path() + ".tmp";
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  SampleCatalog replacement = Build(d, {50}, /*density=*/false);
+  EXPECT_EQ(WriteCatalogPaged(replacement, path()).code(),
+            StatusCode::kIoError);
+  EXPECT_TRUE(std::filesystem::is_directory(tmp))
+      << "the writer removed a path it did not create";
+  std::filesystem::remove(tmp);
+
+  EXPECT_EQ(ReadFileBytes(path()), before);
+  auto store = CatalogStore::Open(path());
+  ASSERT_TRUE(store.ok());
+  auto all = (*store)->ReadAll(d.size());
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->samples().size(), original.samples().size());
+  for (size_t k = 0; k < original.samples().size(); ++k) {
+    EXPECT_EQ(all->samples()[k].ids, original.samples()[k].ids);
+    EXPECT_EQ(all->samples()[k].density, original.samples()[k].density);
+  }
+
+  // A write that succeeds replaces the file and leaves nothing beside it.
+  ASSERT_TRUE(WriteCatalogPaged(replacement, path()).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  auto replaced = CatalogStore::Open(path());
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_EQ((*replaced)->rung_count(), 1u);
+}
+
 TEST_F(CatalogStoreTest, ValueRangeRoundTripsBitExact) {
   Dataset d = test::Skewed(5000);
   ASSERT_TRUE(d.has_values());
@@ -511,10 +697,17 @@ TEST_F(CatalogStoreTest, ValueRangeRoundTripsBitExact) {
     ASSERT_TRUE(range.has_value());
     EXPECT_EQ(Bits(range->first), Bits(lo));
     EXPECT_EQ(Bits(range->second), Bits(hi));
+    // A resident view answers from the rung's layout, the same fold.
+    auto resident = CatalogView(std::make_shared<const SampleCatalog>(catalog))
+                        .RungValueRange(k);
+    ASSERT_TRUE(resident.has_value());
+    EXPECT_EQ(Bits(resident->first), Bits(lo));
+    EXPECT_EQ(Bits(resident->second), Bits(hi));
   }
-  // A resident view carries no recorded range.
-  CatalogView resident(std::make_shared<const SampleCatalog>(catalog));
-  EXPECT_FALSE(resident.RungValueRange(0).has_value());
+  // A resident rung without a layout has no range to report.
+  CatalogView unlaid(std::make_shared<const SampleCatalog>(
+      std::vector<SampleSet>(catalog.samples())));
+  EXPECT_FALSE(unlaid.RungValueRange(0).has_value());
 }
 
 TEST_F(CatalogStoreTest, WritesWithoutUsableValuesRecordNoRange) {

@@ -1253,14 +1253,25 @@ TEST_F(ObservedServiceTest, MintedRequestIdReachesDebugRing) {
   std::string entry = DebugEntryFor(id);
   ASSERT_NE(entry, "") << "traced request never reached /debug/requests";
   // The span chain covers transport and render stages with real time.
-  // A resident ladder renders in place, so no materialize span here;
-  // the span list is the transport chain plus the in-memory render.
+  // Every cold tile resolves its sample in one materialize span; a
+  // resident ladder's reads no page bytes.
   for (const char* span : {"parse", "queue_wait", "handle", "rung_choice",
-                           "render", "encode", "send_drain"}) {
+                           "materialize", "render", "encode",
+                           "send_drain"}) {
     EXPECT_NE(entry.find("\"name\":\"" + std::string(span) + "\""),
               std::string::npos)
         << span << " missing from " << entry;
   }
+  const size_t materialize = entry.find("\"name\":\"materialize\"");
+  ASSERT_NE(materialize, std::string::npos) << entry;
+  const std::string annotations =
+      entry.substr(materialize, entry.find('}', materialize) - materialize);
+  EXPECT_NE(annotations.find("\"touched_bytes\":0"), std::string::npos)
+      << annotations;
+  const size_t points = annotations.find("\"points\":");
+  ASSERT_NE(points, std::string::npos) << annotations;
+  EXPECT_GT(std::strtoll(annotations.c_str() + points + 9, nullptr, 10), 0)
+      << annotations;
   // The acceptance bar: queue-wait, render, and encode all cost real,
   // attributed time on a cold tile.
   EXPECT_GT(SpanDurationIn(entry, "queue_wait"), 0) << entry;

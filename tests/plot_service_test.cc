@@ -4,10 +4,11 @@
 // that a served tile is byte-identical to the same rung rendered
 // directly through ScatterRenderer, rung-upgrade invalidation
 // (progressive refinement), time-budget rung selection, viewport
-// queries against brute-force counts, drop semantics, partial loads of
-// spilled tables (both styles, drawn in rung order) charged page by
-// page to the render that paid them, and single-flight waiters that
-// receive a failed render's own error.
+// queries against brute-force counts, drop semantics, resident tiles
+// drawn from their rung's cells, partial loads of spilled tables (both
+// styles, drawn in rung order) charged page by page to the render that
+// paid them, and single-flight waiters that receive a failed render's
+// own error.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -534,6 +535,69 @@ TEST(PlotServiceTest, HeatmapTileMatchesDirectDensityRender) {
                          service.options().heatmap_colormap,
                          service.options().renderer.background);
   EXPECT_EQ(direct.EncodePng(service.options().png), *served->png);
+}
+
+TEST(PlotServiceTest, ResidentTilesFromCellsMatchWholeRungRenders) {
+  // A resident table's cold tile draws only the cells of its rung's
+  // layout that the tile intersects, or the rung in place when the tile
+  // covers every cell. Every tile of zooms 0-5, in both styles, must
+  // match a direct render of the whole rung; value-colored scatter
+  // colors over the layout's recorded range, which must equal the
+  // whole rung's fold.
+  PlotService::Options options;
+  options.tile_px = 32;
+  PlotService service(options);
+  auto dataset = SkewedShared(30000);
+  ASSERT_TRUE(dataset->has_values());
+  SampleCatalog::Options ladder = Ladder({10000});
+  ladder.embed_density = true;
+  ASSERT_TRUE(
+      service.RegisterTable("geo", dataset, UniformFactory(21), ladder).ok());
+  CatalogKey key{"geo", "x", "y"};
+  ASSERT_TRUE(service.manager().WaitUntilDone(key).ok());
+  auto snapshot = service.manager().Snapshot(key);
+  ASSERT_TRUE(snapshot.ok());
+  const SampleSet& rung = (*snapshot)->samples()[0];
+  const RungLayout* layout = (*snapshot)->layout(0).get();
+  ASSERT_NE(layout, nullptr);
+  ASSERT_GE(layout->grid_x, 2u);
+  ASSERT_GE(layout->grid_y, 2u);
+
+  auto grid = service.GridFor("geo");
+  ASSERT_TRUE(grid.ok());
+  ScatterRenderer renderer(service.TileRenderOptions());
+  const PlotService::Options& served_with = service.options();
+  size_t cell_tiles = 0;
+  for (uint32_t z = 0; z <= 5; ++z) {
+    for (uint32_t x = 0; x < (1u << z); ++x) {
+      for (uint32_t y = 0; y < (1u << z); ++y) {
+        const TileKey tile{z, x, y};
+        const Rect bounds = grid->TileBounds(tile);
+        Viewport viewport(bounds, options.tile_px, options.tile_px);
+        if (layout->CountSelected(bounds) < rung.size()) ++cell_tiles;
+
+        auto scatter = service.RenderTile("geo", tile);
+        ASSERT_TRUE(scatter.ok());
+        EXPECT_EQ(*scatter->png, renderer.RenderSample(*dataset, rung, viewport)
+                                     .EncodePng(served_with.png))
+            << "scatter tile " << tile.ToString();
+
+        auto heatmap = service.RenderTile("geo", tile, "", TileStyle::kHeatmap);
+        ASSERT_TRUE(heatmap.ok());
+        std::vector<uint32_t> counts = renderer.RenderCounts(
+            rung.MaterializePoints(*dataset), DensityWeights(rung), viewport);
+        EXPECT_EQ(*heatmap->png,
+                  RenderDensityImage(counts, options.tile_px, options.tile_px,
+                                     served_with.heatmap_colormap,
+                                     served_with.renderer.background)
+                      .EncodePng(served_with.png))
+            << "heatmap tile " << tile.ToString();
+      }
+    }
+  }
+  EXPECT_GT(cell_tiles, 0u) << "no tile exercised a cell range";
+  // Partial loads count mapped loads only.
+  EXPECT_EQ(Count(service, "vas_tile_partial_loads_total"), 0);
 }
 
 TEST(PlotServiceTest, RenderCountersCountColdRendersPerStyle) {

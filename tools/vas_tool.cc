@@ -520,17 +520,11 @@ int CmdConvertCatalog(FlagSet& flags, int argc, char** argv) {
     wopt.dataset = &dataset;
   }
 
-  // Write next to the destination and rename into place, so an
-  // interrupted conversion never leaves a half-written catalog under
-  // the final name (in-place rewrites keep the original intact until
-  // the rename).
-  const std::string tmp = out + ".tmp";
-  Status written = WriteCatalogPaged(*catalog, tmp, wopt);
+  // The writer renames a complete file into place, so an interrupted
+  // conversion never leaves a half-written catalog under the final name
+  // (in-place rewrites keep the original intact until then).
+  Status written = WriteCatalogPaged(*catalog, out, wopt);
   if (!written.ok()) return Fail(written);
-  if (std::rename(tmp.c_str(), out.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Fail(Status::IoError("cannot rename " + tmp + " to " + out));
-  }
   std::printf("converted %zu-rung catalog -> %s (%s grids)\n",
               catalog->samples().size(), out.c_str(),
               wopt.dataset != nullptr ? "cell-partitioned" : "1x1");
