@@ -358,9 +358,9 @@ void CatalogManager::PerformSpills(std::vector<SpillJob> jobs) const {
   for (SpillJob& job : jobs) {
     // The expensive serialization runs with no manager lock held, so
     // other keys' snapshots, builds, and reloads proceed concurrently.
-    // Given the entry's dataset, the writer writes each rung's
-    // published cell layout as is, so the file supports partial
-    // (per-cell) loads when served back.
+    // Given the entry's dataset, the writer lays each rung out by
+    // grid cell, so the file supports partial (per-cell) loads when
+    // served back.
     CatalogWriteOptions options;
     options.dataset = job.entry->dataset.get();
     Status written = WriteCatalogPaged(*job.catalog, job.path, options);

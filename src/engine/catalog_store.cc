@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -86,6 +87,35 @@ Status WritePage(std::ofstream& out, const uint8_t* payload, size_t len,
   return Status::OK();
 }
 
+/// Flushes `path` to stable storage: a file's data, or a directory's
+/// entries (a rename into it). A filesystem that cannot sync a
+/// directory (EINVAL) is not an error.
+Status SyncToDisk(const std::string& path, bool directory) {
+  const int fd = ::open(path.c_str(), directory
+                                          ? O_RDONLY | O_DIRECTORY | O_CLOEXEC
+                                          : O_WRONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + path + " to sync it: " +
+                           std::strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0 && !(directory && err == EINVAL)) {
+    return Status::IoError("cannot sync " + path + ": " +
+                           std::strerror(err));
+  }
+  return Status::OK();
+}
+
+/// The directory holding `path` ("." for a bare file name).
+std::string ParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
+
 }  // namespace
 
 StatusOr<CatalogFormat> SniffCatalogFormat(const std::string& path) {
@@ -130,21 +160,10 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
   for (size_t k = 0; k < rungs.size(); ++k) {
     const SampleSet& rung = rungs[k];
     PlacedRung& p = placed[k];
-    p.layout = catalog.layout(k);
-    // The published layout is exactly what partitioning again would
-    // produce when it was laid out against this dataset on this grid.
-    const bool reuse =
-        p.layout != nullptr && options.dataset != nullptr &&
-        p.layout->laid_out_against == options.dataset &&
-        p.layout->grid_x == GridDimFor(rung.size(),
-                                       options.target_entries_per_cell,
-                                       options.max_grid_dim);
-    if (!reuse) {
-      VAS_ASSIGN_OR_RETURN(
-          p.layout, LayOutRung(options.dataset, rung,
-                               options.target_entries_per_cell,
-                               options.max_grid_dim));
-    }
+    VAS_ASSIGN_OR_RETURN(
+        p.layout, LayOutRung(options.dataset, rung,
+                             options.target_entries_per_cell,
+                             options.max_grid_dim));
     for (size_t id : rung.ids) {
       p.max_id = std::max<uint64_t>(p.max_id, id);
     }
@@ -291,11 +310,15 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
   }
   out.close();
   if (!out) return Status::IoError("failed writing catalog: " + path);
+  // The data reaches the disk before the rename can, and the rename
+  // before success is reported: otherwise an OS crash could leave
+  // `path` naming an empty or partial file.
+  VAS_RETURN_IF_ERROR(SyncToDisk(tmp, /*directory=*/false));
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::IoError("cannot rename " + tmp + " to " + path);
   }
   temp_file.renamed = true;
-  return Status::OK();
+  return SyncToDisk(ParentDirectory(path), /*directory=*/true);
 }
 
 CatalogStore::~CatalogStore() {

@@ -93,11 +93,11 @@ struct CatalogWriteOptions {
 };
 
 /// Writes every rung of `catalog` to `path` in the CAT2 paged format,
-/// replacing any file there. A rung whose published layout was laid out
-/// against `options.dataset` on the grid `options` asks for is written
-/// as laid out; any other rung is partitioned by LayOutRung. The file
-/// is written to `path + ".tmp"` and renamed over `path` only once
-/// complete, so a failed write leaves a previous file intact.
+/// replacing any file there. Each rung is laid out by LayOutRung, the
+/// partitioner that lays out published rungs. The file is written to
+/// `path + ".tmp"`, synced, and renamed over `path`, and the directory
+/// is synced after the rename: a failed write, a process crash or an
+/// OS crash leaves either the previous file or the complete new one.
 Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
                          const CatalogWriteOptions& options = {});
 

@@ -107,7 +107,6 @@ StatusOr<std::shared_ptr<const RungLayout>> LayOutRung(
         " entries exceeds the cell layout's 2^32-entry limit");
   }
   auto layout = std::make_shared<RungLayout>();
-  layout->laid_out_against = dataset;
   if (dataset != nullptr && n > 0) {
     for (size_t id : rung.ids) {
       if (id >= dataset->size()) {

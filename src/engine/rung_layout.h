@@ -55,18 +55,15 @@ struct CellGrid {
 
 /// One rung's cell layout. Immutable once built.
 struct RungLayout : CellGrid {
-  /// The rung position of each cell-major entry; within a cell,
-  /// positions ascend (rung order).
+  /// The rung position of each cell-major entry. LayOutRung keeps a
+  /// cell's positions ascending (rung order); a layout read from a
+  /// file holds them in the file's order, which earlier writers sorted
+  /// by id.
   std::vector<uint32_t> positions;
   /// Dataset::ValueRange over the rung's ids, when finite with
   /// lo <= hi: the range a scatter render of the whole rung colors
   /// over.
   std::optional<std::pair<double, double>> value_range;
-  /// The dataset LayOutRung partitioned against, kept only to compare
-  /// addresses (never dereferenced): a writer handed the same dataset
-  /// and grid may write this layout instead of partitioning again.
-  /// Null for layouts read from a file.
-  const Dataset* laid_out_against = nullptr;
 
   /// The entries of `rung` (the rung this layout was built for) whose
   /// cells intersect `query`, in rung order, densities alongside —
