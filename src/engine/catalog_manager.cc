@@ -252,9 +252,8 @@ Status CatalogManager::SaveCatalog(const CatalogKey& key,
   }
   auto snapshot = Resolve(key, entry, WaitMode::kAll);
   if (!snapshot.ok()) return snapshot.status();
-  // The dataset is at hand, so saved files keep each rung's cell
-  // layout (partial tile loads), unlike the dataset-less WriteCatalog
-  // surface.
+  // The dataset is at hand, so saved files get real cell partitioning
+  // (partial tile loads), unlike the dataset-less WriteCatalog surface.
   CatalogWriteOptions options;
   options.dataset = entry->dataset.get();
   return WriteCatalogPaged(**snapshot, path, options);
