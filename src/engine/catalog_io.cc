@@ -11,29 +11,6 @@
 
 namespace vas {
 
-Status WriteCatalog(const SampleCatalog& catalog, const std::string& path) {
-  return WriteCatalogPaged(catalog, path, CatalogWriteOptions{});
-}
-
-Status WriteCatalogV1(const SampleCatalog& catalog, const std::string& path) {
-  for (const SampleSet& rung : catalog.samples()) {
-    // Validate before opening: a rejected write must not have truncated
-    // a previously valid catalog at `path`.
-    if (rung.has_density() && rung.density.size() != rung.ids.size()) {
-      return Status::FailedPrecondition(
-          "density column length does not match ids");
-    }
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  VAS_RETURN_IF_ERROR(WriteU64(out, kCatalogMagicV1, path));
-  VAS_RETURN_IF_ERROR(WriteU64(out, catalog.samples().size(), path));
-  for (const SampleSet& rung : catalog.samples()) {
-    VAS_RETURN_IF_ERROR(WriteSampleSetTo(out, rung, path));
-  }
-  return Status::OK();
-}
-
 StatusOr<SampleCatalog> ReadCatalog(const std::string& path) {
   VAS_ASSIGN_OR_RETURN(CatalogFormat format, SniffCatalogFormat(path));
   if (format == CatalogFormat::kV2) {

@@ -47,6 +47,14 @@ std::string SanitizeForFilename(const std::string& name) {
   return out;
 }
 
+/// The ladder of a view resolved in memory, as the snapshot accessors
+/// return it.
+StatusOr<std::shared_ptr<const SampleCatalog>> ResidentLadder(
+    StatusOr<CatalogView> view) {
+  if (!view.ok()) return view.status();
+  return view->resident();
+}
+
 }  // namespace
 
 CatalogManager::CatalogManager(size_t num_threads)
@@ -247,16 +255,14 @@ Status CatalogManager::LoadCatalog(const CatalogKey& key,
 Status CatalogManager::SaveCatalog(const CatalogKey& key,
                                    const std::string& path) {
   std::shared_ptr<Entry> entry = FindEntry(key);
-  if (entry == nullptr) {
-    return Status::NotFound("no catalog registered: " + key.ToString());
-  }
-  auto snapshot = Resolve(key, entry, WaitMode::kAll);
-  if (!snapshot.ok()) return snapshot.status();
+  VAS_ASSIGN_OR_RETURN(
+      CatalogView view,
+      Resolve(key, entry, WaitMode::kAll, /*in_memory=*/true));
   // The dataset is at hand, so saved files get real cell partitioning
-  // (partial tile loads), unlike the dataset-less WriteCatalog surface.
+  // (partial tile loads).
   CatalogWriteOptions options;
   options.dataset = entry->dataset.get();
-  return WriteCatalogPaged(**snapshot, path, options);
+  return WriteCatalogPaged(*view.resident(), path, options);
 }
 
 Status CatalogManager::Drop(const CatalogKey& key) {
@@ -395,54 +401,39 @@ void CatalogManager::PerformSpills(std::vector<SpillJob> jobs) const {
   }
 }
 
-Status CatalogManager::EnsureStoreLocked(Entry& entry) const {
+Status CatalogManager::EnsureStoreLocked(const CatalogKey& key,
+                                         Entry& entry) const {
   if (entry.store != nullptr) return Status::OK();
-  if (!entry.spill_valid || entry.spill_path.empty()) {
-    return Status::FailedPrecondition("no current backing file");
+  if (!entry.spill_valid) {
+    return Status::Internal("catalog neither resident nor spilled: " +
+                            key.ToString());
   }
-  VAS_ASSIGN_OR_RETURN(CatalogFormat format,
-                       SniffCatalogFormat(entry.spill_path));
-  if (format != CatalogFormat::kV2) {
-    return Status::FailedPrecondition("backing file is not paged");
+  auto store = CatalogStore::Open(entry.spill_path);
+  if (!store.ok()) {
+    return Status::Internal("spill file corrupt for " + key.ToString() +
+                            ": " + store.status().ToString());
   }
-  VAS_ASSIGN_OR_RETURN(entry.store, CatalogStore::Open(entry.spill_path));
+  entry.store = std::move(store).value();
   return Status::OK();
 }
 
 Status CatalogManager::ReloadLocked(const CatalogKey& key, Entry& entry,
                                     std::vector<SpillJob>* jobs) const {
-  if (!entry.spill_valid) {
-    return Status::Internal("catalog neither resident nor spilled: " +
-                            key.ToString());
-  }
-  // Prefer reading back through the mmap'd store (reuses an already
-  // open mapping and its verified pages, and each rung's layout comes
-  // with it); fall back to the serial reader for CAT1 backing files,
-  // whose rungs are laid out below.
-  SampleCatalog loaded(std::vector<SampleSet>{});
-  Status ensured = EnsureStoreLocked(entry);
-  if (ensured.ok()) {
-    auto read = entry.store->ReadAll(/*dataset_size=*/0);
-    if (!read.ok()) {
-      return Status::Internal("spill file corrupt for " + key.ToString() +
-                              ": " + read.status().ToString());
-    }
-    loaded = std::move(read).value();
-  } else if (ensured.code() == StatusCode::kFailedPrecondition) {
-    VAS_ASSIGN_OR_RETURN(loaded, ReadCatalog(entry.spill_path));
-  } else {
-    return Status::Internal("spill file corrupt for " + key.ToString() +
-                            ": " + ensured.ToString());
-  }
+  // Reading back through the mapped store reuses its verified pages, and
+  // each rung's layout comes with it from the file.
+  VAS_RETURN_IF_ERROR(EnsureStoreLocked(key, entry));
+  auto loaded = entry.store->ReadAll(/*dataset_size=*/0);
   // A damaged (or swapped) spill file must never reach a session: ids
   // out of range for the entry's dataset would index out of bounds.
-  Status valid = ValidateCatalogAgainst(loaded, entry.dataset->size());
-  if (valid.ok()) valid = loaded.LayOut(*entry.dataset);
+  Status valid = loaded.ok()
+                     ? ValidateCatalogAgainst(*loaded, entry.dataset->size())
+                     : loaded.status();
   if (!valid.ok()) {
     return Status::Internal("spill file corrupt for " + key.ToString() +
                             ": " + valid.ToString());
   }
-  entry.catalog = std::make_shared<const SampleCatalog>(std::move(loaded));
+  entry.catalog =
+      std::make_shared<const SampleCatalog>(std::move(loaded).value());
   entry.bytes = CatalogMemoryBytes(*entry.catalog);
   resident_bytes_ += entry.bytes;
   reloads_count_->Increment();
@@ -476,50 +467,16 @@ void CatalogManager::Finalize(
   PerformSpills(std::move(spills));
 }
 
-StatusOr<std::shared_ptr<const SampleCatalog>> CatalogManager::Resolve(
+StatusOr<CatalogView> CatalogManager::Resolve(
     const CatalogKey& key, const std::shared_ptr<Entry>& entry,
-    WaitMode mode) const {
-  for (;;) {
-    std::shared_ptr<SampleCatalog::Builder> builder;
-    std::vector<SpillJob> spills;
-    bool finalized = false;
-    StatusOr<std::shared_ptr<const SampleCatalog>> resolved(
-        Status::Internal("unresolved"));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      builder = entry->builder;
-      if (builder == nullptr) {
-        // Finalized (or registered pre-built): serve the resident
-        // ladder, transparently reloading it if the budget evicted it.
-        // An entry unmapped by a concurrent Drop() still serves its
-        // in-memory ladder to this in-flight handle, but is gone once
-        // spilled (Drop deleted the spill file) and never re-enters
-        // the LRU accounting.
-        finalized = true;
-        auto it = entries_.find(key);
-        bool mapped = it != entries_.end() && it->second == entry;
-        if (entry->catalog == nullptr && !mapped) {
-          resolved = Status::NotFound("no catalog registered: " +
-                                      key.ToString());
-        } else {
-          Status reloaded = entry->catalog == nullptr
-                                ? ReloadLocked(key, *entry, &spills)
-                                : Status::OK();
-          if (!reloaded.ok()) {
-            resolved = reloaded;
-          } else {
-            if (mapped) TouchLocked(*entry);
-            resolved = entry->catalog;
-          }
-        }
-      }
-    }
-    if (finalized) {
-      // Evictions the reload displaced are written only after the lock
-      // is released — the whole point of off-lock spilling.
-      PerformSpills(std::move(spills));
-      return resolved;
-    }
+    WaitMode mode, bool in_memory) const {
+  if (entry == nullptr) {
+    return Status::NotFound("no catalog registered: " + key.ToString());
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  while (entry->builder != nullptr) {
+    std::shared_ptr<SampleCatalog::Builder> builder = entry->builder;
+    lock.unlock();
     // Build in flight: wait (or peek) against the builder with no
     // manager lock held, so other keys keep serving.
     std::shared_ptr<const SampleCatalog> snapshot;
@@ -539,80 +496,46 @@ StatusOr<std::shared_ptr<const SampleCatalog>> CatalogManager::Resolve(
         return Status::FailedPrecondition("no rung built yet: " +
                                           key.ToString());
       }
-      return snapshot;
+      return CatalogView(std::move(snapshot));
     }
     // The ladder just completed: move the product out of the builder
-    // (freeing its working copy) and take the resident path above.
+    // (freeing its working copy) and serve it below.
     Finalize(key, entry, builder);
+    lock.lock();
   }
+  // Finished (or registered pre-built). An entry unmapped by a
+  // concurrent Drop() still serves its in-memory ladder to this
+  // in-flight handle, but is gone once spilled (Drop deleted the spill
+  // file) and never re-enters the LRU accounting.
+  auto it = entries_.find(key);
+  const bool mapped = it != entries_.end() && it->second == entry;
+  std::vector<SpillJob> spills;
+  if (entry->catalog == nullptr) {
+    if (!mapped) {
+      return Status::NotFound("no catalog registered: " + key.ToString());
+    }
+    // A reload queues evictions only once it has succeeded, so an error
+    // returned here leaves no spill job behind.
+    VAS_RETURN_IF_ERROR(in_memory ? ReloadLocked(key, *entry, &spills)
+                                  : EnsureStoreLocked(key, *entry));
+  }
+  if (mapped) TouchLocked(*entry);
+  // A spilled ladder served through its mapping stays cold: a tile
+  // render afterwards faults in only the pages its cells intersect.
+  StatusOr<CatalogView> view =
+      entry->catalog != nullptr
+          ? CatalogView(entry->catalog)
+          : CatalogView(entry->store, entry->dataset->size());
+  lock.unlock();
+  // Evictions the reload displaced are written only after the lock is
+  // released — the whole point of off-lock spilling.
+  PerformSpills(std::move(spills));
+  return view;
 }
 
 StatusOr<CatalogView> CatalogManager::ViewFor(const CatalogKey& key) const {
-  std::shared_ptr<Entry> entry = FindEntry(key);
-  if (entry == nullptr) {
-    return Status::NotFound("no catalog registered: " + key.ToString());
-  }
-  for (;;) {
-    std::shared_ptr<SampleCatalog::Builder> builder;
-    std::vector<SpillJob> spills;
-    bool finalized = false;
-    StatusOr<CatalogView> resolved(Status::Internal("unresolved"));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      builder = entry->builder;
-      if (builder == nullptr) {
-        finalized = true;
-        auto it = entries_.find(key);
-        const bool mapped = it != entries_.end() && it->second == entry;
-        if (entry->catalog != nullptr) {
-          // Resident: serve the snapshot directly, zero-copy.
-          if (mapped) TouchLocked(*entry);
-          resolved = CatalogView(entry->catalog);
-        } else if (!mapped) {
-          resolved =
-              Status::NotFound("no catalog registered: " + key.ToString());
-        } else {
-          // Spilled: the paged path. Serving through the mapping keeps
-          // the ladder cold — a tile render afterwards faults in only
-          // the pages its cells intersect, instead of this wait paying
-          // a full materialization.
-          Status ensured = EnsureStoreLocked(*entry);
-          if (ensured.ok()) {
-            TouchLocked(*entry);
-            resolved = CatalogView(entry->store, entry->dataset->size());
-          } else if (ensured.code() == StatusCode::kFailedPrecondition) {
-            // Non-paged backing file: reload whole, serve resident.
-            Status reloaded = ReloadLocked(key, *entry, &spills);
-            if (reloaded.ok()) {
-              TouchLocked(*entry);
-              resolved = CatalogView(entry->catalog);
-            } else {
-              resolved = reloaded;
-            }
-          } else {
-            resolved = Status::Internal("spill file corrupt for " +
-                                        key.ToString() + ": " +
-                                        ensured.ToString());
-          }
-        }
-      }
-    }
-    if (finalized) {
-      PerformSpills(std::move(spills));
-      return resolved;
-    }
-    // Build in flight: wait for the first rung with no manager lock
-    // held, then serve the builder's snapshot.
-    std::shared_ptr<const SampleCatalog> snapshot = builder->WaitForRung(1);
-    if (!builder->done()) {
-      if (snapshot == nullptr) {
-        return Status::FailedPrecondition("no rung built yet: " +
-                                          key.ToString());
-      }
-      return CatalogView(std::move(snapshot));
-    }
-    Finalize(key, entry, builder);
-  }
+  return Resolve(key, FindEntry(key), WaitMode::kFirstRung,
+                 /*in_memory=*/false);
 }
 
 StatusOr<CatalogManager::BuildStatus> CatalogManager::GetStatus(
@@ -640,29 +563,20 @@ StatusOr<CatalogManager::BuildStatus> CatalogManager::GetStatus(
 
 StatusOr<std::shared_ptr<const SampleCatalog>> CatalogManager::Snapshot(
     const CatalogKey& key) const {
-  std::shared_ptr<Entry> entry = FindEntry(key);
-  if (entry == nullptr) {
-    return Status::NotFound("no catalog registered: " + key.ToString());
-  }
-  return Resolve(key, entry, WaitMode::kNone);
+  return ResidentLadder(
+      Resolve(key, FindEntry(key), WaitMode::kNone, /*in_memory=*/true));
 }
 
 StatusOr<std::shared_ptr<const SampleCatalog>>
 CatalogManager::WaitForFirstRung(const CatalogKey& key) const {
-  std::shared_ptr<Entry> entry = FindEntry(key);
-  if (entry == nullptr) {
-    return Status::NotFound("no catalog registered: " + key.ToString());
-  }
-  return Resolve(key, entry, WaitMode::kFirstRung);
+  return ResidentLadder(
+      Resolve(key, FindEntry(key), WaitMode::kFirstRung, /*in_memory=*/true));
 }
 
 StatusOr<std::shared_ptr<const SampleCatalog>> CatalogManager::WaitUntilDone(
     const CatalogKey& key) const {
-  std::shared_ptr<Entry> entry = FindEntry(key);
-  if (entry == nullptr) {
-    return Status::NotFound("no catalog registered: " + key.ToString());
-  }
-  return Resolve(key, entry, WaitMode::kAll);
+  return ResidentLadder(
+      Resolve(key, FindEntry(key), WaitMode::kAll, /*in_memory=*/true));
 }
 
 std::vector<CatalogKey> CatalogManager::Keys() const {

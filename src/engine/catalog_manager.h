@@ -154,9 +154,10 @@ class CatalogManager {
   /// path: serving begins at disk-load cost instead of rebuild cost. A
   /// CAT2 file is mmap'd and registered *without* materializing (the
   /// first full snapshot pays the load; ViewFor serves tiles straight
-  /// from the mapping); a CAT1 file is deserialized whole. The file at
-  /// `path` stays owned by the caller and is never deleted by Drop()
-  /// or the destructor.
+  /// from the mapping); a CAT1 file is deserialized whole and
+  /// registered resident, and spills as CAT2 like a built ladder. The
+  /// file at `path` stays owned by the caller and is never deleted by
+  /// Drop() or the destructor.
   Status LoadCatalog(const CatalogKey& key,
                      std::shared_ptr<const Dataset> dataset,
                      const std::string& path);
@@ -191,11 +192,10 @@ class CatalogManager {
       const CatalogKey& key) const;
 
   /// A servable view of `key`'s best available ladder, waiting for the
-  /// first rung like WaitForFirstRung — but a spilled ladder with a
-  /// current paged backing file is served through the mmap'd store
-  /// *without* rematerializing, so a tile render afterwards touches
-  /// only the pages its viewport's cells intersect. Falls back to a
-  /// full reload for non-paged backing files.
+  /// first rung like WaitForFirstRung — but a spilled ladder is served
+  /// through its mmap'd CAT2 store *without* rematerializing, so a tile
+  /// render afterwards touches only the pages its viewport's cells
+  /// intersect.
   StatusOr<CatalogView> ViewFor(const CatalogKey& key) const;
 
   /// Registered keys, sorted.
@@ -258,12 +258,18 @@ class CatalogManager {
   /// Handle lookup; null when absent.
   std::shared_ptr<Entry> FindEntry(const CatalogKey& key) const;
 
-  /// Resolves the entry to a servable snapshot per `mode`, finalizing a
-  /// finished build and reloading a spilled ladder as needed. Blocking
-  /// waits happen without the manager mutex held.
-  StatusOr<std::shared_ptr<const SampleCatalog>> Resolve(
-      const CatalogKey& key, const std::shared_ptr<Entry>& entry,
-      WaitMode mode) const;
+  /// The one path from a key to servable rungs, shared by every
+  /// accessor; NotFound when `entry` is null. While the build runs it
+  /// waits per `mode` with no manager lock held and serves the
+  /// builder's snapshot; a build that completes meanwhile is finalized
+  /// and served as finished. A finished ladder is served resident; a
+  /// spilled one is read back into memory when `in_memory`
+  /// (ReloadLocked) and served from its mapped file otherwise
+  /// (EnsureStoreLocked). Evictions a reload displaces are written
+  /// off-lock before returning.
+  StatusOr<CatalogView> Resolve(const CatalogKey& key,
+                                const std::shared_ptr<Entry>& entry,
+                                WaitMode mode, bool in_memory) const;
 
   /// Registers `entry` under `key`; InvalidArgument when taken.
   Status Insert(const CatalogKey& key, std::shared_ptr<Entry> entry);
@@ -307,20 +313,22 @@ class CatalogManager {
   /// returning, so eviction post-conditions are unchanged.
   void PerformSpills(std::vector<SpillJob> jobs) const;
 
-  /// Reads the entry's spill file back into memory, with each rung's
-  /// layout taken from a CAT2 file (a CAT1 file's rungs are laid out
-  /// against the entry's dataset). Caller holds mu_;
-  /// the disk read runs under the mutex, which serializes reloads
-  /// across keys — acceptable because reloads are cache misses, and it
-  /// keeps every state transition on one lock. Evictions the reload
-  /// itself triggers land in `jobs` for the caller to write off-lock.
+  /// Reads the entry's CAT2 backing file back into memory through its
+  /// store, each rung with the layout stored in the file, and checks
+  /// the ids against the entry's dataset. Caller holds mu_; the disk
+  /// read runs under the mutex, which serializes reloads across keys —
+  /// acceptable because reloads are cache misses, and it keeps every
+  /// state transition on one lock. Evictions the reload itself
+  /// triggers land in `jobs` for the caller to write off-lock.
   Status ReloadLocked(const CatalogKey& key, Entry& entry,
                       std::vector<SpillJob>* jobs) const;
 
-  /// Opens (mmaps) the entry's paged backing file if not already open.
-  /// FailedPrecondition when there is no current paged backing file —
-  /// callers then fall back to ReloadLocked. Caller holds mu_.
-  Status EnsureStoreLocked(Entry& entry) const;
+  /// Opens (mmaps) the entry's backing file if not already open. The
+  /// file is CAT2: either a spill this manager wrote or a user's CAT2
+  /// file LoadCatalog registered. Internal when the entry has no
+  /// current backing file or the file does not open as a store ("spill
+  /// file corrupt"). Caller holds mu_.
+  Status EnsureStoreLocked(const CatalogKey& key, Entry& entry) const;
 
   const Options options_;
   /// Per-manager token so concurrent processes sharing a spill dir

@@ -15,11 +15,13 @@ UniformGrid::UniformGrid(const Rect& domain, size_t nx, size_t ny)
 size_t UniformGrid::CellOf(Point p) const {
   double fx = (p.x - domain_.min_x) / std::max(domain_.width(), 1e-300);
   double fy = (p.y - domain_.min_y) / std::max(domain_.height(), 1e-300);
+  // Clamped in double before the cast: a coordinate far outside the
+  // domain (or ±inf, or NaN) would overflow an integer cast.
   auto clamp_cell = [](double f, size_t n) {
-    long idx = static_cast<long>(f * static_cast<double>(n));
-    if (idx < 0) idx = 0;
-    if (idx >= static_cast<long>(n)) idx = static_cast<long>(n) - 1;
-    return static_cast<size_t>(idx);
+    double scaled = f * static_cast<double>(n);
+    if (!(scaled > 0.0)) return size_t{0};
+    if (scaled >= static_cast<double>(n)) return n - 1;
+    return static_cast<size_t>(scaled);
   };
   return clamp_cell(fy, ny_) * nx_ + clamp_cell(fx, nx_);
 }

@@ -26,7 +26,9 @@ class UniformGrid {
   size_t num_cells() const { return nx_ * ny_; }
   const Rect& domain() const { return domain_; }
 
-  /// Flat cell id of `p` in [0, num_cells()).
+  /// Flat cell id of `p` in [0, num_cells()). Coordinates outside the
+  /// domain, ±inf included, clamp to the border cells; a NaN coordinate
+  /// maps to cell 0 on its axis.
   size_t CellOf(Point p) const;
 
   /// Geometric bounds of cell `cell`.

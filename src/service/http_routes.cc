@@ -1,6 +1,7 @@
 #include "service/http_routes.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -157,6 +158,17 @@ HttpResponse HandlePlot(PlotService* service, const HttpRequest& request) {
     return ErrorResponse(
         Status::InvalidArgument("missing ?table= parameter"));
   }
+  // NaN parses as a double, but every comparison with it is false: it
+  // would pass the inverted-viewport check below and reach the count
+  // grid as a coordinate.
+  auto number = [](const char* name,
+                   const std::string& raw) -> StatusOr<double> {
+    VAS_ASSIGN_OR_RETURN(double value, ParseDouble(raw));
+    if (std::isnan(value)) {
+      return Status::InvalidArgument(std::string(name) + " is not a number");
+    }
+    return value;
+  };
   Rect viewport;  // empty = whole domain
   const char* names[4] = {"xmin", "ymin", "xmax", "ymax"};
   double* slots[4] = {&viewport.min_x, &viewport.min_y, &viewport.max_x,
@@ -165,7 +177,7 @@ HttpResponse HandlePlot(PlotService* service, const HttpRequest& request) {
   for (int i = 0; i < 4; ++i) {
     const std::string* raw = param(names[i]);
     if (raw == nullptr) continue;
-    auto value = ParseDouble(*raw);
+    auto value = number(names[i], *raw);
     if (!value.ok()) return ErrorResponse(value.status());
     *slots[i] = *value;
     ++given;
@@ -182,7 +194,7 @@ HttpResponse HandlePlot(PlotService* service, const HttpRequest& request) {
   }
   double budget = 2.0;
   if (const std::string* raw = param("budget")) {
-    auto value = ParseDouble(*raw);
+    auto value = number("budget", *raw);
     if (!value.ok()) return ErrorResponse(value.status());
     budget = *value;
   }

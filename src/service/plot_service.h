@@ -158,8 +158,8 @@ class PlotService {
                   std::shared_ptr<const Dataset> dataset,
                   SampleCatalog catalog);
 
-  /// Registers `table` from a catalog file written by WriteCatalog /
-  /// vas_tool save-catalog — cold start at disk-load cost.
+  /// Registers `table` from a catalog file written by WriteCatalogPaged
+  /// / vas_tool save-catalog — cold start at disk-load cost.
   Status LoadTable(const std::string& table,
                    std::shared_ptr<const Dataset> dataset,
                    const std::string& catalog_path);

@@ -34,7 +34,7 @@ TEST_F(CatalogIoTest, RoundTripPreservesEveryRungExactly) {
   SampleCatalog catalog = Build(d, {25, 250, 1500}, /*density=*/true);
   ASSERT_EQ(catalog.samples().size(), 3u);
 
-  ASSERT_TRUE(WriteCatalog(catalog, path()).ok());
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path()).ok());
   auto back = ReadCatalog(path());
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->samples().size(), catalog.samples().size());
@@ -51,7 +51,7 @@ TEST_F(CatalogIoTest, RoundTripPreservesEveryRungExactly) {
 TEST_F(CatalogIoTest, RoundTripWithoutDensity) {
   Dataset d = test::Splom(800);
   SampleCatalog catalog = Build(d, {50, 400}, /*density=*/false);
-  ASSERT_TRUE(WriteCatalog(catalog, path()).ok());
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path()).ok());
   auto back = ReadCatalog(path());
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->samples().size(), 2u);
@@ -62,7 +62,7 @@ TEST_F(CatalogIoTest, RoundTripWithoutDensity) {
 TEST_F(CatalogIoTest, ReloadedCatalogAnswersSelectionsIdentically) {
   Dataset d = test::Skewed(3000);
   SampleCatalog catalog = Build(d, {100, 1000}, /*density=*/false);
-  ASSERT_TRUE(WriteCatalog(catalog, path()).ok());
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path()).ok());
   auto back = ReadCatalog(path());
   ASSERT_TRUE(back.ok());
   VizTimeModel model{0.001, 0.0};
@@ -120,7 +120,7 @@ TEST_F(CatalogIoTest, RejectsCorruptCountsWithoutAllocating) {
 TEST_F(CatalogIoTest, RejectsTruncatedFiles) {
   Dataset d = test::Skewed(400);
   SampleCatalog catalog = Build(d, {50, 200}, /*density=*/true);
-  ASSERT_TRUE(WriteCatalog(catalog, path()).ok());
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path()).ok());
   // Chop the file mid-rung: the reader must error, not crash or serve a
   // partial ladder.
   std::ifstream in(path(), std::ios::binary | std::ios::ate);
@@ -141,7 +141,7 @@ TEST_F(CatalogIoTest, LegacyV1FilesLoadByteIdentically) {
   // the auto-detecting reader with nothing lost or reordered.
   Dataset d = test::Skewed(1500);
   SampleCatalog catalog = Build(d, {40, 300, 1000}, /*density=*/true);
-  ASSERT_TRUE(WriteCatalogV1(catalog, path()).ok());
+  ASSERT_TRUE(test::WriteCatalogV1(catalog, path()).ok());
   auto format = SniffCatalogFormat(path());
   ASSERT_TRUE(format.ok());
   EXPECT_EQ(*format, CatalogFormat::kV1);
@@ -161,7 +161,7 @@ TEST_F(CatalogIoTest, V1ToV2ConversionKeepsEverySample) {
   // vas_tool convert-catalog does), and get the same ladder back.
   Dataset d = test::Skewed(2500);
   SampleCatalog catalog = Build(d, {60, 700}, /*density=*/true);
-  ASSERT_TRUE(WriteCatalogV1(catalog, path()).ok());
+  ASSERT_TRUE(test::WriteCatalogV1(catalog, path()).ok());
   auto legacy = ReadCatalog(path());
   ASSERT_TRUE(legacy.ok());
 

@@ -439,6 +439,10 @@ TEST(CatalogManagerTest, ConcurrentSnapshotsDuringEvictionAreSafe) {
                     .ok());
     ASSERT_TRUE(manager.WaitUntilDone(keys[i]).ok());
   }
+  // Finishing "b" spilled "a", possibly on a pool thread; wait out that
+  // write so the threads below start from a spilled key, and the first
+  // access to it reloads.
+  ASSERT_TRUE(EvictedWithin(manager, keys[0]));
 
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
@@ -824,6 +828,75 @@ TEST(CatalogManagerTest, CorruptSpillFileSurfacesAsCleanError) {
   std::filesystem::resize_file(file.path(), 200);
   CatalogManager fresh(1);
   EXPECT_FALSE(fresh.LoadCatalog(CatalogKey{"t"}, d, file.path()).ok());
+}
+
+TEST(CatalogManagerTest, EveryAccessorReportsADamagedSpillFileTheSameWay) {
+  // A spill file that does not open as CAT2 — cut short, or replaced by
+  // a CAT1 copy of the same ladder — must fail every accessor with the
+  // same Internal status, count no reload, and leave the entry spilled.
+  auto d = std::make_shared<Dataset>(test::Skewed(3000));
+  d->CacheBounds();
+  CatalogKey key{"damaged"};
+  for (const bool truncate : {true, false}) {
+    SCOPED_TRACE(truncate ? "truncated" : "CAT1 copy");
+    test::ScopedTempFile spill_dir("catalog_manager_damaged_spills");
+    ASSERT_TRUE(std::filesystem::create_directory(spill_dir.path()));
+    CatalogManager::Options options;
+    options.num_threads = 1;
+    options.memory_budget_bytes = 1;  // evict everything not in use
+    options.spill_dir = spill_dir.path();
+    CatalogManager manager(options);
+    ASSERT_TRUE(manager
+                    .StartBuild(key, d, UniformFactory(61),
+                                NoDensityLadder({100, 800}))
+                    .ok());
+    auto built = manager.WaitUntilDone(key);
+    ASSERT_TRUE(built.ok());
+    // Finishing a second ladder makes "damaged" the eviction victim.
+    CatalogKey pusher{"pusher"};
+    ASSERT_TRUE(manager
+                    .StartBuild(pusher, d, UniformFactory(62),
+                                NoDensityLadder({100}))
+                    .ok());
+    ASSERT_TRUE(manager.WaitUntilDone(pusher).ok());
+    ASSERT_TRUE(EvictedWithin(manager, key));
+
+    std::string spill_path;
+    for (const auto& file :
+         std::filesystem::directory_iterator(spill_dir.path())) {
+      if (file.path().filename().string().find("_damaged_") !=
+          std::string::npos) {
+        spill_path = file.path().string();
+      }
+    }
+    ASSERT_FALSE(spill_path.empty());
+    if (truncate) {
+      std::filesystem::resize_file(spill_path,
+                                   std::filesystem::file_size(spill_path) / 2);
+    } else {
+      ASSERT_TRUE(test::WriteCatalogV1(**built, spill_path).ok());
+    }
+
+    auto expect_corrupt = [](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kInternal);
+      EXPECT_NE(status.ToString().find("spill file corrupt"),
+                std::string::npos)
+          << status.ToString();
+    };
+    expect_corrupt(manager.ViewFor(key).status());
+    expect_corrupt(manager.Snapshot(key).status());
+    expect_corrupt(manager.WaitForFirstRung(key).status());
+    expect_corrupt(manager.WaitUntilDone(key).status());
+    const std::string saved = spill_dir.path() + "/saved.vascat";
+    expect_corrupt(manager.SaveCatalog(key, saved));
+    EXPECT_FALSE(std::filesystem::exists(saved));
+
+    EXPECT_EQ(Count(manager, "vas_catalog_reloads_total"), 0);
+    auto status = manager.GetStatus(key);
+    ASSERT_TRUE(status.ok());
+    EXPECT_FALSE(status->resident);
+    EXPECT_FALSE(status->mapped);
+  }
 }
 
 TEST(CatalogManagerTest, FailedSpillKeepsTheLadderResidentAndCountsIt) {

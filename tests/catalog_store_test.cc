@@ -115,7 +115,7 @@ TEST_F(CatalogStoreTest, SniffDistinguishesTheFormats) {
   Dataset d = test::Skewed(500);
   SampleCatalog catalog = Build(d, {100}, /*density=*/false);
 
-  ASSERT_TRUE(WriteCatalogV1(catalog, path()).ok());
+  ASSERT_TRUE(test::WriteCatalogV1(catalog, path()).ok());
   auto v1 = SniffCatalogFormat(path());
   ASSERT_TRUE(v1.ok());
   EXPECT_EQ(*v1, CatalogFormat::kV1);

@@ -161,6 +161,10 @@ TEST(InteractiveSessionTest, ViewportCountMatchesBruteForceRescan) {
       Rect::Of(b.Center().x, b.Center().y, b.max_x, b.max_y),
       Rect::Of(b.min_x - 100, b.min_y - 100, b.min_x - 1, b.min_y - 1),
       b.Inflated(10.0),
+      // Far enough out that an integer cast of the scaled coordinate
+      // would overflow; the grid must still clamp to its border cells.
+      Rect::Of(b.Center().x, b.Center().y, 1e20, 1e20),
+      Rect::Of(-1e300, -1e300, b.Center().x, b.Center().y),
   };
   for (const Rect& viewport : viewports) {
     InteractiveSession::PlotRequest req;

@@ -1112,7 +1112,34 @@ TEST_F(ServiceEndpointTest, PlotReturnsViewportCounts) {
   EXPECT_EQ(Get("/plot?table=geo&xmin=a&ymin=0&xmax=1&ymax=1").status, 400);
   EXPECT_EQ(Get("/plot?table=geo&xmin=5&ymin=5&xmax=1&ymax=1").status, 400)
       << "inverted viewport must error, not silently mean whole-domain";
+  EXPECT_EQ(Get("/plot?table=geo&xmin=nan&ymin=0&xmax=1&ymax=1").status, 400)
+      << "NaN passes every comparison, so it must be rejected on parse";
+  EXPECT_EQ(Get("/plot?table=geo&budget=nan").status, 400);
   EXPECT_EQ(Get("/plot?table=nope").status, 404);
+
+  // A viewport reaching far past the data counts what the same viewport
+  // clipped to the world does: the brute-force count of its points.
+  auto dataset = service_->manager().DatasetFor(CatalogKey{"geo"});
+  ASSERT_TRUE(dataset.ok());
+  const Rect world = (*dataset)->Bounds();
+  const Point center = world.Center();
+  const Rect far = Rect::Of(center.x, center.y, 1e20, 1e20);
+  size_t brute = 0;
+  for (const Point& p : (*dataset)->points) {
+    if (far.Contains(p)) ++brute;
+  }
+  ASSERT_GT(brute, 0u);
+  const std::string expected =
+      "\"points_in_viewport\":" + std::to_string(brute) + ",";
+  const std::string corner =
+      StrFormat("/plot?table=geo&xmin=%.17g&ymin=%.17g", center.x, center.y);
+  auto far_plot = Get(corner + "&xmax=1e20&ymax=1e20");
+  EXPECT_EQ(far_plot.status, 200);
+  EXPECT_NE(far_plot.body.find(expected), std::string::npos) << far_plot.body;
+  auto clipped = Get(corner + StrFormat("&xmax=%.17g&ymax=%.17g",
+                                        world.max_x, world.max_y));
+  EXPECT_EQ(clipped.status, 200);
+  EXPECT_NE(clipped.body.find(expected), std::string::npos) << clipped.body;
 }
 
 TEST_F(ServiceEndpointTest, UnknownRouteIs404) {

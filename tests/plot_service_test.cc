@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "core/density.h"
-#include "engine/catalog_io.h"
+#include "engine/catalog_store.h"
 #include "service/plot_service.h"
 #include "sampling/uniform_sampler.h"
 #include "test_util.h"
@@ -307,7 +307,7 @@ TEST(PlotServiceTest, AddAndLoadTableServePrebuiltLadders) {
   EXPECT_EQ(tile->rungs_ready, 2u);
 
   test::ScopedTempFile file("plot_service_test.vascat");
-  ASSERT_TRUE(WriteCatalog(catalog, file.path()).ok());
+  ASSERT_TRUE(WriteCatalogPaged(catalog, file.path()).ok());
   ASSERT_TRUE(service.LoadTable("disk", dataset, file.path()).ok());
   auto loaded = service.RenderTile("disk", TileKey{0, 0, 0});
   ASSERT_TRUE(loaded.ok());

@@ -1,8 +1,8 @@
 // Shared test fixtures: the standard seeded datasets every suite draws
-// from, and an RAII scratch-file helper for I/O round-trip tests. Keeping
-// the generator defaults here (seed 7 Geolife, seed 11 SPLOM — the same
-// defaults bench_common.h uses) means every suite exercises the same
-// deterministic workload.
+// from, an RAII scratch-file helper for I/O round-trip tests, and a
+// writer for legacy CAT1 catalog files. Keeping the generator defaults
+// here (seed 7 Geolife, seed 11 SPLOM — the same defaults bench_common.h
+// uses) means every suite exercises the same deterministic workload.
 #ifndef VAS_TESTS_TEST_UTIL_H_
 #define VAS_TESTS_TEST_UTIL_H_
 
@@ -10,12 +10,18 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <string>
 #include <system_error>
 
 #include "data/dataset.h"
 #include "data/generators.h"
+#include "data/serial.h"
+#include "engine/catalog_store.h"
+#include "engine/sample_catalog.h"
+#include "sampling/sample_io.h"
+#include "util/status.h"
 
 namespace vas {
 namespace test {
@@ -46,7 +52,8 @@ inline const std::string& ProcessUniqueSuffix() {
   return suffix;
 }
 
-/// A scratch file under the system temp dir, removed on destruction
+/// A scratch path under the system temp dir — a file, or a directory
+/// the test creates there — removed with its contents on destruction
 /// (and on construction, in case a previous crashed run left one). The
 /// name gets a per-process suffix so concurrent runs of the same test
 /// binary cannot clobber each other's file.
@@ -67,7 +74,7 @@ class ScopedTempFile {
  private:
   void Remove() {
     std::error_code ec;
-    std::filesystem::remove(path_, ec);
+    std::filesystem::remove_all(path_, ec);
   }
   std::string path_;
 };
@@ -81,6 +88,22 @@ class TempFileTest : public ::testing::Test {
  private:
   ScopedTempFile file_;
 };
+
+/// Writes `catalog` in the legacy CAT1 serial format: the u64 magic,
+/// the u64 rung count, then each rung in the standalone sample framing.
+/// The library reads CAT1 but no longer writes it; this is the fixture
+/// for its readers.
+inline Status WriteCatalogV1(const SampleCatalog& catalog,
+                             const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IoError("cannot open for write: " + path);
+  VAS_RETURN_IF_ERROR(WriteU64(out, kCatalogMagicV1, path));
+  VAS_RETURN_IF_ERROR(WriteU64(out, catalog.samples().size(), path));
+  for (const SampleSet& rung : catalog.samples()) {
+    VAS_RETURN_IF_ERROR(WriteSampleSetTo(out, rung, path));
+  }
+  return Status::OK();
+}
 
 }  // namespace test
 }  // namespace vas

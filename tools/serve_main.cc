@@ -126,12 +126,6 @@ int ServeMain(int argc, char** argv) {
                "Cache-Control max-age for tiles of finished builds");
   flags.Define("tile-building-max-age", "2",
                "Cache-Control max-age while a ladder is still building");
-  flags.Define("png-compression", "fixed",
-               "tile PNG compression: fixed (filtered fixed-Huffman "
-               "DEFLATE) | stored (raw-size legacy stream)");
-  flags.Define("png-filter-rows", "true",
-               "apply per-row PNG filters before compressing (ignored "
-               "with --png-compression=stored)");
   flags.Define("heatmap-colormap", "viridis",
                "colormap for ?style=heatmap tiles: viridis | grayscale");
   flags.Define("slow-request-ms", "1000",
@@ -189,15 +183,6 @@ int ServeMain(int argc, char** argv) {
       static_cast<int>(flags.GetInt("tile-max-age"));
   options.tile_building_max_age_seconds =
       static_cast<int>(flags.GetInt("tile-building-max-age"));
-  const std::string png_compression = flags.GetString("png-compression");
-  if (png_compression == "stored") {
-    options.png = PngEncodeOptions::Stored();
-  } else if (png_compression != "fixed") {
-    return FailServe(Status::InvalidArgument(
-        "unknown --png-compression=" + png_compression));
-  }
-  options.png.filter_rows =
-      options.png.filter_rows && flags.GetBool("png-filter-rows");
   const std::string heatmap_colormap = flags.GetString("heatmap-colormap");
   if (heatmap_colormap == "grayscale") {
     options.heatmap_colormap = ColormapKind::kGrayscale;
