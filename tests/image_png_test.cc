@@ -20,6 +20,7 @@
 
 #include "render/deflate.h"
 #include "render/image.h"
+#include "render_reference.h"
 #include "test_util.h"
 
 namespace vas {
@@ -333,6 +334,34 @@ TEST(ImagePngTest, GoldenBytesForTinyImageStored) {
       "\x42\x60\x82",
       75);
   EXPECT_EQ(image.EncodePng(PngEncodeOptions::Stored()), expected);
+}
+
+TEST(ImagePngTest, StoredPngBytesMatchesTheStoredStream) {
+  // The closed-form size of the unfiltered, stored-block stream at the
+  // sizes the byte gates use, across one and several 65535-byte blocks.
+  struct Size {
+    size_t width;
+    size_t height;
+    size_t bytes;
+  };
+  const Size sizes[] = {
+      {1, 1, 72},
+      {2, 1, 75},
+      {31, 17, 1666},
+      {256, 256, 196947},
+      {512, 512, 787072},
+      {21845, 1, 65609},
+      {100, 300, 90373},
+  };
+  for (const Size& size : sizes) {
+    EXPECT_EQ(test::StoredPngBytes(size.width, size.height), size.bytes)
+        << size.width << "x" << size.height;
+    EXPECT_EQ(Image(size.width, size.height)
+                  .EncodePng(PngEncodeOptions::Stored())
+                  .size(),
+              size.bytes)
+        << size.width << "x" << size.height;
+  }
 }
 
 TEST(ImagePngTest, GoldenLengthAndCrcForDefaultOptions) {

@@ -8,6 +8,7 @@
 
 #include "data/generators.h"
 #include "render/scatter_renderer.h"
+#include "render_reference.h"
 #include "sampling/uniform_sampler.h"
 #include "test_util.h"
 
@@ -265,6 +266,7 @@ void ExpectPipelinesAgree(ScatterRenderer::Options opt, const Dataset& d,
   Image binned =
       RenderWith(opt, ScatterRenderer::Options::Pipeline::kBinned, d, s, vp);
   ExpectPixelIdentical(scalar, binned);
+  ExpectPixelIdentical(scalar, test::RenderSampleScalar(opt, d, s, vp));
 }
 
 SampleSet EveryNth(const Dataset& d, size_t n, bool with_density) {
