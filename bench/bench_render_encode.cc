@@ -1,11 +1,13 @@
 // Render + encode pipeline costs over a 1M-point catalog rung: the
 // numbers behind this repo's vectorized-rasterizer and real-DEFLATE
 // claims. Three phases per tile sweep:
-//   (1) scalar vs binned rasterization p50 (must be pixel-identical;
-//       binned must be no slower, target >=1.5x),
-//   (2) PNG encode p50 and bytes/tile, stored vs filtered fixed-Huffman
-//       (compressed tiles must decode to byte-identical pixels and be
-//       <=40% of the stored baseline on scatter content),
+//   (1) rasterization p50, the per-point scalar reference
+//       (tests/render_reference.h) vs the served binned RenderSample
+//       (must be pixel-identical; binned must be no slower, target
+//       >=1.5x),
+//   (2) PNG encode p50 and bytes/tile of the served filtered
+//       fixed-Huffman stream (tiles must decode to byte-identical pixels
+//       and be <=40% of the closed-form stored size on scatter content),
 //   (3) the heatmap style (RenderCounts -> RenderDensityImage) render +
 //       encode p50 and bytes/tile.
 #include "bench_common.h"
@@ -17,6 +19,7 @@
 
 #include "render/deflate.h"
 #include "render/scatter_renderer.h"
+#include "render_reference.h"
 #include "sampling/uniform_sampler.h"
 #include "service/tile_math.h"
 #include "util/stopwatch.h"
@@ -143,12 +146,12 @@ int Run(int argc, char** argv) {
   flags.Define("k", "100000", "sample rung size rendered per tile");
   flags.Define("zoom", "2", "zoom level swept (4^zoom tiles)");
   flags.Define("tile-px", "256", "tile edge in pixels");
-  flags.Define("repeats", "3", "render repetitions per tile per pipeline");
+  flags.Define("repeats", "3", "render repetitions per tile per renderer");
   if (!ParseBenchFlags(flags, argc, argv,
-                       "Render + encode pipeline: scalar vs binned "
-                       "rasterization p50, stored vs DEFLATE tile bytes "
-                       "with decode-identity gates, and the heatmap "
-                       "style's cost.")) {
+                       "Render + encode pipeline: scalar reference vs "
+                       "binned rasterization p50, DEFLATE tile bytes "
+                       "against the stored size with decode-identity "
+                       "gates, and the heatmap style's cost.")) {
     return 0;
   }
   size_t n = static_cast<size_t>(flags.GetInt("n"));
@@ -188,16 +191,12 @@ int Run(int argc, char** argv) {
     }
   }
 
-  ScatterRenderer::Options scalar_options;
-  scalar_options.width_px = tile_px;
-  scalar_options.height_px = tile_px;
-  scalar_options.pipeline = ScatterRenderer::Options::Pipeline::kScalar;
-  ScatterRenderer::Options binned_options = scalar_options;
-  binned_options.pipeline = ScatterRenderer::Options::Pipeline::kBinned;
-  ScatterRenderer scalar(scalar_options);
-  ScatterRenderer binned(binned_options);
+  ScatterRenderer::Options options;
+  options.width_px = tile_px;
+  options.height_px = tile_px;
+  ScatterRenderer binned(options);
 
-  // --- Phase 1: rasterization, scalar vs binned ---------------------
+  // --- Phase 1: rasterization, scalar reference vs binned -----------
   std::vector<double> scalar_ms, binned_ms;
   std::vector<Image> rendered;
   bool pixels_identical = true;
@@ -206,7 +205,7 @@ int Run(int argc, char** argv) {
     Image scalar_img(1, 1), binned_img(1, 1);
     for (size_t r = 0; r < repeats; ++r) {
       watch.Restart();
-      scalar_img = scalar.RenderSample(dataset, rung, viewport);
+      scalar_img = test::RenderSampleScalar(options, dataset, rung, viewport);
       scalar_ms.push_back(watch.ElapsedSeconds() * 1000.0);
       watch.Restart();
       binned_img = binned.RenderSample(dataset, rung, viewport);
@@ -224,36 +223,30 @@ int Run(int argc, char** argv) {
       tiles.size(), repeats, scalar_p50, binned_p50, render_speedup,
       pixels_identical ? "yes" : "NO — PIPELINE BUG");
 
-  // --- Phase 2: encode, stored vs filtered DEFLATE ------------------
-  std::vector<double> stored_ms, fixed_ms;
+  // --- Phase 2: filtered DEFLATE encode vs the stored size ----------
+  std::vector<double> fixed_ms;
   size_t stored_bytes = 0, fixed_bytes = 0;
   bool decode_identical = true;
   for (const Image& img : rendered) {
     watch.Restart();
-    std::string stored = img.EncodePng(PngEncodeOptions::Stored());
-    stored_ms.push_back(watch.ElapsedSeconds() * 1000.0);
-    watch.Restart();
     std::string fixed = img.EncodePng();
     fixed_ms.push_back(watch.ElapsedSeconds() * 1000.0);
-    stored_bytes += stored.size();
+    stored_bytes += test::StoredPngBytes(img.width(), img.height());
     fixed_bytes += fixed.size();
-    std::string raw = RawPixels(img);
-    auto stored_pixels = DecodePngPixels(stored);
     auto fixed_pixels = DecodePngPixels(fixed);
-    decode_identical = decode_identical && stored_pixels.ok() &&
-                       fixed_pixels.ok() && *stored_pixels == raw &&
-                       *fixed_pixels == raw;
+    decode_identical = decode_identical && fixed_pixels.ok() &&
+                       *fixed_pixels == RawPixels(img);
   }
   double bytes_ratio =
       stored_bytes > 0
           ? static_cast<double>(fixed_bytes) / static_cast<double>(stored_bytes)
           : 1.0;
   std::printf(
-      "scatter encode: stored p50 %.2fms (%zu B/tile), deflate p50 %.2fms "
-      "(%zu B/tile) — %.1f%% of stored, decode-identical: %s\n",
-      Percentile(stored_ms, 0.5), stored_bytes / rendered.size(),
+      "scatter encode: deflate p50 %.2fms (%zu B/tile) — %.1f%% of stored "
+      "(%zu B/tile), decode-identical: %s\n",
       Percentile(fixed_ms, 0.5), fixed_bytes / rendered.size(),
-      bytes_ratio * 100.0, decode_identical ? "yes" : "NO — CODEC BUG");
+      bytes_ratio * 100.0, stored_bytes / rendered.size(),
+      decode_identical ? "yes" : "NO — CODEC BUG");
 
   // --- Phase 3: the heatmap style -----------------------------------
   std::vector<double> heat_render_ms, heat_encode_ms;
@@ -289,7 +282,6 @@ int Run(int argc, char** argv) {
   metrics.Set("binned_render_p50_ms", binned_p50);
   metrics.Set("render_speedup_p50", render_speedup);
   metrics.Set("pixels_identical", pixels_identical);
-  metrics.Set("stored_encode_p50_ms", Percentile(stored_ms, 0.5));
   metrics.Set("deflate_encode_p50_ms", Percentile(fixed_ms, 0.5));
   metrics.Set("stored_bytes_per_tile", stored_bytes / rendered.size());
   metrics.Set("deflate_bytes_per_tile", fixed_bytes / rendered.size());
@@ -302,7 +294,8 @@ int Run(int argc, char** argv) {
   if (!wrote.ok()) return Fail(wrote.ToString());
 
   if (!pixels_identical) {
-    return Fail("binned pipeline is not pixel-identical to scalar");
+    return Fail("binned rasterizer is not pixel-identical to the scalar "
+                "reference");
   }
   if (!decode_identical) {
     return Fail("encoded tiles do not decode back to their pixels");

@@ -90,15 +90,6 @@ const SampleSet& SampleCatalog::ChooseForTimeBudget(
   return *best;
 }
 
-const SampleSet& SampleCatalog::ChooseBySize(size_t max_points) const {
-  VAS_CHECK_MSG(!samples_.empty(), "selection from an empty catalog");
-  const SampleSet* best = &samples_.front();
-  for (const SampleSet& s : samples_) {
-    if (s.size() <= max_points) best = &s;
-  }
-  return *best;
-}
-
 // ---------------------------------------------------------------------------
 // Builder
 

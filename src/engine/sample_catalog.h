@@ -85,9 +85,6 @@ class SampleCatalog {
   const SampleSet& ChooseForTimeBudget(double seconds,
                                        const VizTimeModel& model) const;
 
-  /// Largest sample with at most `max_points` points (same fallback).
-  const SampleSet& ChooseBySize(size_t max_points) const;
-
  private:
   std::vector<SampleSet> samples_;  // ascending by size
   std::vector<std::shared_ptr<const RungLayout>> layouts_;  // parallel

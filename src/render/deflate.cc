@@ -152,22 +152,6 @@ class BitWriter {
   uint32_t filled_ = 0;  // below 32 between calls
 };
 
-void AppendStoredBlocks(const std::string& raw, std::string* out) {
-  size_t offset = 0;
-  do {
-    size_t block = std::min<size_t>(raw.size() - offset, 65535);
-    bool final = offset + block == raw.size();
-    out->push_back(final ? '\x01' : '\x00');  // BFINAL, BTYPE=00
-    uint16_t len = static_cast<uint16_t>(block);
-    out->push_back(static_cast<char>(len & 0xff));
-    out->push_back(static_cast<char>((len >> 8) & 0xff));
-    out->push_back(static_cast<char>(~len & 0xff));
-    out->push_back(static_cast<char>((~len >> 8) & 0xff));
-    out->append(raw, offset, block);
-    offset += block;
-  } while (offset < raw.size());
-}
-
 /// Hash of the 3 bytes at `data + i` into kHashBits bits.
 constexpr int kHashBits = 15;
 inline uint32_t Hash3(const unsigned char* data, size_t i) {
@@ -390,16 +374,10 @@ uint32_t Adler32(const std::string& data) {
 std::string ZlibCompress(const std::string& raw,
                          const DeflateOptions& options) {
   std::string out;
-  out.reserve(options.strategy == DeflateOptions::Strategy::kStored
-                  ? raw.size() + raw.size() / 65535 * 5 + 16
-                  : FixedHuffmanBound(raw.size()) + 6);
+  out.reserve(FixedHuffmanBound(raw.size()) + 6);
   out.push_back('\x78');  // CMF: deflate, 32K window
   out.push_back('\x01');  // FLG: no dict, check bits (CMF*256+FLG)%31==0
-  if (options.strategy == DeflateOptions::Strategy::kStored) {
-    AppendStoredBlocks(raw, &out);
-  } else {
-    AppendFixedHuffmanBlock(raw, options, &out);
-  }
+  AppendFixedHuffmanBlock(raw, options, &out);
   uint32_t adler = Adler32(raw);
   out.push_back(static_cast<char>((adler >> 24) & 0xff));
   out.push_back(static_cast<char>((adler >> 16) & 0xff));

@@ -122,21 +122,12 @@ int FilterRow(const uint8_t* __restrict__ cur,
 }
 
 /// Builds the filtered scanline stream: per row, a filter-type byte
-/// followed by the filtered bytes. With filtering off every row uses
-/// type 0 (None), reproducing the raw stream byte for byte.
-std::string BuildScanlines(const Rgb* pixels, size_t width, size_t height,
-                           bool filter_rows) {
+/// followed by the filtered bytes.
+std::string BuildScanlines(const Rgb* pixels, size_t width, size_t height) {
   const size_t bpp = sizeof(Rgb);
   const size_t stride = width * bpp;
   std::string raw;
   raw.reserve(height * (1 + stride));
-  if (!filter_rows) {
-    for (size_t y = 0; y < height; ++y) {
-      raw.push_back('\0');
-      raw.append(reinterpret_cast<const char*>(pixels + y * width), stride);
-    }
-    return raw;
-  }
   // The zero row row 0 filters against, then the four residual rows.
   std::vector<uint8_t> rows(5 * stride, 0);
   uint8_t* sub = rows.data() + stride;
@@ -180,8 +171,7 @@ Status Image::WritePpm(const std::string& path) const {
 
 std::string Image::EncodePng(const PngEncodeOptions& options) const {
   if (width_ == 0 || height_ == 0) return std::string();
-  std::string raw =
-      BuildScanlines(pixels_.data(), width_, height_, options.filter_rows);
+  std::string raw = BuildScanlines(pixels_.data(), width_, height_);
 
   std::string png("\x89PNG\r\n\x1a\n", 8);
   std::string ihdr;

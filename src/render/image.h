@@ -23,25 +23,12 @@ struct Rgb {
   }
 };
 
-/// How EncodePng turns pixels into bytes. The default — per-row filter
-/// heuristic plus fixed-Huffman DEFLATE — is what tiles ship with; the
-/// stored preset reproduces the legacy ~raw-size stream byte for byte
-/// and stays as the zero-codec fallback.
+/// How EncodePng turns pixels into bytes. Every row gets the PNG filter
+/// with the smallest absolute-residual sum (None/Sub/Up/Average/Paeth),
+/// and the scanlines go through fixed-Huffman DEFLATE; only the
+/// matcher's search depth is tunable.
 struct PngEncodeOptions {
   DeflateOptions deflate;
-  /// Chooses the best PNG filter per row (None/Sub/Up/Average/Paeth by
-  /// minimum absolute-residual sum) before compressing. Off = filter
-  /// type 0 on every row.
-  bool filter_rows = true;
-
-  /// The pre-compression wire format: stored deflate blocks, no row
-  /// filtering. Kept as a fallback and as the bench baseline.
-  static PngEncodeOptions Stored() {
-    PngEncodeOptions options;
-    options.deflate.strategy = DeflateOptions::Strategy::kStored;
-    options.filter_rows = false;
-    return options;
-  }
 };
 
 /// Fixed-size RGB raster. Pixel (0,0) is the top-left corner. Zero-area

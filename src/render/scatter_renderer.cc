@@ -30,13 +30,14 @@ struct TransformScratch {
   std::array<double, kTransformChunk> inside;
 };
 
-/// Phase one of the binned pipeline and the auto-vectorization target:
-/// contiguous loads, no branches (the ternaries lower to min/max and
-/// compare-blend under -fno-trapping-math), all lanes independent.
-/// Mirrors Viewport::ToPixel bit for bit (same divides, same operation
-/// order, same truncation) so the binned pipeline stays pixel-identical
-/// to the scalar one. Out-of-viewport lanes get inside=0.0; their pixel
-/// values are clamped into a cast-safe range and otherwise meaningless.
+/// Phase one of the two-phase pipeline and the auto-vectorization
+/// target: contiguous loads, no branches (the ternaries lower to
+/// min/max and compare-blend under -fno-trapping-math), all lanes
+/// independent. Mirrors Viewport::ToPixel bit for bit (same divides,
+/// same operation order, same truncation), so tiles stay pixel-identical
+/// to a per-point ToPixel loop (tests/render_reference.h). Out-of-viewport
+/// lanes get inside=0.0; their pixel values are clamped into a cast-safe
+/// range and otherwise meaningless.
 void TransformToPixels(const double* __restrict__ xs,
                        const double* __restrict__ ys, size_t n,
                        const Rect& world, double denom_x, double denom_y,
@@ -61,7 +62,7 @@ void TransformToPixels(const double* __restrict__ xs,
     px[j] = static_cast<int32_t>(sx);
     py[j] = static_cast<int32_t>(sy);
     // Same inclusive test as Rect::Contains; NaN compares false on
-    // every edge, matching the scalar cull.
+    // every edge there too.
     double in_x = (x >= min_x ? 1.0 : 0.0) * (x <= max_x ? 1.0 : 0.0);
     double in_y = (y >= min_y ? 1.0 : 0.0) * (y <= max_y ? 1.0 : 0.0);
     inside[j] = in_x * in_y;
@@ -95,7 +96,7 @@ DotStencil BuildStencil(double radius) {
   return s;
 }
 
-/// Phase two of the binned pipeline: stamps a stencil as row fills,
+/// Phase two of the two-phase pipeline: stamps a stencil as row fills,
 /// clamped to the raster once per row instead of bounds-checking every
 /// pixel. Paints exactly the pixels DrawDot would.
 void StampDot(Image& img, long cx, long cy, const DotStencil& s, Rgb color) {
@@ -144,7 +145,7 @@ class StencilCache {
   std::unordered_map<uint64_t, DotStencil> by_count_;
 };
 
-/// Shared by both pipelines: fixed range from options when set,
+/// Shared by every sample render: fixed range from options when set,
 /// otherwise the min/max over the sampled values.
 std::pair<double, double> ValueRange(const ScatterRenderer::Options& options,
                                      const Dataset& dataset,
@@ -234,41 +235,6 @@ Image ScatterRenderer::Render(const Dataset& dataset,
 Image ScatterRenderer::RenderSample(const Dataset& dataset,
                                     const SampleSet& sample,
                                     const Viewport& viewport) const {
-  return options_.pipeline == Options::Pipeline::kBinned
-             ? RenderSampleBinned(dataset, sample, viewport)
-             : RenderSampleScalar(dataset, sample, viewport);
-}
-
-Image ScatterRenderer::RenderSampleScalar(const Dataset& dataset,
-                                          const SampleSet& sample,
-                                          const Viewport& viewport) const {
-  Image img(options_.width_px, options_.height_px, options_.background);
-  auto [lo, hi] = ValueRange(options_, dataset, sample);
-  for (size_t i = 0; i < sample.ids.size(); ++i) {
-    size_t id = sample.ids[i];
-    Point p = dataset.points[id];
-    if (!viewport.world().Contains(p)) continue;
-    auto [px, py] = viewport.ToPixel(p);
-    double radius = options_.dot_radius_px;
-    if (sample.has_density()) {
-      radius = std::min(
-          options_.max_dot_radius_px,
-          options_.dot_radius_px +
-              options_.density_radius_scale *
-                  std::log1p(static_cast<double>(sample.density[i])));
-    }
-    Rgb color = dataset.has_values()
-                    ? MapColor(options_.colormap,
-                               NormalizeValue(dataset.values[id], lo, hi))
-                    : Rgb{31, 119, 180};
-    DrawDot(img, px, py, radius, color);
-  }
-  return img;
-}
-
-Image ScatterRenderer::RenderSampleBinned(const Dataset& dataset,
-                                          const SampleSet& sample,
-                                          const Viewport& viewport) const {
   Image img(options_.width_px, options_.height_px, options_.background);
   auto [lo, hi] = ValueRange(options_, dataset, sample);
   const Rect& world = viewport.world();
@@ -293,8 +259,8 @@ Image ScatterRenderer::RenderSampleBinned(const Dataset& dataset,
     TransformToPixels(scratch->xs.data(), scratch->ys.data(), n, world,
                       denom_x, denom_y, wpx, hpx, scratch->px.data(),
                       scratch->py.data(), scratch->inside.data());
-    // Blit in sample order so overlapping dots resolve exactly as the
-    // scalar loop does (later points win).
+    // Blit in sample order so overlapping dots resolve exactly as a
+    // per-point loop does (later points win).
     for (size_t j = 0; j < n; ++j) {
       if (scratch->inside[j] == 0.0) continue;
       size_t i = base + j;
@@ -371,8 +337,7 @@ std::vector<uint32_t> ScatterRenderer::RenderCounts(
                       scratch->py.data(), scratch->inside.data());
     for (size_t j = 0; j < n; ++j) {
       // Points exactly on the viewport's max edge transform to pixel
-      // row/column width_px/height_px; the scalar loop dropped those
-      // and so does this one.
+      // row/column width_px/height_px, outside the raster: dropped.
       if (scratch->inside[j] == 0.0 || scratch->px[j] >= w_limit ||
           scratch->py[j] >= h_limit) {
         continue;

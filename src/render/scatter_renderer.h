@@ -49,21 +49,8 @@ class Viewport {
 class ScatterRenderer {
  public:
   struct Options {
-    /// How RenderSample/Render rasterize. The binned pipeline is
-    /// pixel-identical to the scalar one (covered by tests) — the knob
-    /// exists for A/B benching and as an escape hatch.
-    enum class Pipeline {
-      /// Per-point transform + DrawDot, the original loop.
-      kScalar,
-      /// Two-phase bin-then-blit: an SoA viewport-transform pass over
-      /// chunked coordinate arrays (branch-free, auto-vectorizable),
-      /// then a stamped-dot blit of row spans from cached stencils.
-      kBinned,
-    };
-
     size_t width_px = 512;
     size_t height_px = 512;
-    Pipeline pipeline = Pipeline::kBinned;
     /// Dot radius in pixels for an unweighted point.
     double dot_radius_px = 1.0;
     /// When the input carries density counts: radius scales with
@@ -89,7 +76,10 @@ class ScatterRenderer {
   Image Render(const Dataset& dataset, const Viewport& viewport) const;
 
   /// Renders a sample of `dataset`; density counts, when present, drive
-  /// per-dot radii.
+  /// per-dot radii. Two phases: an SoA viewport-transform pass over
+  /// chunked coordinate arrays (branch-free, auto-vectorizable), then a
+  /// blit of each dot's row spans from stencils cached per radius, in
+  /// sample order so later dots win overlaps.
   Image RenderSample(const Dataset& dataset, const SampleSet& sample,
                      const Viewport& viewport) const;
 
@@ -112,10 +102,6 @@ class ScatterRenderer {
 
  private:
   void DrawDot(Image& img, long cx, long cy, double radius, Rgb color) const;
-  Image RenderSampleScalar(const Dataset& dataset, const SampleSet& sample,
-                           const Viewport& viewport) const;
-  Image RenderSampleBinned(const Dataset& dataset, const SampleSet& sample,
-                           const Viewport& viewport) const;
 
   Options options_;
 };

@@ -80,9 +80,9 @@ class PlotService {
     /// Renderer styling for tiles; width/height are overridden per tile
     /// with tile_px.
     ScatterRenderer::Options renderer;
-    /// PNG encoding knobs for tile bytes. The default (row filtering +
-    /// fixed-Huffman DEFLATE) is what keeps tiles small on the wire;
-    /// PngEncodeOptions::Stored() restores the legacy raw-size stream.
+    /// PNG encoding of tile bytes: every tile is row-filtered and
+    /// fixed-Huffman DEFLATE compressed; the matcher's search depth is
+    /// the one setting.
     PngEncodeOptions png;
     /// Colormap for ?style=heatmap tiles.
     ColormapKind heatmap_colormap = ColormapKind::kViridis;

@@ -55,26 +55,4 @@ TileKey TileGrid::TileAt(uint32_t z, Point p) const {
   return TileKey{z, clamp_index(fx), clamp_index(fy)};
 }
 
-std::vector<TileKey> TileGrid::CoveringTiles(uint32_t z,
-                                             const Rect& viewport) const {
-  std::vector<TileKey> tiles;
-  if (viewport.empty() || !viewport.Intersects(world_)) return tiles;
-  // Clamp to the world, then read the index ranges off the two corner
-  // tiles (north-west and south-east).
-  Rect v = Rect::Of(std::max(viewport.min_x, world_.min_x),
-                    std::max(viewport.min_y, world_.min_y),
-                    std::min(viewport.max_x, world_.max_x),
-                    std::min(viewport.max_y, world_.max_y));
-  TileKey nw = TileAt(z, Point{v.min_x, v.max_y});
-  TileKey se = TileAt(z, Point{v.max_x, v.min_y});
-  tiles.reserve(static_cast<size_t>(se.x - nw.x + 1) *
-                static_cast<size_t>(se.y - nw.y + 1));
-  for (uint32_t y = nw.y; y <= se.y; ++y) {
-    for (uint32_t x = nw.x; x <= se.x; ++x) {
-      tiles.push_back(TileKey{z, x, y});
-    }
-  }
-  return tiles;
-}
-
 }  // namespace vas

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "geom/point.h"
 #include "geom/rect.h"
@@ -71,12 +70,6 @@ class TileGrid {
   /// The tile containing `p` at zoom `z`; points outside the world are
   /// clamped into the border tiles, so every point maps to one tile.
   TileKey TileAt(uint32_t z, Point p) const;
-
-  /// Every tile at zoom `z` intersecting `viewport`, row-major from the
-  /// north-west corner. Indices are clamped to the grid, so a viewport
-  /// hanging over the world edge yields only real tiles. An empty
-  /// viewport (or one entirely outside the world) yields no tiles.
-  std::vector<TileKey> CoveringTiles(uint32_t z, const Rect& viewport) const;
 
  private:
   Rect world_;

@@ -1,5 +1,7 @@
 #include "render/deflate.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <random>
 #include <string>
@@ -25,6 +27,32 @@ std::string RoundTrip(const std::string& raw, const DeflateOptions& options) {
   auto decoded = ZlibDecompress(compressed);
   EXPECT_TRUE(decoded.ok()) << decoded.status().message();
   return decoded.ok() ? *decoded : std::string("<decode failed>");
+}
+
+/// A zlib stream of stored DEFLATE blocks (RFC 1951 §3.2.4) of at most
+/// 65535 bytes each: a BFINAL/BTYPE=00 byte, LEN and NLEN, then the
+/// bytes. An empty input is one empty final block. ZlibCompress emits
+/// only fixed-Huffman blocks; this feeds the inflater's stored branch.
+std::string StoredZlibStream(const std::string& raw) {
+  std::string out("\x78\x01", 2);
+  size_t offset = 0;
+  do {
+    size_t block = std::min<size_t>(raw.size() - offset, 65535);
+    bool final = offset + block == raw.size();
+    out.push_back(final ? '\x01' : '\x00');
+    uint16_t len = static_cast<uint16_t>(block);
+    out.push_back(static_cast<char>(len & 0xff));
+    out.push_back(static_cast<char>((len >> 8) & 0xff));
+    out.push_back(static_cast<char>(~len & 0xff));
+    out.push_back(static_cast<char>((~len >> 8) & 0xff));
+    out.append(raw, offset, block);
+    offset += block;
+  } while (offset < raw.size());
+  uint32_t adler = Adler32(raw);
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>((adler >> shift) & 0xff));
+  }
+  return out;
 }
 
 /// `n` bytes from the raw mt19937 stream reduced mod `alphabet`. Unlike
@@ -56,13 +84,11 @@ std::string GoldenStreams(const std::function<std::string(size_t)>& make) {
   return all;
 }
 
-TEST(DeflateTest, EmptyInputRoundTripsBothStrategies) {
-  for (auto strategy : {DeflateOptions::Strategy::kStored,
-                        DeflateOptions::Strategy::kFixedHuffman}) {
-    DeflateOptions options;
-    options.strategy = strategy;
-    EXPECT_EQ(RoundTrip("", options), "");
-  }
+TEST(DeflateTest, EmptyInputRoundTripsBothBlockTypes) {
+  EXPECT_EQ(RoundTrip("", DeflateOptions{}), "");
+  auto stored = ZlibDecompress(StoredZlibStream(""));
+  ASSERT_TRUE(stored.ok()) << stored.status().message();
+  EXPECT_EQ(*stored, "");
 }
 
 TEST(DeflateTest, SmallStringsRoundTrip) {
@@ -145,12 +171,13 @@ TEST(DeflateTest, RepetitiveTextBeatsStored) {
   for (int i = 0; i < 500; ++i) {
     raw += "the quick brown fox jumps over the lazy dog; ";
   }
-  DeflateOptions stored;
-  stored.strategy = DeflateOptions::Strategy::kStored;
   std::string fixed = ZlibCompress(raw);
-  std::string flat = ZlibCompress(raw, stored);
+  // Stored blocks cost the raw bytes, 5 per 65535-byte block, and the
+  // zlib header and Adler-32 (6).
+  const size_t blocks = (raw.size() + 65534) / 65535;
+  const size_t stored = raw.size() + 5 * blocks + 6;
   EXPECT_EQ(RoundTrip(raw, DeflateOptions{}), raw);
-  EXPECT_LT(fixed.size(), flat.size() / 4);
+  EXPECT_LT(fixed.size(), stored / 4);
 }
 
 TEST(DeflateTest, MatchesSpanningWindowBoundaryRoundTrip) {
@@ -163,9 +190,6 @@ TEST(DeflateTest, MatchesSpanningWindowBoundaryRoundTrip) {
 TEST(DeflateTest, DeterministicAcrossRuns) {
   std::string raw = RandomBytes(50000, 11) + std::string(10000, 'x');
   EXPECT_EQ(ZlibCompress(raw), ZlibCompress(raw));
-  DeflateOptions stored;
-  stored.strategy = DeflateOptions::Strategy::kStored;
-  EXPECT_EQ(ZlibCompress(raw, stored), ZlibCompress(raw, stored));
 }
 
 TEST(DeflateTest, ChainDepthTradesSizeForNothingElse) {
@@ -186,11 +210,13 @@ TEST(DeflateTest, ChainDepthTradesSizeForNothingElse) {
   EXPECT_LE(b.size(), a.size());
 }
 
-TEST(DeflateTest, StoredStrategyRoundTripsLargeInput) {
-  DeflateOptions stored;
-  stored.strategy = DeflateOptions::Strategy::kStored;
+TEST(DeflateTest, StoredBlocksDecodeLargeInput) {
   std::string raw = RandomBytes(150000, 3);
-  EXPECT_EQ(RoundTrip(raw, stored), raw);
+  std::string stream = StoredZlibStream(raw);
+  EXPECT_EQ(stream.size(), raw.size() + 3 * 5 + 6);  // three blocks
+  auto decoded = ZlibDecompress(stream);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(*decoded, raw);
 }
 
 TEST(DeflateTest, Adler32MatchesKnownVectors) {

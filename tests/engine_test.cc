@@ -83,10 +83,6 @@ TEST(SampleCatalogTest, BuildsLadderAndChooses) {
   ASSERT_EQ(catalog.samples().size(), 3u);
   EXPECT_EQ(catalog.samples()[0].size(), 100u);
   EXPECT_TRUE(catalog.samples()[0].has_density());
-
-  EXPECT_EQ(catalog.ChooseBySize(1200).size(), 1000u);
-  EXPECT_EQ(catalog.ChooseBySize(10).size(), 100u);  // smallest fallback
-  EXPECT_EQ(catalog.ChooseBySize(1000000).size(), 5000u);
 }
 
 TEST(SampleCatalogTest, LadderClampsToDatasetSize) {

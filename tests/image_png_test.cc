@@ -1,12 +1,13 @@
 // Image::EncodePng / WritePng: the self-contained encoder (per-row
-// filtering + fixed-Huffman DEFLATE, with a stored fallback) must
-// produce structurally valid PNGs that decode back to the exact pixels
-// — verified via chunk/CRC parsing here plus the reference inflater in
-// render/deflate and an independent unfilter pass — plus byte-level
-// goldens for both strategies, a differential check of the row-filter
-// choice against a scalar reference chooser, determinism (the tile
-// cache's byte-identity contract), zero-size and >65535-byte-row edge
-// cases, and a compression-wins check on renderer-like content.
+// filtering + fixed-Huffman DEFLATE) must produce structurally valid
+// PNGs that decode back to the exact pixels — verified via chunk/CRC
+// parsing here plus the reference inflater in render/deflate and an
+// independent unfilter pass — plus length+CRC goldens of the served
+// bytes, a differential check of the row-filter choice against a
+// scalar reference chooser, determinism (the tile cache's
+// byte-identity contract), zero-size and >65535-byte-row edge cases,
+// and a compression-wins check on renderer-like content against the
+// closed-form stored-stream size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,7 +207,7 @@ Image HeatmapLikeTile() {
 }
 
 /// 22000 px * 3 + 1 filter byte = 66001 bytes per scanline — wider
-/// than one 65535-byte stored block.
+/// than one 65535-byte stored block and than DEFLATE's 32 KiB window.
 Image WideImage() {
   Image image(22000, 2);
   for (size_t x = 0; x < image.width(); ++x) {
@@ -299,9 +300,9 @@ std::string RefScanlines(const Image& image) {
   return raw;
 }
 
-void ExpectDecodesBack(const Image& image, const PngEncodeOptions& options) {
+void ExpectDecodesBack(const Image& image) {
   DecodedPng decoded;
-  ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(options), &decoded));
+  ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(), &decoded));
   ASSERT_EQ(decoded.width, image.width());
   ASSERT_EQ(decoded.height, image.height());
   EXPECT_EQ(decoded.bit_depth, 8);
@@ -318,27 +319,12 @@ void ExpectDecodesBack(const Image& image, const PngEncodeOptions& options) {
   }
 }
 
-TEST(ImagePngTest, GoldenBytesForTinyImageStored) {
-  // Byte-for-byte golden (independently generated) for the stored
-  // fallback: it must stay wire-identical to the pre-DEFLATE encoder.
-  Image image(2, 1);
-  image.Set(0, 0, Rgb{255, 0, 0});
-  image.Set(1, 0, Rgb{0, 128, 255});
-  const std::string expected(
-      "\x89\x50\x4e\x47\x0d\x0a\x1a\x0a\x00\x00\x00\x0d"
-      "\x49\x48\x44\x52\x00\x00\x00\x02\x00\x00\x00\x01"
-      "\x08\x02\x00\x00\x00\x7b\x40\xe8\xdd\x00\x00\x00"
-      "\x12\x49\x44\x41\x54\x78\x01\x01\x07\x00\xf8\xff"
-      "\x00\xff\x00\x00\x00\x80\xff\x08\x00\x02\x7f\xd5"
-      "\x70\x6e\xaa\x00\x00\x00\x00\x49\x45\x4e\x44\xae"
-      "\x42\x60\x82",
-      75);
-  EXPECT_EQ(image.EncodePng(PngEncodeOptions::Stored()), expected);
-}
-
 TEST(ImagePngTest, StoredPngBytesMatchesTheStoredStream) {
-  // The closed-form size of the unfiltered, stored-block stream at the
-  // sizes the byte gates use, across one and several 65535-byte blocks.
+  // The closed-form size of the unfiltered, stored-block stream the
+  // byte gates compare against, across one and several 65535-byte
+  // blocks. The sizes were recorded from the library's stored encoder
+  // (filter type 0 on every row, stored DEFLATE blocks), since removed;
+  // 2x1 is the 75-byte stream it emitted for that image.
   struct Size {
     size_t width;
     size_t height;
@@ -355,11 +341,6 @@ TEST(ImagePngTest, StoredPngBytesMatchesTheStoredStream) {
   };
   for (const Size& size : sizes) {
     EXPECT_EQ(test::StoredPngBytes(size.width, size.height), size.bytes)
-        << size.width << "x" << size.height;
-    EXPECT_EQ(Image(size.width, size.height)
-                  .EncodePng(PngEncodeOptions::Stored())
-                  .size(),
-              size.bytes)
         << size.width << "x" << size.height;
   }
 }
@@ -432,21 +413,19 @@ TEST(ImagePngTest, FilterChoiceMatchesReferenceChooser) {
 }
 
 TEST(ImagePngTest, RoundTripsThroughIndependentDecoder) {
-  ExpectDecodesBack(TestPattern(31, 17), PngEncodeOptions{});
-  ExpectDecodesBack(TestPattern(31, 17), PngEncodeOptions::Stored());
+  ExpectDecodesBack(TestPattern(31, 17));
 }
 
 TEST(ImagePngTest, SinglePixelRoundTrips) {
   Image image(1, 1, Rgb{1, 2, 3});
-  ExpectDecodesBack(image, PngEncodeOptions{});
-  ExpectDecodesBack(image, PngEncodeOptions::Stored());
+  ExpectDecodesBack(image);
 }
 
 TEST(ImagePngTest, FlatAndGradientImagesRoundTripFiltered) {
   // Flat fill: Up filter zeroes everything after row 0. Gradient: Sub
   // residuals are constant. Both exercise the filter heuristic.
   Image flat(64, 48, Rgb{30, 60, 90});
-  ExpectDecodesBack(flat, PngEncodeOptions{});
+  ExpectDecodesBack(flat);
   Image gradient(64, 48);
   for (size_t y = 0; y < 48; ++y) {
     for (size_t x = 0; x < 64; ++x) {
@@ -455,7 +434,7 @@ TEST(ImagePngTest, FlatAndGradientImagesRoundTripFiltered) {
                        static_cast<uint8_t>(x + y)});
     }
   }
-  ExpectDecodesBack(gradient, PngEncodeOptions{});
+  ExpectDecodesBack(gradient);
 }
 
 TEST(ImagePngTest, FilteredDeflateBeatsStoredOnRendererContent) {
@@ -464,16 +443,15 @@ TEST(ImagePngTest, FilteredDeflateBeatsStoredOnRendererContent) {
   // gate is 40%; assert a loose 60% here on a small image).
   Image image = DotTile();
   size_t fixed = image.EncodePng().size();
-  size_t stored = image.EncodePng(PngEncodeOptions::Stored()).size();
+  size_t stored = test::StoredPngBytes(image.width(), image.height());
   EXPECT_LT(fixed, stored * 6 / 10);
 }
 
 TEST(ImagePngTest, RowsWiderThanStoredBlockRoundTrip) {
-  // A single row must span a stored-block boundary and still decode
-  // exactly. Covers both strategies.
+  // A single row longer than a stored block and than the match window
+  // must still decode exactly.
   Image image = WideImage();
-  ExpectDecodesBack(image, PngEncodeOptions::Stored());
-  ExpectDecodesBack(image, PngEncodeOptions{});
+  ExpectDecodesBack(image);
 }
 
 TEST(ImagePngTest, ZeroSizedImagesEncodeEmptyAndRefuseWrite) {
@@ -491,8 +469,6 @@ TEST(ImagePngTest, ZeroSizedImagesEncodeEmptyAndRefuseWrite) {
 TEST(ImagePngTest, EncodingIsDeterministic) {
   Image image = TestPattern(64, 64);
   EXPECT_EQ(image.EncodePng(), image.EncodePng());
-  EXPECT_EQ(image.EncodePng(PngEncodeOptions::Stored()),
-            image.EncodePng(PngEncodeOptions::Stored()));
 }
 
 class ImagePngFileTest : public test::TempFileTest {

@@ -238,16 +238,10 @@ TEST(VizTimeModelTest, CalibratedAgainstPaperFigure2) {
               2.0, 0.1);
 }
 
-// --- Scalar vs binned pipeline identity. The binned (vectorized)
-// pipeline must be pixel-identical to the per-point scalar loop on any
-// input; the tile cache's byte-identity contract depends on it.
-
-Image RenderWith(ScatterRenderer::Options opt,
-                 ScatterRenderer::Options::Pipeline pipeline,
-                 const Dataset& d, const SampleSet& s, const Viewport& vp) {
-  opt.pipeline = pipeline;
-  return ScatterRenderer(opt).RenderSample(d, s, vp);
-}
+// --- Identity with the per-point reference. RenderSample's two-phase
+// (vectorized) pipeline must be pixel-identical to the scalar loop in
+// render_reference.h on any input; the tile cache's byte-identity
+// contract depends on it.
 
 void ExpectPixelIdentical(const Image& a, const Image& b) {
   ASSERT_EQ(a.width(), b.width());
@@ -261,12 +255,8 @@ void ExpectPixelIdentical(const Image& a, const Image& b) {
 
 void ExpectPipelinesAgree(ScatterRenderer::Options opt, const Dataset& d,
                           const SampleSet& s, const Viewport& vp) {
-  Image scalar =
-      RenderWith(opt, ScatterRenderer::Options::Pipeline::kScalar, d, s, vp);
-  Image binned =
-      RenderWith(opt, ScatterRenderer::Options::Pipeline::kBinned, d, s, vp);
-  ExpectPixelIdentical(scalar, binned);
-  ExpectPixelIdentical(scalar, test::RenderSampleScalar(opt, d, s, vp));
+  ExpectPixelIdentical(test::RenderSampleScalar(opt, d, s, vp),
+                       ScatterRenderer(opt).RenderSample(d, s, vp));
 }
 
 SampleSet EveryNth(const Dataset& d, size_t n, bool with_density) {
@@ -327,7 +317,7 @@ TEST(PipelineIdentityTest, EdgePointsAndLargeDots) {
     d.Add({0.0, 10.0 * t}, 0.0);
     d.Add({10.0, 10.0 * t}, 0.0);
   }
-  d.Add({10.1, 5.0}, 0.0);  // just outside: culled by both pipelines
+  d.Add({10.1, 5.0}, 0.0);  // just outside: culled by both renderers
   SampleSet s = EveryNth(d, 1, /*with_density=*/true);
   for (auto& dens : s.density) dens = 100000;  // forces max_dot_radius_px
   ScatterRenderer::Options opt;
@@ -336,8 +326,7 @@ TEST(PipelineIdentityTest, EdgePointsAndLargeDots) {
   opt.density_radius_scale = 2.0;
   Viewport vp(Rect::Of(0, 0, 10, 10), 64, 64);
   ExpectPipelinesAgree(opt, d, s, vp);
-  Image img =
-      RenderWith(opt, ScatterRenderer::Options::Pipeline::kBinned, d, s, vp);
+  Image img = ScatterRenderer(opt).RenderSample(d, s, vp);
   // The corner dot is clipped, not dropped: its quarter-disc shows up.
   EXPECT_FALSE(img.Get(0, 63) == opt.background);
   EXPECT_GT(img.InkFraction(opt.background), 0.0);
@@ -356,7 +345,7 @@ TEST(PipelineIdentityTest, SubPixelAndZeroRadiusDots) {
 }
 
 TEST(PipelineIdentityTest, NonFiniteValuesColorDotsWithDefinedColors) {
-  // A CSV value column accepts "nan" and "inf". Both pipelines must
+  // A CSV value column accepts "nan" and "inf". Both renderers must
   // color such dots alike and with a defined color: NaN values take the
   // low end of the map, and with -inf and +inf both in the sample the
   // range is infinite, so every value normalizes to NaN.
@@ -379,8 +368,7 @@ TEST(PipelineIdentityTest, NonFiniteValuesColorDotsWithDefinedColors) {
   const Rgb high = MapColor(opt.colormap, 1.0);
 
   ExpectPipelinesAgree(opt, d, s, vp);
-  Image img =
-      RenderWith(opt, ScatterRenderer::Options::Pipeline::kBinned, d, s, vp);
+  Image img = ScatterRenderer(opt).RenderSample(d, s, vp);
   for (const Point& p : d.points) EXPECT_EQ(color_at(img, p), low);
 
   // Over a fixed finite range, NaN takes the low end and the
@@ -388,7 +376,7 @@ TEST(PipelineIdentityTest, NonFiniteValuesColorDotsWithDefinedColors) {
   opt.value_lo = 0.0;
   opt.value_hi = 1.0;
   ExpectPipelinesAgree(opt, d, s, vp);
-  img = RenderWith(opt, ScatterRenderer::Options::Pipeline::kBinned, d, s, vp);
+  img = ScatterRenderer(opt).RenderSample(d, s, vp);
   EXPECT_EQ(color_at(img, d.points[0]), low);
   EXPECT_EQ(color_at(img, d.points[1]), high);
   EXPECT_EQ(color_at(img, d.points[2]), low);

@@ -42,22 +42,6 @@ TEST(SampleCatalogTest, DensityEmbeddingPartitionsDataset) {
   }
 }
 
-TEST(SampleCatalogTest, ChooseBySizeTakesLargestFittingRung) {
-  // SPLOM workload here: the catalog is per column pair, not per
-  // generator, so selection must behave identically on both datasets.
-  Dataset d = test::Splom(5000);
-  UniformReservoirSampler sampler(3);
-  SampleCatalog::Options opt;
-  opt.ladder = {100, 1000, 4000};
-  opt.embed_density = false;
-  SampleCatalog catalog(d, sampler, opt);
-  EXPECT_EQ(catalog.ChooseBySize(4000).size(), 4000u);
-  EXPECT_EQ(catalog.ChooseBySize(3999).size(), 1000u);
-  EXPECT_EQ(catalog.ChooseBySize(100).size(), 100u);
-  // Nothing fits: fall back to the smallest rung rather than serve nothing.
-  EXPECT_EQ(catalog.ChooseBySize(10).size(), 100u);
-}
-
 TEST(SampleCatalogTest, TimeBudgetSelectionMatchesCostModel) {
   Dataset d = test::Skewed(5000);
   UniformReservoirSampler sampler(4);
@@ -83,8 +67,6 @@ TEST(SampleCatalogTest, NoRungFitsTheBudgetFallsBackToSmallest) {
   // nothing (serving late beats serving nothing).
   EXPECT_EQ(catalog.ChooseForTimeBudget(0.0, slow).size(), 500u);
   EXPECT_EQ(catalog.ChooseForTimeBudget(-1.0, slow).size(), 500u);
-  EXPECT_EQ(catalog.ChooseBySize(0).size(), 500u);
-  EXPECT_EQ(catalog.ChooseBySize(499).size(), 500u);
 }
 
 TEST(SampleCatalogTest, TinyDatasetCollapsesLadderToOneServableRung) {
@@ -101,8 +83,6 @@ TEST(SampleCatalogTest, TinyDatasetCollapsesLadderToOneServableRung) {
   VizTimeModel model{1e-3, 0.0};
   EXPECT_EQ(catalog.ChooseForTimeBudget(100.0, model).size(), 7u);
   EXPECT_EQ(catalog.ChooseForTimeBudget(0.0, model).size(), 7u);
-  EXPECT_EQ(catalog.ChooseBySize(1).size(), 7u);
-  EXPECT_EQ(catalog.ChooseBySize(1000000).size(), 7u);
 }
 
 class CatalogRoundTripTest : public test::TempFileTest {

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "geom/rect.h"
 #include "index/uniform_grid.h"
@@ -126,36 +125,11 @@ TEST(TileMathTest, DegenerateWorldsNormalizeToPositiveArea) {
   EXPECT_EQ(TileGrid(kWorld).world(), kWorld);
 }
 
-TEST(TileMathTest, CoveringTilesOfTheWholeWorldIsRowMajorComplete) {
-  TileGrid grid(kWorld);
-  const uint32_t z = 2;
-  std::vector<TileKey> tiles = grid.CoveringTiles(z, kWorld);
-  ASSERT_EQ(tiles.size(), 16u);
-  for (size_t i = 0; i < tiles.size(); ++i) {
-    EXPECT_EQ(tiles[i], (TileKey{z, static_cast<uint32_t>(i % 4),
-                                 static_cast<uint32_t>(i / 4)}));
-  }
-}
-
-TEST(TileMathTest, CoveringTilesClampToTheGrid) {
-  TileGrid grid(kWorld);
-  // A viewport hanging over the north-west world corner yields only the
-  // corner tile, not negative indices.
-  Rect over = Rect::Of(kWorld.min_x - 50.0, kWorld.max_y - 1.0,
-                       kWorld.min_x + 1.0, kWorld.max_y + 50.0);
-  std::vector<TileKey> tiles = grid.CoveringTiles(3, over);
-  ASSERT_EQ(tiles.size(), 1u);
-  EXPECT_EQ(tiles[0], (TileKey{3, 0, 0}));
-
-  EXPECT_TRUE(grid.CoveringTiles(3, Rect()).empty());
-  EXPECT_TRUE(
-      grid.CoveringTiles(3, Rect::Of(100.0, 100.0, 101.0, 101.0)).empty());
-}
-
 TEST(TileMathTest, ViewportDecompositionMatchesExactCounts) {
-  // The serving contract: fetching a viewport's covering tiles shows
-  // every point exactly once. Sum of exact counts over tile ∩ viewport
-  // must equal the exact count over the viewport itself, with
+  // The serving contract: fetching a viewport's covering tiles (every
+  // tile of the zoom whose bounds meet the viewport) shows every point
+  // exactly once. Sum of exact counts over tile ∩ viewport must equal
+  // the exact count over the viewport itself, with
   // UniformGrid::CountInRect (the engine's counting path) as oracle.
   Dataset data = test::Skewed(20000);
   Rect world = data.Bounds();
@@ -181,14 +155,17 @@ TEST(TileMathTest, ViewportDecompositionMatchesExactCounts) {
     size_t expected = counter.CountInRect(clipped, data.points);
     for (uint32_t z : {0u, 1u, 3u, 5u}) {
       size_t total = 0;
-      for (const TileKey& key : grid.CoveringTiles(z, viewport)) {
-        Rect tile = grid.TileBounds(key);
-        Rect cell = Rect::Of(std::max(tile.min_x, clipped.min_x),
-                             std::max(tile.min_y, clipped.min_y),
-                             std::min(tile.max_x, clipped.max_x),
-                             std::min(tile.max_y, clipped.max_y));
-        if (cell.empty()) continue;
-        total += counter.CountInRect(cell, data.points);
+      const uint32_t per_axis = TileGrid::TilesPerAxis(z);
+      for (uint32_t y = 0; y < per_axis; ++y) {
+        for (uint32_t x = 0; x < per_axis; ++x) {
+          Rect tile = grid.TileBounds(TileKey{z, x, y});
+          if (!tile.Intersects(viewport)) continue;
+          Rect cell = Rect::Of(std::max(tile.min_x, clipped.min_x),
+                               std::max(tile.min_y, clipped.min_y),
+                               std::min(tile.max_x, clipped.max_x),
+                               std::min(tile.max_y, clipped.max_y));
+          total += counter.CountInRect(cell, data.points);
+        }
       }
       EXPECT_EQ(total, expected) << "zoom " << z;
     }
