@@ -37,7 +37,7 @@ InteractiveSession::InteractiveSession(std::shared_ptr<const Dataset> dataset,
   VAS_CHECK(manager_ != nullptr);
 }
 
-InteractiveSession::PlotResult InteractiveSession::RequestPlot(
+StatusOr<InteractiveSession::PlotResult> InteractiveSession::Plot(
     const PlotRequest& request) const {
   // Resolve the catalog to serve from. The manager path re-resolves on
   // every request so the ladder upgrades as background rungs land; the
@@ -46,19 +46,15 @@ InteractiveSession::PlotResult InteractiveSession::RequestPlot(
   std::shared_ptr<const SampleCatalog> snapshot;
   PlotResult result;
   if (manager_ != nullptr) {
-    auto resolved = manager_->WaitForFirstRung(key_);
-    VAS_CHECK_MSG(resolved.ok(),
-                  "session serving an unregistered catalog: " +
-                      key_.ToString());
-    snapshot = std::move(*resolved);
+    VAS_ASSIGN_OR_RETURN(snapshot, manager_->WaitForFirstRung(key_));
     catalog = snapshot.get();
-    auto status = manager_->GetStatus(key_);
-    VAS_CHECK(status.ok());
+    VAS_ASSIGN_OR_RETURN(CatalogManager::BuildStatus status,
+                         manager_->GetStatus(key_));
     // Ready count comes from the snapshot actually served, not the
     // build's live status — more rungs may have landed in between, and
     // the result must describe the ladder this plot was drawn from.
     result.catalog_rungs_ready = catalog->samples().size();
-    result.catalog_rungs_total = status->rungs_total;
+    result.catalog_rungs_total = status.rungs_total;
   } else {
     result.catalog_rungs_ready = catalog->samples().size();
     result.catalog_rungs_total = catalog->samples().size();
@@ -92,6 +88,13 @@ InteractiveSession::PlotResult InteractiveSession::RequestPlot(
   result.estimated_viz_seconds = model_.SecondsFor(result.tuples.size());
   result.estimated_full_viz_seconds = model_.SecondsFor(full_matches);
   return result;
+}
+
+InteractiveSession::PlotResult InteractiveSession::RequestPlot(
+    const PlotRequest& request) const {
+  StatusOr<PlotResult> result = Plot(request);
+  VAS_CHECK_MSG(result.ok(), result.status().ToString());
+  return std::move(result).value();
 }
 
 size_t InteractiveSession::CountInViewport(const Rect& viewport) const {

@@ -22,6 +22,7 @@
 #include "engine/table.h"
 #include "geom/rect.h"
 #include "index/uniform_grid.h"
+#include "util/status.h"
 
 namespace vas {
 
@@ -72,7 +73,16 @@ class InteractiveSession {
   /// Serves one plot request from the best catalog available right
   /// now. Manager-backed sessions block only while no rung exists yet
   /// (time-to-first-plot = smallest rung's build time, not the full
-  /// ladder's).
+  /// ladder's), and return the manager's error when it cannot hand
+  /// over a ladder: NotFound once the key has been dropped, Internal
+  /// ("spill file corrupt") when a spilled ladder's file fails to read
+  /// back. A session that owns its catalog always succeeds.
+  StatusOr<PlotResult> Plot(const PlotRequest& request) const;
+
+  /// Plot() for callers that treat failure as a bug: aborts on an
+  /// error. Use it only for a session that owns its catalog, or a
+  /// manager-backed one whose key can neither be dropped nor spilled
+  /// meanwhile; a server answering requests calls Plot().
   PlotResult RequestPlot(const PlotRequest& request) const;
 
   const Dataset& dataset() const { return *dataset_; }
@@ -91,7 +101,7 @@ class InteractiveSession {
 
   /// Cell-aggregate index over dataset_->points for viewport counting.
   /// One O(n) build amortized across every plot of the session; guarded
-  /// by call_once so concurrent RequestPlot callers stay race-free.
+  /// by call_once so concurrent Plot callers stay race-free.
   mutable std::once_flag count_grid_once_;
   mutable std::unique_ptr<UniformGrid> count_grid_;
 };

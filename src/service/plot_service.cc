@@ -27,8 +27,7 @@ StatusOr<TileStyle> ParseTileStyle(const std::string& name) {
 
 PlotService::PlotService(const Options& options)
     : options_(options),
-      cache_(TileCache::Options{options.tile_cache_budget_bytes,
-                                options.tile_cache_shards}) {
+      cache_(TileCache::Options{options.tile_cache_budget_bytes}) {
   if (options_.registry != nullptr) {
     registry_ = options_.registry;
   } else {
@@ -366,7 +365,8 @@ StatusOr<PlotService::ViewportInfo> PlotService::QueryViewport(
   InteractiveSession::PlotRequest request;
   request.viewport = viewport;
   request.time_budget_seconds = time_budget_seconds;
-  InteractiveSession::PlotResult plot = state.session->RequestPlot(request);
+  VAS_ASSIGN_OR_RETURN(InteractiveSession::PlotResult plot,
+                       state.session->Plot(request));
   ViewportInfo info;
   info.sample_size = plot.catalog_sample_size;
   info.sample_points_in_viewport = plot.tuples.size();

@@ -261,6 +261,31 @@ TEST(CatalogManagerTest, SessionBlocksOnlyUntilFirstRung) {
   EXPECT_GE(plot.tuples.size(), 100u);
 }
 
+TEST(CatalogManagerTest, SessionOfADroppedKeyGetsNotFound) {
+  // A session can outlive its key: PlotService hands a table's session
+  // out before a concurrent DropTable lands. Plot then answers NotFound
+  // instead of aborting the process.
+  CatalogManager manager(1);
+  CatalogKey key{"geo"};
+  auto d = std::make_shared<Dataset>(test::Skewed(3000));
+  d->CacheBounds();
+  ASSERT_TRUE(manager
+                  .StartBuild(key, d, UniformFactory(9),
+                              NoDensityLadder({100, 500}))
+                  .ok());
+  ASSERT_TRUE(manager.WaitUntilDone(key).ok());
+  InteractiveSession session(d, &manager, key, VizTimeModel{1e-6, 0.0});
+  InteractiveSession::PlotRequest req;
+  auto served = session.Plot(req);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->catalog_rungs_ready, 2u);
+
+  ASSERT_TRUE(manager.Drop(key).ok());
+  auto dropped = session.Plot(req);
+  EXPECT_EQ(dropped.status().code(), StatusCode::kNotFound)
+      << dropped.status().ToString();
+}
+
 TEST(CatalogManagerTest, RejectsNullDataset) {
   CatalogManager manager(1);
   EXPECT_FALSE(manager

@@ -941,6 +941,43 @@ TEST(PlotServiceTest, SingleFlightWaitersGetTheRendersError) {
   EXPECT_GT(waiters, 0u) << "no caller ever waited on an elected render";
 }
 
+TEST(PlotServiceTest, PlotOfADamagedCatalogFileReturnsTheManagersError) {
+  // /plot reads a mapped table's ladder back into memory. When a data
+  // page fails its CRC, QueryViewport returns the manager's Internal
+  // error on every call instead of aborting the process.
+  auto dataset = SkewedShared(20000);
+  UniformReservoirSampler sampler(84);
+  SampleCatalog catalog(*dataset, sampler, Ladder({500, 5000}));
+  test::ScopedTempFile file("plot_service_damaged_plot.vascat");
+  CatalogWriteOptions write;
+  write.dataset = dataset.get();
+  ASSERT_TRUE(WriteCatalogPaged(catalog, file.path(), write).ok());
+  {
+    // Flip a payload byte of data page 1. The footer's second u64, 40
+    // bytes from the end, is the page size.
+    std::fstream f(file.path(),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-40, std::ios::end);
+    uint64_t page_size = 0;
+    f.read(reinterpret_cast<char*>(&page_size), sizeof(page_size));
+    f.seekp(static_cast<std::streamoff>(page_size + 8));
+    f.put('\x5a');
+    ASSERT_TRUE(f.good());
+  }
+
+  PlotService service;
+  ASSERT_TRUE(service.LoadTable("geo", dataset, file.path()).ok());
+  for (int call = 0; call < 2; ++call) {
+    auto info = service.QueryViewport("geo", Rect(), 2.0);
+    ASSERT_FALSE(info.ok()) << "call " << call;
+    EXPECT_EQ(info.status().code(), StatusCode::kInternal)
+        << info.status().ToString();
+    EXPECT_NE(info.status().message().find("spill file corrupt"),
+              std::string::npos)
+        << info.status().ToString();
+  }
+}
+
 TEST(PlotServiceTest, GetTableReportsWorldAndBuildState) {
   PlotService service;
   auto dataset = SkewedShared(2500);
