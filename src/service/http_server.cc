@@ -684,7 +684,7 @@ bool HttpServer::DispatchRequest(Conn* conn, const std::string& head_text) {
   // The keep-alive decision depends only on the request and this
   // connection's history, so it is made here; the worker re-checks
   // stopping_ when it serializes, and may only downgrade to close.
-  bool keep_alive = options_.keep_alive && !has_body && !stopping_.load();
+  bool keep_alive = !has_body && !stopping_.load();
   if (keep_alive) {
     auto connection = request.headers.find("connection");
     const std::string& token =

@@ -98,15 +98,12 @@ class HttpServer {
     /// in (-> 408), and on how long a buffered response may sit with
     /// no write progress before the connection is dropped.
     int io_timeout_seconds = 10;
-    /// Serve multiple requests per connection (HTTP/1.1 keep-alive).
-    /// When false every response carries `Connection: close`, the
-    /// pre-keep-alive behavior.
-    bool keep_alive = true;
     /// How long an idle keep-alive socket may sit between requests
     /// before the server closes it and frees the fd.
     int idle_timeout_ms = 5000;
     /// Requests served over one connection before the server closes it
-    /// (`Connection: close` on the final response). 0 = unlimited.
+    /// (`Connection: close` on the final response). 0 = unlimited; 1 =
+    /// no keep-alive, every response closes its connection.
     size_t max_requests_per_connection = 1000;
     /// Concurrent connections accepted; beyond this the server answers
     /// 503 (best-effort, never blocking the event loop) and closes.

@@ -56,9 +56,9 @@ class PlotService {
     CatalogManager::Options catalog;
     /// Tile edge in pixels (tiles are square).
     size_t tile_px = 256;
-    /// Byte budget and sharding of the encoded-tile cache.
+    /// Byte budget of the encoded-tile cache (sharded as
+    /// TileCache::Options' default).
     size_t tile_cache_budget_bytes = 64ull << 20;
-    size_t tile_cache_shards = 8;
     /// Interactivity budget a tile render may spend: the served rung is
     /// the largest whose estimated viz time fits (paper §II-D policy).
     double tile_time_budget_seconds = 2.0;

@@ -412,24 +412,30 @@ TEST(HttpKeepAliveTest, IdleSocketIsClosedAfterIdleTimeout) {
 }
 
 TEST(HttpKeepAliveTest, MaxRequestsPerConnectionCapCloses) {
-  HttpServer::Options options = EphemeralPort();
-  options.max_requests_per_connection = 2;
-  HttpServer server(options, [](const HttpRequest&) {
-    HttpResponse response;
-    response.body = "ok";
-    return response;
-  });
-  ASSERT_TRUE(server.Start().ok());
-  auto client = HttpClient::Connect(server.port());
-  ASSERT_TRUE(client.ok());
-  auto first = client->Get("/1");
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->headers["connection"], "keep-alive");
-  auto second = client->Get("/2");
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->headers["connection"], "close")
-      << "the capped response must announce the close";
-  EXPECT_FALSE(client->connected());
+  // A cap of 1 turns keep-alive off: every connection closes after its
+  // first response.
+  for (size_t cap : {1u, 2u}) {
+    HttpServer::Options options = EphemeralPort();
+    options.max_requests_per_connection = cap;
+    HttpServer server(options, [](const HttpRequest&) {
+      HttpResponse response;
+      response.body = "ok";
+      return response;
+    });
+    ASSERT_TRUE(server.Start().ok());
+    auto client = HttpClient::Connect(server.port());
+    ASSERT_TRUE(client.ok());
+    for (size_t i = 1; i < cap; ++i) {
+      auto kept = client->Get("/" + std::to_string(i));
+      ASSERT_TRUE(kept.ok());
+      EXPECT_EQ(kept->headers["connection"], "keep-alive") << "cap " << cap;
+    }
+    auto last = client->Get("/" + std::to_string(cap));
+    ASSERT_TRUE(last.ok());
+    EXPECT_EQ(last->headers["connection"], "close")
+        << "the capped response must announce the close; cap " << cap;
+    EXPECT_FALSE(client->connected()) << "cap " << cap;
+  }
 }
 
 TEST(HttpKeepAliveTest, ConnectionLimitRefusesWith503) {
@@ -458,23 +464,6 @@ TEST(HttpKeepAliveTest, ConnectionLimitRefusesWith503) {
   auto admitted = HttpGet(server.port(), "/z");
   ASSERT_TRUE(admitted.ok());
   EXPECT_EQ(admitted->status, 200);
-}
-
-TEST(HttpKeepAliveTest, KeepAliveDisabledClosesEveryConnection) {
-  HttpServer::Options options = EphemeralPort();
-  options.keep_alive = false;
-  HttpServer server(options, [](const HttpRequest&) {
-    HttpResponse response;
-    response.body = "ok";
-    return response;
-  });
-  ASSERT_TRUE(server.Start().ok());
-  auto client = HttpClient::Connect(server.port());
-  ASSERT_TRUE(client.ok());
-  auto result = client->Get("/x");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->headers["connection"], "close");
-  EXPECT_FALSE(client->connected());
 }
 
 TEST(HttpKeepAliveTest, StopClosesIdleKeepAliveSocketsPromptly) {

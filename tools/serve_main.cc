@@ -106,14 +106,11 @@ int ServeMain(int argc, char** argv) {
                "tile cache byte budget (64 MiB default)");
   flags.Define("tile-budget", "2.0",
                "per-tile interactivity budget in seconds (picks the rung)");
-  flags.Define("keep-alive", "true",
-               "serve multiple requests per connection (HTTP/1.1 "
-               "keep-alive); false = close after every response");
   flags.Define("idle-timeout-ms", "5000",
                "close keep-alive sockets idle for this long");
   flags.Define("max-requests-per-conn", "1000",
                "requests served per connection before closing (0 = "
-               "unlimited)");
+               "unlimited, 1 = no keep-alive)");
   flags.Define("max-connections", "0",
                "concurrent connections; beyond this new sockets get a "
                "best-effort 503 (0 = derive from the fd rlimit, enough "
@@ -252,7 +249,6 @@ int ServeMain(int argc, char** argv) {
   server_options.bind_address = flags.GetString("address");
   server_options.num_threads =
       static_cast<size_t>(flags.GetInt("http-threads"));
-  server_options.keep_alive = flags.GetBool("keep-alive");
   server_options.idle_timeout_ms =
       static_cast<int>(flags.GetInt("idle-timeout-ms"));
   server_options.max_requests_per_connection =
