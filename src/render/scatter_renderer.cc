@@ -30,12 +30,12 @@ struct TransformScratch {
   std::array<double, kTransformChunk> inside;
 };
 
-/// Phase one of the two-phase pipeline and the auto-vectorization
-/// target: contiguous loads, no branches (the ternaries lower to
-/// min/max and compare-blend under -fno-trapping-math), all lanes
-/// independent. Mirrors Viewport::ToPixel bit for bit (same divides,
-/// same operation order, same truncation), so tiles stay pixel-identical
-/// to a per-point ToPixel loop (tests/render_reference.h). Out-of-viewport
+/// Phase one of the binned pipeline and the auto-vectorization target:
+/// contiguous loads, no branches (the ternaries lower to min/max and
+/// compare-blend under -fno-trapping-math), all lanes independent.
+/// Mirrors Viewport::ToPixel bit for bit (same divides, same operation
+/// order, same truncation) so the binned pipeline stays pixel-identical
+/// to the scalar reference in tests/render_reference.h. Out-of-viewport
 /// lanes get inside=0.0; their pixel values are clamped into a cast-safe
 /// range and otherwise meaningless.
 void TransformToPixels(const double* __restrict__ xs,
@@ -96,7 +96,7 @@ DotStencil BuildStencil(double radius) {
   return s;
 }
 
-/// Phase two of the two-phase pipeline: stamps a stencil as row fills,
+/// Phase two of the binned pipeline: stamps a stencil as row fills,
 /// clamped to the raster once per row instead of bounds-checking every
 /// pixel. Paints exactly the pixels DrawDot would.
 void StampDot(Image& img, long cx, long cy, const DotStencil& s, Rgb color) {
