@@ -320,11 +320,9 @@ void ExpectDecodesBack(const Image& image) {
 }
 
 TEST(ImagePngTest, StoredPngBytesMatchesTheStoredStream) {
-  // The closed-form size of the unfiltered, stored-block stream the
-  // byte gates compare against, across one and several 65535-byte
-  // blocks. The sizes were recorded from the library's stored encoder
-  // (filter type 0 on every row, stored DEFLATE blocks), since removed;
-  // 2x1 is the 75-byte stream it emitted for that image.
+  // StoredPngBytes, the byte gates' baseline, against sizes measured
+  // from a stored-block encoder (filter type 0 on every row, blocks of
+  // at most 65535 bytes), across one and several blocks.
   struct Size {
     size_t width;
     size_t height;

@@ -71,7 +71,8 @@ TEST(SampleCatalogTest, NoRungFitsTheBudgetFallsBackToSmallest) {
 
 TEST(SampleCatalogTest, TinyDatasetCollapsesLadderToOneServableRung) {
   // Every configured rung exceeds the dataset: the ladder clamps to one
-  // full-dataset rung, and both selectors can only ever return it.
+  // full-dataset rung, and the time-budget selector can only ever
+  // return it.
   Dataset d = test::Skewed(7);
   UniformReservoirSampler sampler(7);
   SampleCatalog::Options opt;
