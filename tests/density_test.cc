@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "core/density.h"
 #include "core/interchange.h"
 #include "data/generators.h"
+#include "kdtree_reference.h"
+#include "sampling/stratified_sampler.h"
 #include "sampling/uniform_sampler.h"
 #include "test_util.h"
 
@@ -45,6 +48,63 @@ TEST(DensityTest, NearestAssignmentMatchesBruteForce) {
     ++brute[best];
   }
   EXPECT_EQ(s.density, brute);
+}
+
+Dataset FromPoints(const std::vector<Point>& points) {
+  Dataset d;
+  for (Point p : points) d.Add(p, 0.0);
+  return d;
+}
+
+TEST(DensityTest, MatchesReferenceOnTiesAndDuplicates) {
+  // Each tuple must land on the sample point the reference search picks,
+  // ties included, whatever order the tuples are visited in.
+  std::vector<test::TieInput> inputs = test::TieInputs();
+  inputs.push_back({"geolife", Skewed(50000).points});
+  for (const test::TieInput& input : inputs) {
+    Dataset d = FromPoints(input.points);
+    StratifiedSampler stratified;
+    UniformReservoirSampler uniform(5);
+    for (Sampler* sampler : {static_cast<Sampler*>(&stratified),
+                             static_cast<Sampler*>(&uniform)}) {
+      for (size_t k : {size_t{10}, size_t{1000}, size_t{10000}}) {
+        SCOPED_TRACE(input.name + " " + sampler->name() +
+                     " k=" + std::to_string(k));
+        SampleSet s = sampler->Sample(d, k);
+        EmbedDensity(d, &s);
+        EXPECT_EQ(s.density,
+                  test::ReferenceDensity(d, s.MaterializePoints(d)));
+      }
+    }
+  }
+}
+
+TEST(DensityTest, DegenerateBoundsMatchReference) {
+  // Zero-width bounds (every tuple the same point) and bounds whose
+  // width overflows to infinity still count every tuple once, at the
+  // reference's point.
+  Dataset same = FromPoints(std::vector<Point>(1000, Point{3.0, -2.0}));
+  SampleSet s;
+  s.ids = {3, 500, 999};
+  EmbedDensity(same, &s);
+  EXPECT_EQ(s.density,
+            test::ReferenceDensity(same, s.MaterializePoints(same)));
+
+  Dataset wide = FromPoints({{-1e308, 0.0},
+                             {1e308, 0.0},
+                             {0.0, 1e308},
+                             {0.0, -1e308},
+                             {0.0, 0.0},
+                             {1e308, 0.0},
+                             {0.0, 0.0},
+                             {1.0, 1.0}});
+  s.ids.resize(wide.size());
+  std::iota(s.ids.begin(), s.ids.end(), size_t{0});
+  EmbedDensity(wide, &s);
+  EXPECT_EQ(s.density,
+            test::ReferenceDensity(wide, s.MaterializePoints(wide)));
+  EXPECT_EQ(std::accumulate(s.density.begin(), s.density.end(), uint64_t{0}),
+            wide.size());
 }
 
 TEST(DensityTest, DenseRegionsGetBigCounts) {

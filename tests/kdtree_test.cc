@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "index/kdtree.h"
+#include "kdtree_reference.h"
 #include "util/random.h"
 
 namespace vas {
@@ -119,6 +120,25 @@ TEST_P(KdTreeRandomTest, RadiusQueryMatchesBruteForce) {
       if (SquaredDistance(pts[i], q) <= radius * radius) want.push_back(i);
     }
     EXPECT_EQ(got, want);
+  }
+}
+
+TEST(KdTreeTest, NearestMatchesReferenceOnTies) {
+  // NearestMatchesBruteForce compares distances only, so it cannot see
+  // which of several equidistant points wins. On inputs full of exact
+  // ties the index must be the reference search's: the first point
+  // found at the minimum distance.
+  for (const test::TieInput& input : test::TieInputs()) {
+    SCOPED_TRACE(input.name);
+    KdTree tree(input.points);
+    test::ReferenceKdTree reference(input.points);
+    const std::vector<Point> queries = test::TieQueries(input.points);
+    for (Point q : queries) {
+      ASSERT_EQ(tree.Nearest(q), reference.Nearest(q))
+          << "query (" << q.x << ", " << q.y << ")";
+    }
+    EXPECT_EQ(tree.Nearest(queries.front()),
+              test::NearestReference(input.points, queries.front()));
   }
 }
 
