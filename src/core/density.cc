@@ -1,17 +1,76 @@
 #include "core/density.h"
 
+#include <cstdint>
+#include <vector>
+
 #include "index/kdtree.h"
 #include "util/logging.h"
 
 namespace vas {
+
+namespace {
+
+// The tuple walk's grid: 256 x 256 cells over the dataset's bounds, so a
+// cell's Z-order index fits in 16 bits.
+constexpr uint32_t kZOrderSide = 256;
+
+/// Cells per unit along an axis of the given width: 0 for a zero-width
+/// axis, whose tuples all share one cell.
+double ZOrderScale(double width) {
+  return width > 0 ? kZOrderSide / width : 0.0;
+}
+
+/// Grid column (or row) of coordinate `v`. A coordinate outside the
+/// bounds, a NaN, and the NaN an infinite width makes all clamp to an
+/// edge cell before the cast.
+uint32_t ZOrderCoord(double v, double lo, double scale) {
+  double t = (v - lo) * scale;
+  if (!(t > 0)) return 0;
+  if (t >= kZOrderSide - 1) return kZOrderSide - 1;
+  return static_cast<uint32_t>(t);
+}
+
+/// Moves bit i of an 8-bit value to bit 2i.
+uint32_t SpreadBits(uint32_t v) {
+  v = (v | (v << 4)) & 0x0F0F;
+  v = (v | (v << 2)) & 0x3333;
+  return (v | (v << 1)) & 0x5555;
+}
+
+/// Tuple indices ordered by the Z-order (interleaved-bit) index of their
+/// grid cell, by counting sort; storage order within a cell.
+std::vector<uint32_t> ZOrderTuples(const Dataset& dataset) {
+  const size_t n = dataset.size();
+  VAS_CHECK(n < (uint64_t{1} << 32));
+  const Rect bounds = dataset.Bounds();
+  const double scale_x = ZOrderScale(bounds.width());
+  const double scale_y = ZOrderScale(bounds.height());
+  std::vector<uint16_t> cell(n);
+  std::vector<uint32_t> start(kZOrderSide * kZOrderSide + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const Point& p = dataset.points[i];
+    uint32_t z = SpreadBits(ZOrderCoord(p.x, bounds.min_x, scale_x)) |
+                 (SpreadBits(ZOrderCoord(p.y, bounds.min_y, scale_y)) << 1);
+    cell[i] = static_cast<uint16_t>(z);
+    ++start[z + 1];
+  }
+  for (size_t c = 1; c < start.size(); ++c) start[c] += start[c - 1];
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[start[cell[i]]++] = static_cast<uint32_t>(i);
+  }
+  return order;
+}
+
+}  // namespace
 
 void EmbedDensity(const Dataset& dataset, SampleSet* sample) {
   VAS_CHECK(sample != nullptr);
   sample->density.assign(sample->ids.size(), 0);
   if (sample->ids.empty()) return;
   KdTree tree(sample->MaterializePoints(dataset));
-  for (const Point& p : dataset.points) {
-    size_t nearest = tree.Nearest(p);
+  for (uint32_t i : ZOrderTuples(dataset)) {
+    size_t nearest = tree.Nearest(dataset.points[i]);
     VAS_DCHECK(nearest != KdTree::kNotFound);
     ++sample->density[nearest];
   }

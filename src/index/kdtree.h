@@ -1,12 +1,14 @@
 // Static 2-D k-d tree (Bentley 1975). The paper uses a k-d tree over the
 // sample S during the density-embedding second pass: for every tuple of D
-// the nearest sample point is found in O(log K). Also used by the
+// the nearest sample point is found by a branch-and-bound descent that
+// visits O(log K) nodes on well-spread data. Also used by the
 // evaluation harness (nearest-sample lookups for simulated regression
 // users).
 #ifndef VAS_INDEX_KDTREE_H_
 #define VAS_INDEX_KDTREE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "geom/point.h"
@@ -20,7 +22,9 @@ class KdTree {
  public:
   /// Builds the tree by median splitting; O(n log n). An empty input
   /// builds an empty tree (queries then return kNotFound / empty).
-  explicit KdTree(const std::vector<Point>& points);
+  /// Takes the points by value so a caller's temporary moves in. Node
+  /// and point ids are 32-bit: at most 2^31 - 1 points.
+  explicit KdTree(std::vector<Point> points);
 
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
 
@@ -31,7 +35,13 @@ class KdTree {
   const std::vector<Point>& points() const { return points_; }
 
   /// Index (into the construction vector) of the nearest point to `q`.
-  /// Ties broken arbitrarily. Returns kNotFound on an empty tree.
+  /// The search visits a node, keeps it only when it is strictly closer
+  /// than the best so far, descends into the near child first, and
+  /// enters a far child only when its splitting plane is strictly
+  /// closer than the best at that time. Among points at the minimum
+  /// distance, the first one this near-side-first search finds wins.
+  /// Returns kNotFound on an empty tree, or when no distance to `q`
+  /// compares below infinity (a NaN or infinite `q`).
   size_t Nearest(Point q) const;
 
   /// Indices of the k nearest points, ordered from nearest to farthest.
@@ -48,23 +58,24 @@ class KdTree {
   std::vector<size_t> RadiusQuery(Point q, double radius) const;
 
  private:
+  // 32 bytes, so two nodes share a cache line.
   struct Node {
     Point point;
-    size_t payload = 0;     // index into the construction vector
-    int left = -1;          // child node ids, -1 = none
-    int right = -1;
-    int axis = 0;           // 0 = x, 1 = y
+    uint32_t payload = 0;  // index into the construction vector
+    int32_t left = -1;     // child node ids, -1 = none
+    int32_t right = -1;
+    int32_t axis = 0;      // 0 = x, 1 = y
   };
 
-  int Build(std::vector<size_t>& ids, size_t begin, size_t end, int depth);
-  void NearestImpl(int node, Point q, size_t& best, double& best_d2) const;
+  int32_t Build(std::vector<uint32_t>& ids, size_t begin, size_t end,
+                int depth);
 
   template <typename Visitor>
-  void Visit(int node, const Rect& rect, Visitor&& visit) const;
+  void Visit(int32_t node, const Rect& rect, Visitor&& visit) const;
 
   std::vector<Point> points_;
   std::vector<Node> nodes_;
-  int root_ = -1;
+  int32_t root_ = -1;
 };
 
 }  // namespace vas
