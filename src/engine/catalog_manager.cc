@@ -93,6 +93,16 @@ CatalogManager::CatalogManager(const Options& options)
   spill_failures_count_ = registry_->GetCounter(
       "vas_catalog_spill_failures_total",
       "Spill writes that failed; the ladder stayed resident.");
+  const char* load_failures_help =
+      "Backing catalog files that failed to load, by stage: open (the "
+      "file does not open as a catalog store) or read (a read-back "
+      "failed its CRC or id checks).";
+  load_failures_open_ = registry_->GetCounter(
+      "vas_catalog_load_failures_total", load_failures_help,
+      {{"stage", "open"}});
+  load_failures_read_ = registry_->GetCounter(
+      "vas_catalog_load_failures_total", load_failures_help,
+      {{"stage", "read"}});
   registry_->SetCallbackGauge(
       "vas_catalog_resident_bytes",
       "Bytes of finished catalog ladders currently held in memory.", {},
@@ -410,6 +420,7 @@ Status CatalogManager::EnsureStoreLocked(const CatalogKey& key,
   }
   auto store = CatalogStore::Open(entry.spill_path);
   if (!store.ok()) {
+    load_failures_open_->Increment();
     return Status::Internal("spill file corrupt for " + key.ToString() +
                             ": " + store.status().ToString());
   }
@@ -429,6 +440,7 @@ Status CatalogManager::ReloadLocked(const CatalogKey& key, Entry& entry,
                      ? ValidateCatalogAgainst(*loaded, entry.dataset->size())
                      : loaded.status();
   if (!valid.ok()) {
+    load_failures_read_->Increment();
     return Status::Internal("spill file corrupt for " + key.ToString() +
                             ": " + valid.ToString());
   }

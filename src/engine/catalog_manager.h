@@ -315,7 +315,9 @@ class CatalogManager {
 
   /// Reads the entry's CAT2 backing file back into memory through its
   /// store, each rung with the layout stored in the file, and checks
-  /// the ids against the entry's dataset. Caller holds mu_; the disk
+  /// the ids against the entry's dataset. A read-back that fails its
+  /// CRC or id checks is "spill file corrupt", counted in
+  /// vas_catalog_load_failures_total{stage="read"}. Caller holds mu_; the disk
   /// read runs under the mutex, which serializes reloads across keys —
   /// acceptable because reloads are cache misses, and it keeps every
   /// state transition on one lock. Evictions the reload itself
@@ -327,7 +329,8 @@ class CatalogManager {
   /// file is CAT2: either a spill this manager wrote or a user's CAT2
   /// file LoadCatalog registered. Internal when the entry has no
   /// current backing file or the file does not open as a store ("spill
-  /// file corrupt"). Caller holds mu_.
+  /// file corrupt", counted in vas_catalog_load_failures_total{stage=
+  /// "open"}). Caller holds mu_.
   Status EnsureStoreLocked(const CatalogKey& key, Entry& entry) const;
 
   const Options options_;
@@ -359,6 +362,10 @@ class CatalogManager {
   obs::Counter* reloads_count_ = nullptr;
   obs::Counter* spill_writes_count_ = nullptr;
   obs::Counter* spill_failures_count_ = nullptr;
+  /// Failed loads of a backing file: it did not open, or a read-back
+  /// failed. Each failed access counts again; nothing is remembered.
+  obs::Counter* load_failures_open_ = nullptr;
+  obs::Counter* load_failures_read_ = nullptr;
 };
 
 }  // namespace vas

@@ -917,6 +917,14 @@ TEST(CatalogManagerTest, EveryAccessorReportsADamagedSpillFileTheSameWay) {
     EXPECT_FALSE(std::filesystem::exists(saved));
 
     EXPECT_EQ(Count(manager, "vas_catalog_reloads_total"), 0);
+    // Each of the five calls failed to open the file, and each counts.
+    const obs::MetricsRegistry& registry = *manager.metrics_registry();
+    EXPECT_EQ(registry.Total("vas_catalog_load_failures_total",
+                             {{"stage", "open"}}),
+              5);
+    EXPECT_EQ(registry.Total("vas_catalog_load_failures_total",
+                             {{"stage", "read"}}),
+              0);
     auto status = manager.GetStatus(key);
     ASSERT_TRUE(status.ok());
     EXPECT_FALSE(status->resident);

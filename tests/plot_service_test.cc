@@ -976,6 +976,14 @@ TEST(PlotServiceTest, PlotOfADamagedCatalogFileReturnsTheManagersError) {
               std::string::npos)
         << info.status().ToString();
   }
+  // The file opens, so each failed read-back counts at the read stage.
+  EXPECT_EQ(Count(service, "vas_catalog_load_failures_total",
+                  {{"stage", "read"}}),
+            2);
+  EXPECT_EQ(Count(service, "vas_catalog_load_failures_total",
+                  {{"stage", "open"}}),
+            0);
+  EXPECT_EQ(Count(service, "vas_catalog_reloads_total"), 0);
 }
 
 TEST(PlotServiceTest, GetTableReportsWorldAndBuildState) {
