@@ -14,8 +14,15 @@ namespace vas {
 /// Fills `sample->density` so that density[i] is the number of dataset
 /// tuples whose nearest sample point is sample->ids[i] (every tuple is
 /// counted exactly once; counts sum to dataset.size()). Uses a k-d tree
-/// over the sample, O(N log K) — the paper's suggested structure.
-/// No-op on an empty sample.
+/// over the sample, the paper's suggested structure; a tuple with
+/// several nearest points counts at the one KdTree::Nearest returns.
+/// Tuples are visited in the Z-order of their cell in a 256 x 256 grid
+/// over dataset.Bounds(), so consecutive searches share tree branches
+/// while they are in cache. The order cannot change a count: each
+/// tuple's nearest point depends only on the tuple and the tree, and a
+/// count is a sum. Requires fewer than 2^32 tuples, none with a NaN or
+/// infinite coordinate (such a tuple has no nearest point and fails a
+/// check). No-op on an empty sample.
 void EmbedDensity(const Dataset& dataset, SampleSet* sample);
 
 /// Convenience: returns a copy of `sample` with density embedded and the
