@@ -2,6 +2,8 @@
 // nearest sample point.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -105,6 +107,21 @@ TEST(DensityTest, DegenerateBoundsMatchReference) {
             test::ReferenceDensity(wide, s.MaterializePoints(wide)));
   EXPECT_EQ(std::accumulate(s.density.begin(), s.density.end(), uint64_t{0}),
             wide.size());
+}
+
+TEST(DensityTest, NonFiniteTupleFailsItsCheckNotACast) {
+  // A NaN or infinite tuple has no nearest point, so the pass stops at
+  // its check. Its grid cell must clamp on the way there: under UBSan an
+  // unclamped cast of NaN would stop it with a different message.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Point bad : {Point{std::nan(""), 0.5}, Point{inf, 0.5},
+                    Point{0.5, -inf}}) {
+    Dataset d = FromPoints({{0.0, 0.0}, bad, {1.0, 1.0}});
+    SampleSet s;
+    s.ids = {0, 2};
+    EXPECT_DEATH(EmbedDensity(d, &s), "check failed: nearest != ")
+        << bad.x << ", " << bad.y;
+  }
 }
 
 TEST(DensityTest, DenseRegionsGetBigCounts) {
