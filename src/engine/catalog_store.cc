@@ -575,34 +575,48 @@ StatusOr<SampleSet> CatalogStore::ReadRung(
     return Status::OutOfRange("catalog sample id out of dataset range: " +
                               path_);
   }
-  std::vector<uint64_t> ids(n);
-  std::vector<uint64_t> perm(n);
-  VAS_RETURN_IF_ERROR(ReadSlots(r.slot_base, n, ids.data(), touched_bytes));
-  VAS_RETURN_IF_ERROR(ReadSlots(r.perm_base, n, perm.data(), touched_bytes));
-  std::vector<uint64_t> density;
-  if (r.has_density) {
-    density.resize(n);
-    VAS_RETURN_IF_ERROR(
-        ReadSlots(r.slot_base + n, n, density.data(), touched_bytes));
-  }
+  // One page's worth of slots at a time: each entry's id, rung position
+  // and density, placed at its position as the block is read. Beside
+  // its output a read-back holds three blocks and a bitmap, not three
+  // u64 copies of the rung, so a /plot read-back's transient heap stays
+  // small.
   out.ids.assign(n, 0);
   if (r.has_density) out.density.assign(n, 0);
-  std::vector<uint8_t> seen(n, 0);
-  for (size_t e = 0; e < n; ++e) {
-    const uint64_t pos = perm[e];
-    if (pos >= n || seen[pos]) {
-      return Status::InvalidArgument("catalog rung permutation corrupt: " +
-                                     path_);
+  if (positions != nullptr) positions->resize(n);
+  std::vector<uint64_t> seen((n + 63) / 64, 0);
+  const size_t block = std::min(n, slots_per_page_);
+  std::vector<uint64_t> ids(block);
+  std::vector<uint64_t> perm(block);
+  std::vector<uint64_t> density(r.has_density ? block : 0);
+  for (size_t e0 = 0; e0 < n; e0 += block) {
+    const size_t m = std::min(block, n - e0);
+    VAS_RETURN_IF_ERROR(
+        ReadSlots(r.slot_base + e0, m, ids.data(), touched_bytes));
+    VAS_RETURN_IF_ERROR(
+        ReadSlots(r.perm_base + e0, m, perm.data(), touched_bytes));
+    if (r.has_density) {
+      VAS_RETURN_IF_ERROR(ReadSlots(r.slot_base + n + e0, m, density.data(),
+                                    touched_bytes));
     }
-    seen[pos] = 1;
-    if (dataset_size > 0 && ids[e] >= dataset_size) {
-      return Status::OutOfRange("catalog sample id out of dataset range: " +
-                                path_);
+    for (size_t i = 0; i < m; ++i) {
+      const uint64_t pos = perm[i];
+      const uint64_t bit = uint64_t{1} << (pos % 64);
+      if (pos >= n || (seen[pos / 64] & bit) != 0) {
+        return Status::InvalidArgument("catalog rung permutation corrupt: " +
+                                       path_);
+      }
+      seen[pos / 64] |= bit;
+      if (dataset_size > 0 && ids[i] >= dataset_size) {
+        return Status::OutOfRange("catalog sample id out of dataset range: " +
+                                  path_);
+      }
+      out.ids[pos] = static_cast<size_t>(ids[i]);
+      if (r.has_density) out.density[pos] = density[i];
+      if (positions != nullptr) {
+        (*positions)[e0 + i] = static_cast<uint32_t>(pos);
+      }
     }
-    out.ids[pos] = static_cast<size_t>(ids[e]);
-    if (r.has_density) out.density[pos] = density[e];
   }
-  if (positions != nullptr) positions->assign(perm.begin(), perm.end());
   return out;
 }
 

@@ -180,7 +180,8 @@ class CatalogStore {
   CatalogStore() = default;
 
   /// MaterializeRung; when `positions` is set it also receives the
-  /// rung's cell-major permutation.
+  /// rung's cell-major permutation. Reads the rung one page of slots at
+  /// a time, so its transient memory does not grow with the rung.
   StatusOr<SampleSet> ReadRung(size_t k, size_t dataset_size,
                                size_t* touched_bytes,
                                std::vector<uint32_t>* positions) const;

@@ -879,13 +879,19 @@ TEST_F(CatalogStoreCorruptionTest, InvalidValueRangesAreRejected) {
   EXPECT_TRUE(CatalogStore::Open(path()).ok());
 }
 
-TEST_F(CatalogStoreCorruptionTest, BadPositionsInACellRangeAreRejected) {
+TEST_F(CatalogStoreCorruptionTest, BadPositionsAreRejectedByEveryRead) {
+  // A cell-range load, a whole-rung load and a read-back of every rung
+  // all reject a rung whose permutation is not one. The rung spans two
+  // pages of positions, and the whole-rung reads take one page of slots
+  // at a time, so each bad position is tried in the first and in the
+  // second page.
   const std::string healthy = WriteHealthy();
   auto store = CatalogStore::Open(path());
   ASSERT_TRUE(store.ok());
   const CatalogStore::Rung rung = (*store)->rung(0);
   const size_t page_size = (*store)->page_size();
   const size_t slots_per_page = (page_size - 8) / 8;
+  ASSERT_GT(rung.count, slots_per_page);
   auto slot_offset = [&](uint64_t slot) {
     return (1 + slot / slots_per_page) * page_size + 8 +
            (slot % slots_per_page) * 8;
@@ -893,26 +899,33 @@ TEST_F(CatalogStoreCorruptionTest, BadPositionsInACellRangeAreRejected) {
   auto page_of = [&](uint64_t slot) { return 1 + slot / slots_per_page; };
   const Rect query = rung.domain;
 
-  // A position past the end of the rung.
-  std::string bytes = healthy;
-  StoreU64(&bytes, slot_offset(rung.perm_base), rung.count);
-  FixPageCrc(&bytes, page_size, page_of(rung.perm_base));
-  WriteFileBytes(path(), bytes);
-  auto past_end = CatalogStore::Open(path());
-  ASSERT_TRUE(past_end.ok());
-  EXPECT_EQ((*past_end)->MaterializeCells(0, query, 0).status().code(),
-            StatusCode::kInvalidArgument);
+  auto expect_rejected = [&](const std::string& bytes) {
+    WriteFileBytes(path(), bytes);
+    auto damaged = CatalogStore::Open(path());
+    ASSERT_TRUE(damaged.ok());
+    EXPECT_EQ((*damaged)->MaterializeCells(0, query, 0).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ((*damaged)->MaterializeRung(0, 0).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ((*damaged)->ReadAll(0).status().code(),
+              StatusCode::kInvalidArgument);
+  };
+  for (const uint64_t entry : {uint64_t{1}, rung.count - 1}) {
+    SCOPED_TRACE("entry " + std::to_string(entry));
+    const uint64_t slot = rung.perm_base + entry;
+    // A position past the end of the rung.
+    std::string bytes = healthy;
+    StoreU64(&bytes, slot_offset(slot), rung.count);
+    FixPageCrc(&bytes, page_size, page_of(slot));
+    expect_rejected(bytes);
 
-  // Two entries claiming the same position.
-  bytes = healthy;
-  StoreU64(&bytes, slot_offset(rung.perm_base),
-           LoadU64(bytes, slot_offset(rung.perm_base + 1)));
-  FixPageCrc(&bytes, page_size, page_of(rung.perm_base));
-  WriteFileBytes(path(), bytes);
-  auto duplicate = CatalogStore::Open(path());
-  ASSERT_TRUE(duplicate.ok());
-  EXPECT_EQ((*duplicate)->MaterializeCells(0, query, 0).status().code(),
-            StatusCode::kInvalidArgument);
+    // Two entries claiming the same position.
+    bytes = healthy;
+    StoreU64(&bytes, slot_offset(slot),
+             LoadU64(bytes, slot_offset(rung.perm_base)));
+    FixPageCrc(&bytes, page_size, page_of(slot));
+    expect_rejected(bytes);
+  }
 }
 
 }  // namespace
