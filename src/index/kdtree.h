@@ -58,7 +58,6 @@ class KdTree {
   std::vector<size_t> RadiusQuery(Point q, double radius) const;
 
  private:
-  // 32 bytes, so two nodes share a cache line.
   struct Node {
     Point point;
     uint32_t payload = 0;  // index into the construction vector
@@ -66,6 +65,7 @@ class KdTree {
     int32_t right = -1;
     int32_t axis = 0;      // 0 = x, 1 = y
   };
+  static_assert(sizeof(Node) == 32, "two nodes per 64-byte cache line");
 
   int32_t Build(std::vector<uint32_t>& ids, size_t begin, size_t end,
                 int depth);
