@@ -21,8 +21,8 @@ double ZOrderScale(double width) {
 }
 
 /// Grid column (or row) of coordinate `v`. A coordinate outside the
-/// bounds, a NaN, and the NaN an infinite width makes all clamp to an
-/// edge cell before the cast.
+/// bounds and a NaN, which an infinite coordinate also gives once the
+/// scale is 0, clamp to an edge cell before the cast.
 uint32_t ZOrderCoord(double v, double lo, double scale) {
   double t = (v - lo) * scale;
   if (!(t > 0)) return 0;

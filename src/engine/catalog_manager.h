@@ -317,11 +317,11 @@ class CatalogManager {
   /// store, each rung with the layout stored in the file, and checks
   /// the ids against the entry's dataset. A read-back that fails its
   /// CRC or id checks is "spill file corrupt", counted in
-  /// vas_catalog_load_failures_total{stage="read"}. Caller holds mu_; the disk
-  /// read runs under the mutex, which serializes reloads across keys —
-  /// acceptable because reloads are cache misses, and it keeps every
-  /// state transition on one lock. Evictions the reload itself
-  /// triggers land in `jobs` for the caller to write off-lock.
+  /// vas_catalog_load_failures_total{stage="read"}. Caller holds mu_;
+  /// the disk read runs under the mutex, which serializes reloads
+  /// across keys — acceptable because reloads are cache misses, and it
+  /// keeps every state transition on one lock. Evictions the reload
+  /// itself triggers land in `jobs` for the caller to write off-lock.
   Status ReloadLocked(const CatalogKey& key, Entry& entry,
                       std::vector<SpillJob>* jobs) const;
 
