@@ -1,9 +1,11 @@
 #include "core/density.h"
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "index/kdtree.h"
+#include "index/uniform_grid.h"
 #include "util/logging.h"
 
 namespace vas {
@@ -12,23 +14,7 @@ namespace {
 
 // The tuple walk's grid: 256 x 256 cells over the dataset's bounds, so a
 // cell's Z-order index fits in 16 bits.
-constexpr uint32_t kZOrderSide = 256;
-
-/// Cells per unit along an axis of the given width: 0 for a zero-width
-/// axis, whose tuples all share one cell.
-double ZOrderScale(double width) {
-  return width > 0 ? kZOrderSide / width : 0.0;
-}
-
-/// Grid column (or row) of coordinate `v`. A coordinate outside the
-/// bounds and a NaN, which an infinite coordinate also gives once the
-/// scale is 0, clamp to an edge cell before the cast.
-uint32_t ZOrderCoord(double v, double lo, double scale) {
-  double t = (v - lo) * scale;
-  if (!(t > 0)) return 0;
-  if (t >= kZOrderSide - 1) return kZOrderSide - 1;
-  return static_cast<uint32_t>(t);
-}
+constexpr size_t kZOrderSide = 256;
 
 /// Moves bit i of an 8-bit value to bit 2i.
 uint32_t SpreadBits(uint32_t v) {
@@ -38,24 +24,30 @@ uint32_t SpreadBits(uint32_t v) {
 }
 
 /// Tuple indices ordered by the Z-order (interleaved-bit) index of their
-/// grid cell, by counting sort; storage order within a cell.
+/// grid cell, by counting sort; storage order within a cell. The grid
+/// clamps NaN and infinite coordinates to an edge cell.
 std::vector<uint32_t> ZOrderTuples(const Dataset& dataset) {
   const size_t n = dataset.size();
   VAS_CHECK(n < (uint64_t{1} << 32));
+  std::vector<uint32_t> order(n);
   const Rect bounds = dataset.Bounds();
-  const double scale_x = ZOrderScale(bounds.width());
-  const double scale_y = ZOrderScale(bounds.height());
+  if (bounds.empty()) {
+    // No tuple has two comparable coordinates: keep storage order.
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    return order;
+  }
+  const UniformGrid grid(bounds, kZOrderSide, kZOrderSide);
   std::vector<uint16_t> cell(n);
-  std::vector<uint32_t> start(kZOrderSide * kZOrderSide + 1, 0);
+  std::vector<uint32_t> start(grid.num_cells() + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    const Point& p = dataset.points[i];
-    uint32_t z = SpreadBits(ZOrderCoord(p.x, bounds.min_x, scale_x)) |
-                 (SpreadBits(ZOrderCoord(p.y, bounds.min_y, scale_y)) << 1);
+    const size_t c = grid.CellOf(dataset.points[i]);
+    const uint32_t z =
+        SpreadBits(static_cast<uint32_t>(c % kZOrderSide)) |
+        (SpreadBits(static_cast<uint32_t>(c / kZOrderSide)) << 1);
     cell[i] = static_cast<uint16_t>(z);
     ++start[z + 1];
   }
   for (size_t c = 1; c < start.size(); ++c) start[c] += start[c - 1];
-  std::vector<uint32_t> order(n);
   for (size_t i = 0; i < n; ++i) {
     order[start[cell[i]]++] = static_cast<uint32_t>(i);
   }

@@ -121,6 +121,11 @@ TEST(DensityTest, NonFiniteTupleFailsItsCheckNotACast) {
     s.ids = {0, 2};
     EXPECT_DEATH(EmbedDensity(d, &s), "check failed: nearest != ")
         << bad.x << ", " << bad.y;
+    // Only bad tuples: for a NaN, the bounds are empty.
+    Dataset only_bad = FromPoints({bad, bad});
+    s.ids = {0};
+    EXPECT_DEATH(EmbedDensity(only_bad, &s), "check failed: nearest != ")
+        << bad.x << ", " << bad.y;
   }
 }
 
