@@ -7,23 +7,13 @@
 namespace vas {
 
 UniformGrid::UniformGrid(const Rect& domain, size_t nx, size_t ny)
-    : domain_(domain), nx_(nx), ny_(ny) {
+    : domain_(domain),
+      nx_(nx),
+      ny_(ny),
+      width_(std::max(domain.width(), 1e-300)),
+      height_(std::max(domain.height(), 1e-300)) {
   VAS_CHECK_MSG(nx_ > 0 && ny_ > 0, "grid needs at least one cell per axis");
   VAS_CHECK_MSG(!domain.empty(), "grid domain must be non-empty");
-}
-
-size_t UniformGrid::CellOf(Point p) const {
-  double fx = (p.x - domain_.min_x) / std::max(domain_.width(), 1e-300);
-  double fy = (p.y - domain_.min_y) / std::max(domain_.height(), 1e-300);
-  // Clamped in double before the cast: a coordinate far outside the
-  // domain (or ±inf, or NaN) would overflow an integer cast.
-  auto clamp_cell = [](double f, size_t n) {
-    double scaled = f * static_cast<double>(n);
-    if (!(scaled > 0.0)) return size_t{0};
-    if (scaled >= static_cast<double>(n)) return n - 1;
-    return static_cast<size_t>(scaled);
-  };
-  return clamp_cell(fy, ny_) * nx_ + clamp_cell(fx, nx_);
 }
 
 Rect UniformGrid::CellBounds(size_t cell) const {

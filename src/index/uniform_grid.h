@@ -29,7 +29,11 @@ class UniformGrid {
   /// Flat cell id of `p` in [0, num_cells()). Coordinates outside the
   /// domain, ±inf included, clamp to the border cells; a NaN coordinate
   /// maps to cell 0 on its axis.
-  size_t CellOf(Point p) const;
+  size_t CellOf(Point p) const {
+    double fx = (p.x - domain_.min_x) / width_;
+    double fy = (p.y - domain_.min_y) / height_;
+    return ClampCell(fy, ny_) * nx_ + ClampCell(fx, nx_);
+  }
 
   /// Geometric bounds of cell `cell`.
   Rect CellBounds(size_t cell) const;
@@ -58,9 +62,22 @@ class UniformGrid {
   size_t DensestCell() const;
 
  private:
+  // Clamped in double before the cast: a coordinate far outside the
+  // domain (or ±inf, or NaN) would overflow an integer cast.
+  static size_t ClampCell(double f, size_t n) {
+    double scaled = f * static_cast<double>(n);
+    if (!(scaled > 0.0)) return 0;
+    if (scaled >= static_cast<double>(n)) return n - 1;
+    return static_cast<size_t>(scaled);
+  }
+
   Rect domain_;
   size_t nx_;
   size_t ny_;
+  // The domain's width and height, at least 1e-300 so CellOf never
+  // divides by zero.
+  double width_;
+  double height_;
   std::vector<std::vector<size_t>> cells_;
 };
 
