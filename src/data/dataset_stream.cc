@@ -1,5 +1,6 @@
 #include "data/dataset_stream.h"
 
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -21,6 +22,24 @@ bool HasBinaryExtension(const std::string& path) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// DatasetReader
+
+Status DatasetReader::Accumulate(const DatasetChunk& chunk,
+                                 const std::string& source) {
+  for (size_t i = 0; i < chunk.size(); ++i) {
+    const Point p = chunk.points[i];
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: data row %zu has a non-finite coordinate (%g, %g)",
+          source.c_str(), chunk.first_row + i + 1, p.x, p.y));
+    }
+    bounds_.Extend(p);
+  }
+  rows_read_ += chunk.size();
+  return Status::OK();
+}
 
 // ---------------------------------------------------------------------------
 // CsvDatasetReader
@@ -82,7 +101,7 @@ StatusOr<bool> CsvDatasetReader::Next(DatasetChunk* chunk) {
     }
     chunk->points.push_back({*x, *y});
   }
-  Accumulate(*chunk);
+  VAS_RETURN_IF_ERROR(Accumulate(*chunk, path_));
   return !chunk->empty();
 }
 
@@ -136,7 +155,7 @@ StatusOr<bool> BinaryDatasetReader::Next(DatasetChunk* chunk) {
     return Status::IoError("truncated binary dataset: " + path_);
   }
   next_row_ += rows;
-  Accumulate(*chunk);
+  VAS_RETURN_IF_ERROR(Accumulate(*chunk, path_));
   return true;
 }
 

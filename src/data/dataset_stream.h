@@ -51,7 +51,8 @@ class DatasetReader {
 
   /// Fills `chunk` with the next at-most-chunk_rows() rows. Returns
   /// true while rows were produced, false at clean end-of-stream (the
-  /// chunk is cleared), and an error Status on malformed input.
+  /// chunk is cleared), and an error Status on malformed input (a
+  /// non-finite coordinate included).
   virtual StatusOr<bool> Next(DatasetChunk* chunk) = 0;
 
   /// Whether the source carries a value column. Meaningful once the
@@ -71,10 +72,10 @@ class DatasetReader {
       : chunk_rows_(chunk_rows == 0 ? kDefaultChunkRows : chunk_rows) {}
 
   /// Folds a freshly produced chunk into rows_read() / bounds().
-  void Accumulate(const DatasetChunk& chunk) {
-    rows_read_ += chunk.size();
-    for (Point p : chunk.points) bounds_.Extend(p);
-  }
+  /// InvalidArgument naming the first data row (1-based) of `source`
+  /// whose x or y is NaN or infinite: no sampler, index or grid is
+  /// defined over such a point. Non-finite values still load.
+  Status Accumulate(const DatasetChunk& chunk, const std::string& source);
 
  private:
   size_t chunk_rows_;

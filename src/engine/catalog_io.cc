@@ -1,43 +1,16 @@
 #include "engine/catalog_io.h"
 
-#include <cstdint>
-#include <fstream>
-#include <utility>
-#include <vector>
+#include <memory>
 
-#include "data/serial.h"
 #include "engine/catalog_store.h"
 #include "sampling/sample_io.h"
 
 namespace vas {
 
 StatusOr<SampleCatalog> ReadCatalog(const std::string& path) {
-  VAS_ASSIGN_OR_RETURN(CatalogFormat format, SniffCatalogFormat(path));
-  if (format == CatalogFormat::kV2) {
-    VAS_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogStore> store,
-                         CatalogStore::Open(path));
-    return store->ReadAll(/*dataset_size=*/0);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  auto magic = ReadU64(in, path);
-  if (!magic.ok() || *magic != kCatalogMagicV1) {
-    return Status::InvalidArgument("not a VAS catalog file: " + path);
-  }
-  VAS_ASSIGN_OR_RETURN(uint64_t rungs, ReadU64(in, path));
-  // A rung body is at least its three header u64s; bound the count by
-  // the bytes actually present so corrupt headers fail cleanly.
-  VAS_ASSIGN_OR_RETURN(size_t remaining, RemainingBytes(in, path));
-  if (rungs > remaining / (3 * sizeof(uint64_t))) {
-    return Status::InvalidArgument("corrupt catalog header: " + path);
-  }
-  std::vector<SampleSet> samples;
-  samples.reserve(rungs);
-  for (uint64_t i = 0; i < rungs; ++i) {
-    VAS_ASSIGN_OR_RETURN(SampleSet rung, ReadSampleSetFrom(in, path));
-    samples.push_back(std::move(rung));
-  }
-  return SampleCatalog(std::move(samples));
+  VAS_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogStore> store,
+                       CatalogStore::Open(path));
+  return store->ReadAll(/*dataset_size=*/0);
 }
 
 Status ValidateCatalogAgainst(const SampleCatalog& catalog,

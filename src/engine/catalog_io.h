@@ -1,19 +1,10 @@
 // Catalog persistence helpers (paper §II-B: the sample ladder is built
-// once, offline, and then served like any other index). Two on-disk
-// formats exist:
-//
-//   CAT1 (legacy, u64 magic "VAS\0CAT1" at offset 0): one serial blob —
-//     u64 rung count, then per rung the standalone sample framing
-//     (method, id count, has_density, packed ids, optional densities).
-//   CAT2 (paged, engine/catalog_store): fixed-size CRC-checked pages
-//     with a per-rung grid-cell index, mmap-able and partially loadable.
-//
-// Every writer produces CAT2 (WriteCatalogPaged; CatalogManager::
-// SaveCatalog and spills pass the dataset for cell partitioning).
-// ReadCatalog sniffs the magic and loads either, so CAT1 files written
-// by earlier builds keep loading byte-identically: CatalogManager::
-// LoadCatalog registers them resident, and vas_tool convert-catalog
-// rewrites them as CAT2.
+// once, offline, and then served like any other index). A catalog file
+// is the paged CAT2 format of engine/catalog_store: fixed-size
+// CRC-checked pages with a per-rung grid-cell index, mmap-able and
+// partially loadable. Every writer produces it (WriteCatalogPaged;
+// CatalogManager::SaveCatalog and spills pass the dataset for cell
+// partitioning), and every reader opens it through CatalogStore::Open.
 #ifndef VAS_ENGINE_CATALOG_IO_H_
 #define VAS_ENGINE_CATALOG_IO_H_
 
@@ -24,8 +15,8 @@
 
 namespace vas {
 
-/// Reads a CAT1 or CAT2 catalog file, auto-detected by magic.
-/// Validates structure but not id range; pair with
+/// Reads every rung of the CAT2 catalog file at `path`; any other file
+/// is InvalidArgument. Validates structure but not id range; pair with
 /// ValidateCatalogAgainst() before serving.
 StatusOr<SampleCatalog> ReadCatalog(const std::string& path);
 

@@ -58,13 +58,12 @@ StatusOr<std::shared_ptr<const SampleCatalog>> ResidentLadder(
 }  // namespace
 
 CatalogManager::CatalogManager(size_t num_threads)
-    : CatalogManager(Options{num_threads, 0, std::string(), nullptr, nullptr}) {
-}
+    : CatalogManager(Options{num_threads, 0, std::string(), nullptr}) {}
 
 CatalogManager::CatalogManager(const Options& options)
     : options_(Options{options.num_threads, options.memory_budget_bytes,
                        ResolveSpillDir(options.spill_dir),
-                       options.on_rung_ready, options.registry}),
+                       options.registry}),
       spill_token_(MakeSpillToken()),
       owned_registry_(options.registry == nullptr
                           ? std::make_unique<obs::MetricsRegistry>()
@@ -164,17 +163,11 @@ Status CatalogManager::StartBuild(const CatalogKey& key,
   }
   auto entry = std::make_shared<Entry>();
   entry->dataset = dataset;
-  // Wrapped even with no user hook, so rung progress always reaches the
-  // registry.
-  SampleCatalog::Builder::RungCallback on_rung =
-      [this, callback = options_.on_rung_ready, key](size_t ready,
-                                                     size_t total) {
-        rungs_built_->Increment();
-        if (callback != nullptr) callback(key, ready, total);
-      };
   entry->builder = std::make_shared<SampleCatalog::Builder>(
       std::move(dataset), std::move(sampler_factory), std::move(options),
-      &pool_, std::move(on_rung));
+      &pool_, [counter = rungs_built_](size_t, size_t) {
+        counter->Increment();
+      });
   entry->rungs_total = entry->builder->rungs_total();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -226,24 +219,17 @@ Status CatalogManager::AddCatalog(const CatalogKey& key,
 Status CatalogManager::LoadCatalog(const CatalogKey& key,
                                    std::shared_ptr<const Dataset> dataset,
                                    const std::string& path) {
-  // File problems (missing, unreadable, not a catalog) are diagnosed
-  // before argument problems so callers see the actionable error.
-  VAS_ASSIGN_OR_RETURN(CatalogFormat format, SniffCatalogFormat(path));
+  // File problems (missing, unreadable, not a CAT2 catalog) are
+  // diagnosed before argument problems so callers see the actionable
+  // error. The mapping registers cold, without materializing a single
+  // rung: the metadata is enough to reject files whose ids cannot
+  // belong to this dataset, and per-page CRCs and exact id range checks
+  // happen lazily as pages are first touched.
+  VAS_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogStore> store,
+                       CatalogStore::Open(path));
   if (dataset == nullptr) {
     return Status::InvalidArgument("null dataset for " + key.ToString());
   }
-  if (format != CatalogFormat::kV2) {
-    // Legacy CAT1: nothing to map; deserialize whole and register
-    // resident.
-    VAS_ASSIGN_OR_RETURN(SampleCatalog catalog, ReadCatalog(path));
-    return AddCatalog(key, std::move(dataset), std::move(catalog));
-  }
-  // Paged CAT2: register the mapping cold, without materializing a
-  // single rung. The metadata is enough to reject files whose ids
-  // cannot belong to this dataset; per-page CRCs and exact id range
-  // checks happen lazily as pages are first touched.
-  VAS_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogStore> store,
-                       CatalogStore::Open(path));
   for (size_t k = 0; k < store->rung_count(); ++k) {
     const CatalogStore::Rung& rung = store->rung(k);
     if (rung.count > 0 && rung.max_id >= dataset->size()) {

@@ -26,7 +26,6 @@
 #ifndef VAS_ENGINE_CATALOG_MANAGER_H_
 #define VAS_ENGINE_CATALOG_MANAGER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,15 +65,6 @@ struct CatalogKey {
 /// rung task has finished, then deletes the spill files it created.
 class CatalogManager {
  public:
-  /// Invoked after each rung of a StartBuild() ladder lands, from the
-  /// worker that built it, with no manager lock held. Ready counts may
-  /// arrive out of order when rungs finish concurrently; treat a call
-  /// as "a (usually larger) rung is now servable for this key" — the
-  /// hook a serving layer uses to invalidate per-key render caches so
-  /// progressive refinement reaches clients.
-  using RungCallback = std::function<void(
-      const CatalogKey& key, size_t rungs_ready, size_t rungs_total)>;
-
   struct Options {
     /// Build pool size; 0 = hardware concurrency.
     size_t num_threads = 0;
@@ -86,9 +76,6 @@ class CatalogManager {
     size_t memory_budget_bytes = 0;
     /// Directory for spill files; empty = the system temp directory.
     std::string spill_dir;
-    /// Optional rung-upgrade notification hook (see RungCallback). Must
-    /// not call back into this manager's blocking waits.
-    RungCallback on_rung_ready;
     /// Metrics sink for rung/spill/eviction counters, build-pool queue
     /// instrumentation, and the resident/mapped/touched byte gauges.
     /// Null = a private registry owned by this manager (counters still
@@ -150,14 +137,14 @@ class CatalogManager {
                     std::shared_ptr<const Dataset> dataset,
                     SampleCatalog catalog);
 
-  /// Registers the catalog file at `path` under `key` — the cold-start
-  /// path: serving begins at disk-load cost instead of rebuild cost. A
-  /// CAT2 file is mmap'd and registered *without* materializing (the
-  /// first full snapshot pays the load; ViewFor serves tiles straight
-  /// from the mapping); a CAT1 file is deserialized whole and
-  /// registered resident, and spills as CAT2 like a built ladder. The
-  /// file at `path` stays owned by the caller and is never deleted by
-  /// Drop() or the destructor.
+  /// Registers the CAT2 catalog file at `path` under `key` — the
+  /// cold-start path: serving begins at disk-load cost instead of
+  /// rebuild cost. The file is mmap'd and registered *without*
+  /// materializing (the first full snapshot pays the load; ViewFor
+  /// serves tiles straight from the mapping). Any other file is
+  /// InvalidArgument, as CatalogStore::Open reports it. The file at
+  /// `path` stays owned by the caller and is never deleted by Drop() or
+  /// the destructor.
   Status LoadCatalog(const CatalogKey& key,
                      std::shared_ptr<const Dataset> dataset,
                      const std::string& path);

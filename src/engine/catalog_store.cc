@@ -118,21 +118,6 @@ std::string ParentDirectory(const std::string& path) {
 
 }  // namespace
 
-StatusOr<CatalogFormat> SniffCatalogFormat(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open catalog file: " + path);
-  uint8_t head[16];
-  in.read(reinterpret_cast<char*>(head), sizeof(head));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(head))) {
-    return Status::InvalidArgument("truncated catalog file: " + path);
-  }
-  if (LoadU64(head) == kCatalogMagicV1) return CatalogFormat::kV1;
-  // CAT2 puts the page CRC header first, so its magic starts the
-  // superblock *payload* at byte 8.
-  if (LoadU64(head + 8) == kCatalogMagicV2) return CatalogFormat::kV2;
-  return Status::InvalidArgument("not a catalog file: " + path);
-}
-
 Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
                          const CatalogWriteOptions& options) {
   const size_t page_size = options.page_size;

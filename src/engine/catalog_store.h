@@ -1,9 +1,7 @@
-// Paged, mmap-able catalog storage (format v2, "VAS\0CAT2"). CAT1 kept
-// a ladder as one serial blob, so serving a cold catalog meant
-// deserializing every rung even when a tile needed a sliver of one.
-// CAT2 lays the ladder out LevelDB-style as fixed-size CRC-checked
-// pages plus a per-rung grid-cell index, so a reader can fault in only
-// the pages whose cells intersect a viewport:
+// Paged, mmap-able catalog storage (format v2, "VAS\0CAT2"), the one
+// on-disk catalog format. It lays the ladder out LevelDB-style as
+// fixed-size CRC-checked pages plus a per-rung grid-cell index, so a
+// reader can fault in only the pages whose cells intersect a viewport:
 //
 //   page 0 .. page_count-1, each `page_size` bytes:
 //     u32 crc32(payload)   u32 payload_len   payload   zero padding
@@ -14,10 +12,9 @@
 //
 // Page 0 is the superblock; its payload starts with the catalog magic,
 // which therefore sits at file offset 8 (offset 0 is the page CRC/len
-// header) — CAT1 keeps its magic at offset 0, so the two formats are
-// distinguished by sniffing both words. Pages 1..data_page_count hold a
-// flat stream of u64 "slots" ((page_size-8)/8 per page); the remaining
-// pages hold the rung metadata stream:
+// header). Pages 1..data_page_count hold a flat stream of u64 "slots"
+// ((page_size-8)/8 per page); the remaining pages hold the rung
+// metadata stream:
 //
 //   per rung: method (length-prefixed), u64 count, u64 flags,
 //     u64 max_id, u64 grid_x, u64 grid_y, 4 × u64 domain rect (double
@@ -66,16 +63,8 @@
 
 namespace vas {
 
-/// File magics. CAT1 is the legacy serial format (engine/catalog_io);
-/// CAT2 is the paged format this header describes.
-constexpr uint64_t kCatalogMagicV1 = 0x5641530043415431ULL;  // "VAS\0CAT1"
+/// The superblock magic of the paged format this header describes.
 constexpr uint64_t kCatalogMagicV2 = 0x5641530043415432ULL;  // "VAS\0CAT2"
-
-enum class CatalogFormat { kV1 = 1, kV2 = 2 };
-
-/// Reads the first 16 bytes of `path` and identifies the catalog
-/// format, without validating anything else.
-StatusOr<CatalogFormat> SniffCatalogFormat(const std::string& path);
 
 struct CatalogWriteOptions {
   /// Source dataset of the catalog's sample ids. When set, each rung is
@@ -125,6 +114,9 @@ class CatalogStore {
     uint64_t max_cell_entries = 0;
   };
 
+  /// Maps `path`. IoError when it cannot be opened or mapped, or a
+  /// checksum fails; InvalidArgument when it is not a CAT2 catalog or
+  /// its structure is invalid.
   static StatusOr<std::shared_ptr<const CatalogStore>> Open(
       const std::string& path);
 

@@ -109,8 +109,9 @@ class SampleCatalog::Builder {
 
   /// `pool` may be null, which makes Start() build every rung inline
   /// (the blocking path, useful for tests and degraded serving).
-  /// `on_rung` (optional) is notified after each rung lands — the hook
-  /// a serving layer uses to invalidate caches as sharper rungs arrive.
+  /// `on_rung` (optional) is notified after each rung lands;
+  /// CatalogManager counts rungs in vas_catalog_rungs_built_total with
+  /// it.
   Builder(std::shared_ptr<const Dataset> dataset,
           SamplerFactory sampler_factory, Options options,
           ThreadPool* pool, RungCallback on_rung = nullptr);

@@ -12,12 +12,16 @@ constexpr uint64_t kSampleMagic = 0x5641530053414d50ULL;  // "VAS\0SAMP"
 constexpr size_t kMaxMethodLen = 4096;
 }  // namespace
 
-Status WriteSampleSetTo(std::ostream& out, const SampleSet& sample,
-                        const std::string& path) {
+Status WriteSampleSet(const SampleSet& sample, const std::string& path) {
   if (sample.has_density() && sample.density.size() != sample.ids.size()) {
+    // Validate before opening: a rejected write must not have truncated
+    // a previously valid file at `path`.
     return Status::FailedPrecondition(
         "density column length does not match ids");
   }
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::IoError("cannot open for write: " + path);
+  VAS_RETURN_IF_ERROR(WriteU64(out, kSampleMagic, path));
   VAS_RETURN_IF_ERROR(WriteLengthPrefixedString(out, sample.method, path));
   uint64_t n = sample.ids.size();
   VAS_RETURN_IF_ERROR(WriteU64(out, n, path));
@@ -33,8 +37,13 @@ Status WriteSampleSetTo(std::ostream& out, const SampleSet& sample,
   return Status::OK();
 }
 
-StatusOr<SampleSet> ReadSampleSetFrom(std::istream& in,
-                                      const std::string& path) {
+StatusOr<SampleSet> ReadSampleSet(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open for read: " + path);
+  auto magic = ReadU64(in, path);
+  if (!magic.ok() || *magic != kSampleMagic) {
+    return Status::InvalidArgument("not a VAS sample file: " + path);
+  }
   SampleSet sample;
   auto method = ReadLengthPrefixedString(in, kMaxMethodLen, path);
   if (!method.ok()) {
@@ -47,7 +56,7 @@ StatusOr<SampleSet> ReadSampleSetFrom(std::istream& in,
     return Status::InvalidArgument("corrupt sample header: " + path);
   }
   // The id (and density) arrays must fit in the bytes actually left in
-  // the stream — a corrupt count must not drive a huge allocation.
+  // the file — a corrupt count must not drive a huge allocation.
   VAS_ASSIGN_OR_RETURN(size_t remaining, RemainingBytes(in, path));
   size_t max_elems = remaining / sizeof(uint64_t);
   if (n > max_elems || (has_density && 2 * n > max_elems)) {
@@ -62,29 +71,6 @@ StatusOr<SampleSet> ReadSampleSetFrom(std::istream& in,
         ReadRaw(in, sample.density.data(), n * sizeof(uint64_t), path));
   }
   return sample;
-}
-
-Status WriteSampleSet(const SampleSet& sample, const std::string& path) {
-  if (sample.has_density() && sample.density.size() != sample.ids.size()) {
-    // Validate before opening: a rejected write must not have truncated
-    // a previously valid file at `path`.
-    return Status::FailedPrecondition(
-        "density column length does not match ids");
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  VAS_RETURN_IF_ERROR(WriteU64(out, kSampleMagic, path));
-  return WriteSampleSetTo(out, sample, path);
-}
-
-StatusOr<SampleSet> ReadSampleSet(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  auto magic = ReadU64(in, path);
-  if (!magic.ok() || *magic != kSampleMagic) {
-    return Status::InvalidArgument("not a VAS sample file: " + path);
-  }
-  return ReadSampleSetFrom(in, path);
 }
 
 Status ValidateSampleAgainst(const SampleSet& sample, size_t dataset_size) {

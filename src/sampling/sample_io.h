@@ -4,8 +4,6 @@
 #ifndef VAS_SAMPLING_SAMPLE_IO_H_
 #define VAS_SAMPLING_SAMPLE_IO_H_
 
-#include <istream>
-#include <ostream>
 #include <string>
 
 #include "sampling/sample_set.h"
@@ -20,16 +18,6 @@ Status WriteSampleSet(const SampleSet& sample, const std::string& path);
 /// not id range (the dataset is not at hand); pair with
 /// ValidateSampleAgainst() before use.
 StatusOr<SampleSet> ReadSampleSet(const std::string& path);
-
-/// Streams one sample's body (method, ids, density) without the file
-/// magic — the framing shared between standalone sample files and the
-/// multi-rung catalog format. `path` names the stream in errors.
-Status WriteSampleSetTo(std::ostream& out, const SampleSet& sample,
-                        const std::string& path);
-
-/// Reads one sample body written by WriteSampleSetTo.
-StatusOr<SampleSet> ReadSampleSetFrom(std::istream& in,
-                                      const std::string& path);
 
 /// Checks that every id is in range for a dataset of `dataset_size`
 /// rows and density (if present) is parallel to ids.

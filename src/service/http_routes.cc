@@ -231,7 +231,7 @@ HttpResponse HandleStatus(PlotService* service, const std::string& table) {
   const CatalogManager& manager = service->manager();
   auto memory = manager.memory_stats();
   const obs::MetricsRegistry& counts = *manager.metrics_registry();
-  auto cache = service->cache_stats();
+  const obs::MetricsRegistry& tiles = *service->metrics_registry();
   std::string out = "{";
   out += "\"build\":" + BuildStatusJson(*info);
   out += ",\"memory\":{";
@@ -246,12 +246,13 @@ HttpResponse HandleStatus(PlotService* service, const std::string& table) {
                           "vas_catalog_spill_writes_total");
   out += "}";
   out += ",\"tile_cache\":{";
-  out += "\"hits\":" + std::to_string(cache.hits);
-  out += ",\"misses\":" + std::to_string(cache.misses);
-  out += ",\"evictions\":" + std::to_string(cache.evictions);
-  out += ",\"invalidated\":" + std::to_string(cache.invalidated);
-  out += ",\"entries\":" + std::to_string(cache.entries);
-  out += ",\"bytes\":" + std::to_string(cache.bytes);
+  out += CountField(tiles, "hits", "vas_tile_cache_hits_total");
+  out += "," + CountField(tiles, "misses", "vas_tile_cache_misses_total");
+  out += "," + CountField(tiles, "evictions", "vas_tile_cache_evictions_total");
+  out += "," + CountField(tiles, "invalidated",
+                          "vas_tile_cache_invalidations_total");
+  out += ",\"entries\":" + std::to_string(service->cache().entries());
+  out += ",\"bytes\":" + std::to_string(service->cache().bytes());
   out += "}}\n";
   return JsonResponse(std::move(out));
 }

@@ -60,6 +60,12 @@ PlotService::PlotService(const Options& options)
   metrics_.cache_misses = registry_->GetCounter(
       "vas_tile_cache_misses_total",
       "Tile requests that had to render (elected single-flight leaders).");
+  metrics_.cache_evictions = registry_->GetCounter(
+      "vas_tile_cache_evictions_total",
+      "Encoded tiles evicted to keep the tile cache under its budget.");
+  metrics_.cache_invalidations = registry_->GetCounter(
+      "vas_tile_cache_invalidations_total",
+      "Encoded tiles dropped from the tile cache with their table.");
   for (const char* style : {"scatter", "heatmap"}) {
     obs::LabelSet labels{{"style", style}};
     obs::Histogram* render = registry_->GetHistogram(
@@ -80,16 +86,6 @@ PlotService::PlotService(const Options& options)
   if (manager_options.registry == nullptr) {
     manager_options.registry = registry_;
   }
-  // The rung-upgrade hook: the moment a sharper rung lands, every tile
-  // of that table rendered from a smaller rung is stale — drop them so
-  // the next fetch re-renders at the new fidelity.
-  manager_options.on_rung_ready = [this](const CatalogKey& key,
-                                         size_t rungs_ready,
-                                         size_t rungs_total) {
-    (void)rungs_ready;
-    (void)rungs_total;
-    cache_.InvalidatePrefix(TablePrefix(key.table));
-  };
   manager_ = std::make_unique<CatalogManager>(manager_options);
 }
 
@@ -156,7 +152,8 @@ Status PlotService::DropTable(const std::string& table) {
     std::lock_guard<std::mutex> lock(mu_);
     tables_.erase(table);
   }
-  cache_.InvalidatePrefix(TablePrefix(table));
+  metrics_.cache_invalidations->Increment(
+      cache_.InvalidatePrefix(TablePrefix(table)));
   return Status::OK();
 }
 
@@ -218,26 +215,34 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   }
 
   // The rung size and table generation are part of the key, so a tile
-  // rendered from an older rung (or a dropped registration) can never
-  // be served for a newer one even if invalidation has not swept it
-  // yet.
+  // rendered from an older rung (or a dropped registration) is never
+  // served for a newer one; the LRU reclaims it.
   std::string cache_key =
       CacheKeyFor(table, state.generation, tile, rung_points, style);
-  if (auto cached = cache_.Get(cache_key)) {
+  auto serve_cached = [&](std::shared_ptr<const std::string> png) {
     metrics_.cache_hits->Increment();
-    result.png = std::move(cached);
+    result.png = std::move(png);
     result.cache_hit = true;
     return result;
+  };
+  if (auto cached = cache_.Get(cache_key)) {
+    return serve_cached(std::move(cached));
   }
 
   // Single-flight: concurrent misses on the same key (typical right
-  // after a rung upgrade sweeps a hot table) elect one renderer; the
-  // rest wait for its bytes instead of burning a redundant render each.
-  // A failed render hands its waiters its own error (e.g. the IoError
-  // of a corrupt page).
+  // after a rung upgrade moves a hot table to new keys) elect one
+  // renderer; the rest wait for its bytes instead of burning a
+  // redundant render each. A failed render hands its waiters its own
+  // error (e.g. the IoError of a corrupt page). The leader publishes to
+  // the cache before it leaves the window, so a miss that arrives after
+  // it left finds the tile on the second lookup, under the lock.
   std::promise<RenderedPng> render_promise;
   {
     std::unique_lock<std::mutex> lock(inflight_mu_);
+    if (auto cached = cache_.Get(cache_key)) {
+      lock.unlock();
+      return serve_cached(std::move(cached));
+    }
     auto it = inflight_.find(cache_key);
     if (it != inflight_.end()) {
       auto pending = it->second;
@@ -347,7 +352,7 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   }
   // Publish to the cache before leaving the single-flight window, so a
   // new request always finds the bytes in one place or the other.
-  cache_.Put(cache_key, png);
+  metrics_.cache_evictions->Increment(cache_.Put(cache_key, png));
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     inflight_.erase(cache_key);

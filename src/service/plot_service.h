@@ -1,12 +1,12 @@
 // The serving layer between HTTP and the engine: PlotService owns a
 // CatalogManager, resolves a (table, tile) request to the best sample
 // rung currently available, renders it through ScatterRenderer, and
-// fronts every render with a sharded byte-budgeted TileCache. When a
-// larger rung of a background build lands, the manager's rung-upgrade
-// hook invalidates that table's cached tiles, so progressive
-// refinement reaches clients as sharper tiles on their next fetch —
-// the paper's "serve the best sample the budget allows" policy turned
-// into a multi-user tile server.
+// fronts every render with a sharded byte-budgeted TileCache. The
+// cache key carries the served rung's size, so when a larger rung of a
+// background build lands the next fetch misses and renders the sharper
+// tile, while the LRU reclaims the stale one — progressive refinement
+// reaching clients as the paper's "serve the best sample the budget
+// allows" policy, turned into a multi-user tile server.
 #ifndef VAS_SERVICE_PLOT_SERVICE_H_
 #define VAS_SERVICE_PLOT_SERVICE_H_
 
@@ -51,8 +51,6 @@ class PlotService {
  public:
   struct Options {
     /// Build pool / memory budget / spill dir for the owned manager.
-    /// `catalog.on_rung_ready` is overwritten by the service (it is the
-    /// tile-invalidation hook).
     CatalogManager::Options catalog;
     /// Tile edge in pixels (tiles are square).
     size_t tile_px = 256;
@@ -203,7 +201,10 @@ class PlotService {
   ScatterRenderer::Options TileRenderOptions() const;
 
   CatalogManager& manager() { return *manager_; }
-  TileCache::Stats cache_stats() const { return cache_.stats(); }
+  /// The encoded-tile cache, for its entry and byte counts; hits,
+  /// misses, evictions and invalidations are vas_tile_cache_* counters
+  /// in metrics_registry().
+  const TileCache& cache() const { return cache_; }
   const Options& options() const { return options_; }
 
   /// The registry the render metrics live in (Options.registry, or the
@@ -224,7 +225,7 @@ class PlotService {
   };
 
   /// Cache key namespace: "table\n" prefixes every tile of the table,
-  /// which is what rung-upgrade invalidation erases.
+  /// which is what DropTable erases.
   static std::string TablePrefix(const std::string& table) {
     return table + "\n";
   }
@@ -265,15 +266,14 @@ class PlotService {
     obs::Counter* encode_bytes_out = nullptr;
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_misses = nullptr;
+    obs::Counter* cache_evictions = nullptr;
+    obs::Counter* cache_invalidations = nullptr;
     obs::Histogram* scatter_render_ns = nullptr;
     obs::Histogram* heatmap_render_ns = nullptr;
     obs::Histogram* scatter_encode_ns = nullptr;
     obs::Histogram* heatmap_encode_ns = nullptr;
   };
   RenderMetrics metrics_;
-  /// Declared before manager_: build workers may still fire the
-  /// rung-upgrade hook (which touches the cache) while the manager is
-  /// shutting down, so the cache must outlive it.
   TileCache cache_;
   std::unique_ptr<CatalogManager> manager_;
   mutable std::mutex mu_;

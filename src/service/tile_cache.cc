@@ -24,17 +24,13 @@ std::shared_ptr<const std::string> TileCache::Get(const std::string& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
+  if (it == shard.index.end()) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return it->second->second;
 }
 
-void TileCache::Put(const std::string& key,
-                    std::shared_ptr<const std::string> value) {
+size_t TileCache::Put(const std::string& key,
+                      std::shared_ptr<const std::string> value) {
   VAS_CHECK(value != nullptr);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -48,13 +44,15 @@ void TileCache::Put(const std::string& key,
   shard.lru.emplace_front(key, std::move(value));
   shard.index[key] = shard.lru.begin();
   // Evict LRU-first, never the entry just inserted (size() > 1 guard).
+  size_t evicted = 0;
   while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
     auto& victim = shard.lru.back();
     shard.bytes -= EntryBytes(victim.first, *victim.second);
     shard.index.erase(victim.first);
     shard.lru.pop_back();
-    ++shard.evictions;
+    ++evicted;
   }
+  return evicted;
 }
 
 size_t TileCache::InvalidatePrefix(const std::string& prefix) {
@@ -66,7 +64,6 @@ size_t TileCache::InvalidatePrefix(const std::string& prefix) {
         shard->bytes -= EntryBytes(it->first, *it->second);
         shard->index.erase(it->first);
         it = shard->lru.erase(it);
-        ++shard->invalidated;
         ++dropped;
       } else {
         ++it;
@@ -76,27 +73,22 @@ size_t TileCache::InvalidatePrefix(const std::string& prefix) {
   return dropped;
 }
 
-void TileCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
-}
-
-TileCache::Stats TileCache::stats() const {
-  Stats stats;
+size_t TileCache::entries() const {
+  size_t entries = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.evictions += shard->evictions;
-    stats.invalidated += shard->invalidated;
-    stats.entries += shard->lru.size();
-    stats.bytes += shard->bytes;
+    entries += shard->lru.size();
   }
-  return stats;
+  return entries;
+}
+
+size_t TileCache::bytes() const {
+  size_t bytes = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    bytes += shard->bytes;
+  }
+  return bytes;
 }
 
 }  // namespace vas

@@ -4,9 +4,11 @@
 // byte budget bounds the server's render-cache footprint the same way
 // CatalogManager's budget bounds resident ladders.
 //
-// Values are shared_ptr<const string> so an entry evicted (or
-// invalidated by a rung upgrade) while a response is still being
-// written stays alive until that response completes.
+// Values are shared_ptr<const string> so an entry evicted (or dropped
+// with its table) while a response is still being written stays alive
+// until that response completes. Hit, miss, eviction and invalidation
+// counts live in the caller's metrics registry: Put and
+// InvalidatePrefix return what they dropped.
 #ifndef VAS_SERVICE_TILE_CACHE_H_
 #define VAS_SERVICE_TILE_CACHE_H_
 
@@ -29,16 +31,6 @@ class TileCache {
     size_t shards = 8;
   };
 
-  /// Aggregate counters across shards (racy snapshot by nature).
-  struct Stats {
-    size_t hits = 0;
-    size_t misses = 0;
-    size_t evictions = 0;
-    size_t invalidated = 0;
-    size_t entries = 0;
-    size_t bytes = 0;
-  };
-
   explicit TileCache(const Options& options);
 
   TileCache(const TileCache&) = delete;
@@ -51,18 +43,19 @@ class TileCache {
   /// Inserts (or replaces) `key`, then evicts least-recently-used
   /// entries until the shard is back under its budget slice. The entry
   /// just inserted is never evicted by its own Put, so a tile larger
-  /// than the budget still serves once.
-  void Put(const std::string& key, std::shared_ptr<const std::string> value);
+  /// than the budget still serves once. Returns the number of entries
+  /// evicted.
+  size_t Put(const std::string& key, std::shared_ptr<const std::string> value);
 
-  /// Drops every entry whose key starts with `prefix` — the rung-upgrade
-  /// invalidation path (prefix = one table's key space). Returns the
-  /// number of entries dropped.
+  /// Drops every entry whose key starts with `prefix` (prefix = one
+  /// table's key space, when the table is dropped). Returns the number
+  /// of entries dropped.
   size_t InvalidatePrefix(const std::string& prefix);
 
-  /// Drops everything.
-  void Clear();
-
-  Stats stats() const;
+  /// Entries and their approximate bytes across shards (racy snapshots
+  /// by nature).
+  size_t entries() const;
+  size_t bytes() const;
 
  private:
   struct Shard {
@@ -75,10 +68,6 @@ class TileCache {
                             std::shared_ptr<const std::string>>>::iterator>
         index;
     size_t bytes = 0;
-    size_t hits = 0;
-    size_t misses = 0;
-    size_t evictions = 0;
-    size_t invalidated = 0;
   };
 
   /// Approximate footprint of one entry (key + bytes + bookkeeping).

@@ -1,11 +1,13 @@
 // Catalog persistence: the multi-rung binary format (save/load
 // round-trip equality of ids, density, ladder sizes), structural
-// validation against a dataset, corrupt-file rejection, and the memory
-// accounting CatalogManager's budget runs on.
+// validation against a dataset, corrupt and retired-format (CAT1) file
+// rejection, and the memory accounting CatalogManager's budget runs on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "engine/catalog_io.h"
 #include "engine/catalog_store.h"
@@ -94,32 +96,6 @@ TEST_F(CatalogIoTest, RejectsMissingAndForeignFiles) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(CatalogIoTest, RejectsCorruptCountsWithoutAllocating) {
-  // A garbage rung count (or per-rung id count) must come back as an
-  // error Status, not a thrown length_error from a huge resize.
-  constexpr uint64_t kMagic = 0x5641530043415431ULL;  // "VAS\0CAT1"
-  {
-    std::ofstream out(path(), std::ios::binary);
-    uint64_t rungs = ~uint64_t{0};
-    out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
-    out.write(reinterpret_cast<const char*>(&rungs), sizeof(rungs));
-  }
-  EXPECT_EQ(ReadCatalog(path()).status().code(),
-            StatusCode::kInvalidArgument);
-  {
-    std::ofstream out(path(), std::ios::binary);
-    uint64_t rungs = 1, method_len = 0, n = ~uint64_t{0}, density = 1;
-    out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
-    out.write(reinterpret_cast<const char*>(&rungs), sizeof(rungs));
-    out.write(reinterpret_cast<const char*>(&method_len),
-              sizeof(method_len));
-    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    out.write(reinterpret_cast<const char*>(&density), sizeof(density));
-  }
-  EXPECT_EQ(ReadCatalog(path()).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST_F(CatalogIoTest, RejectsTruncatedFiles) {
   Dataset d = test::Skewed(400);
   SampleCatalog catalog = Build(d, {50, 200}, /*density=*/true);
@@ -139,51 +115,32 @@ TEST_F(CatalogIoTest, RejectsTruncatedFiles) {
   EXPECT_FALSE(ReadCatalog(path()).ok());
 }
 
-TEST_F(CatalogIoTest, LegacyV1FilesLoadByteIdentically) {
-  // Files written by earlier builds (CAT1) must keep loading through
-  // the auto-detecting reader with nothing lost or reordered.
+TEST_F(CatalogIoTest, LegacyV1FilesAreRefused) {
+  // CAT1 is retired: a real CAT1 ladder and CAT1 headers with garbage
+  // counts all come back as InvalidArgument, before any allocation.
   Dataset d = test::Skewed(1500);
   SampleCatalog catalog = Build(d, {40, 300, 1000}, /*density=*/true);
   ASSERT_TRUE(test::WriteCatalogV1(catalog, path()).ok());
-  auto format = SniffCatalogFormat(path());
-  ASSERT_TRUE(format.ok());
-  EXPECT_EQ(*format, CatalogFormat::kV1);
+  auto refused = ReadCatalog(path());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().ToString().find("not a CAT2 catalog"),
+            std::string::npos)
+      << refused.status().ToString();
 
-  auto back = ReadCatalog(path());
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->samples().size(), catalog.samples().size());
-  for (size_t r = 0; r < catalog.samples().size(); ++r) {
-    EXPECT_EQ(back->samples()[r].method, catalog.samples()[r].method);
-    EXPECT_EQ(back->samples()[r].ids, catalog.samples()[r].ids);
-    EXPECT_EQ(back->samples()[r].density, catalog.samples()[r].density);
+  constexpr uint64_t kMagic = 0x5641530043415431ULL;  // "VAS\0CAT1"
+  const uint64_t kAll = ~uint64_t{0};
+  // A garbage rung count; then one rung with a garbage id count.
+  for (const std::vector<uint64_t>& words :
+       {std::vector<uint64_t>{kMagic, kAll},
+        std::vector<uint64_t>{kMagic, 1, 0, kAll, 1}}) {
+    {
+      std::ofstream out(path(), std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(words.data()),
+                static_cast<std::streamsize>(words.size() * sizeof(uint64_t)));
+    }
+    EXPECT_EQ(ReadCatalog(path()).status().code(),
+              StatusCode::kInvalidArgument);
   }
-}
-
-TEST_F(CatalogIoTest, V1ToV2ConversionKeepsEverySample) {
-  // The migration path: read a CAT1 file, rewrite it paged (what
-  // vas_tool convert-catalog does), and get the same ladder back.
-  Dataset d = test::Skewed(2500);
-  SampleCatalog catalog = Build(d, {60, 700}, /*density=*/true);
-  ASSERT_TRUE(test::WriteCatalogV1(catalog, path()).ok());
-  auto legacy = ReadCatalog(path());
-  ASSERT_TRUE(legacy.ok());
-
-  CatalogWriteOptions wopt;
-  wopt.dataset = &d;  // conversion may add cell partitioning
-  ASSERT_TRUE(WriteCatalogPaged(*legacy, path(), wopt).ok());
-  auto format = SniffCatalogFormat(path());
-  ASSERT_TRUE(format.ok());
-  EXPECT_EQ(*format, CatalogFormat::kV2);
-
-  auto converted = ReadCatalog(path());
-  ASSERT_TRUE(converted.ok());
-  ASSERT_EQ(converted->samples().size(), catalog.samples().size());
-  for (size_t r = 0; r < catalog.samples().size(); ++r) {
-    EXPECT_EQ(converted->samples()[r].method, catalog.samples()[r].method);
-    EXPECT_EQ(converted->samples()[r].ids, catalog.samples()[r].ids);
-    EXPECT_EQ(converted->samples()[r].density, catalog.samples()[r].density);
-  }
-  EXPECT_TRUE(ValidateCatalogAgainst(*converted, d.size()).ok());
 }
 
 TEST_F(CatalogIoTest, MemoryBytesTracksLadderSize) {

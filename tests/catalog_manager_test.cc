@@ -338,6 +338,24 @@ TEST(CatalogManagerTest, SaveCatalogOfUnknownKeyIsNotFound) {
                              "/nonexistent/file.vascat")
                 .code(),
             StatusCode::kIoError);
+
+  // A retired CAT1 file is refused as a file problem, with or without a
+  // dataset, and registers nothing.
+  test::ScopedTempFile cat1("vas_manager_cat1.vascat");
+  auto d = std::make_shared<Dataset>(test::Skewed(2000));
+  UniformReservoirSampler sampler(3);
+  SampleCatalog catalog(*d, sampler, NoDensityLadder({100, 800}));
+  ASSERT_TRUE(test::WriteCatalogV1(catalog, cat1.path()).ok());
+  for (const auto& dataset : {std::shared_ptr<Dataset>(), d}) {
+    Status refused = manager.LoadCatalog(CatalogKey{"nope"}, dataset,
+                                         cat1.path());
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.ToString().find("not a CAT2 catalog"),
+              std::string::npos)
+        << refused.ToString();
+  }
+  EXPECT_EQ(manager.GetStatus(CatalogKey{"nope"}).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(CatalogManagerTest, AddCatalogValidatesAgainstDataset) {
@@ -857,8 +875,9 @@ TEST(CatalogManagerTest, CorruptSpillFileSurfacesAsCleanError) {
 
 TEST(CatalogManagerTest, EveryAccessorReportsADamagedSpillFileTheSameWay) {
   // A spill file that does not open as CAT2 — cut short, or replaced by
-  // a CAT1 copy of the same ladder — must fail every accessor with the
-  // same Internal status, count no reload, and leave the entry spilled.
+  // a retired CAT1 copy of the same ladder — must fail every accessor
+  // with the same Internal status, count no reload, and leave the entry
+  // spilled.
   auto d = std::make_shared<Dataset>(test::Skewed(3000));
   d->CacheBounds();
   CatalogKey key{"damaged"};

@@ -1,4 +1,4 @@
-// CatalogStore (the paged CAT2 format): format sniffing, exact
+// CatalogStore (the paged CAT2 format): refusing other files, exact
 // round-trips through the cell-partitioned writer, cell-range partial
 // loads (coverage, rung order and density fidelity vs the resident
 // rung), resident views answering the same cell ranges from each
@@ -111,25 +111,28 @@ class CatalogStoreTest : public test::TempFileTest {
   }
 };
 
-TEST_F(CatalogStoreTest, SniffDistinguishesTheFormats) {
-  Dataset d = test::Skewed(500);
-  SampleCatalog catalog = Build(d, {100}, /*density=*/false);
-
+TEST_F(CatalogStoreTest, OpenRefusesFilesThatAreNotCat2) {
+  // CAT2 is the only catalog format: a retired CAT1 file (large enough
+  // to reach the footer check) and junk bytes are InvalidArgument, a
+  // missing file IoError.
+  Dataset d = test::Skewed(2000);
+  SampleCatalog catalog = Build(d, {100, 1000}, /*density=*/true);
   ASSERT_TRUE(test::WriteCatalogV1(catalog, path()).ok());
-  auto v1 = SniffCatalogFormat(path());
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(*v1, CatalogFormat::kV1);
+  ASSERT_GT(std::filesystem::file_size(path()), 4096u);
+  auto cat1 = CatalogStore::Open(path());
+  EXPECT_EQ(cat1.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(cat1.status().ToString().find("not a CAT2 catalog"),
+            std::string::npos)
+      << cat1.status().ToString();
 
-  ASSERT_TRUE(WriteCatalogPaged(catalog, path()).ok());
-  auto v2 = SniffCatalogFormat(path());
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(*v2, CatalogFormat::kV2);
-
-  EXPECT_EQ(SniffCatalogFormat("/nonexistent/nope.vascat").status().code(),
-            StatusCode::kIoError);
   WriteFileBytes(path(), "definitely not a catalog of any format");
-  EXPECT_EQ(SniffCatalogFormat(path()).status().code(),
+  EXPECT_EQ(CatalogStore::Open(path()).status().code(),
             StatusCode::kInvalidArgument);
+  WriteFileBytes(path(), std::string(8192, '\x5a'));
+  EXPECT_EQ(CatalogStore::Open(path()).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CatalogStore::Open("/nonexistent/nope.vascat").status().code(),
+            StatusCode::kIoError);
 }
 
 TEST_F(CatalogStoreTest, PagedRoundTripPreservesEveryRungExactly) {

@@ -1,11 +1,14 @@
 // Streaming ingest: chunked CSV/binary readers (bounded per-chunk
-// memory, running bounds/row-count accumulation), the chunk-at-a-time
-// binary writer, and the CSV -> binary ingest pipeline vas_tool uses.
+// memory, running bounds/row-count accumulation, non-finite
+// coordinates refused), the chunk-at-a-time binary writer, and the
+// CSV -> binary ingest pipeline vas_tool uses.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "data/dataset_io.h"
@@ -224,17 +227,48 @@ TEST_F(DatasetStreamTest, ValuelessCsvIngestsWithoutFabricatedValues) {
 }
 
 TEST_F(DatasetStreamTest, CsvErrorsSurfaceMidStream) {
-  {
-    std::ofstream out(csv_.path());
-    out << "x,y,value\n1,2,3\n4,5,6\n7,oops,9\n";
+  // Row 3 is malformed, or has a coordinate no sampler or index can
+  // place; the last three name it.
+  for (const char* row : {"7,oops,9", "nan,0.5,3", "0.5,inf,3", "-inf,2,3"}) {
+    SCOPED_TRACE(row);
+    {
+      std::ofstream out(csv_.path(), std::ios::trunc);
+      out << "x,y,value\n1,2,3\n4,5,6\n" << row << "\n";
+    }
+    auto reader = CsvDatasetReader::Open(csv_.path(), 2);
+    ASSERT_TRUE(reader.ok());
+    DatasetChunk chunk;
+    auto first = (*reader)->Next(&chunk);  // rows 1-2 parse fine
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(chunk.size(), 2u);
+    auto third = (*reader)->Next(&chunk);
+    ASSERT_FALSE(third.ok());
+    EXPECT_EQ(third.status().code(), StatusCode::kInvalidArgument);
+    if (std::string(row) != "7,oops,9") {
+      EXPECT_NE(third.status().ToString().find("data row 3"),
+                std::string::npos)
+          << third.status().ToString();
+    }
   }
-  auto reader = CsvDatasetReader::Open(csv_.path(), 2);
-  ASSERT_TRUE(reader.ok());
-  DatasetChunk chunk;
-  auto first = (*reader)->Next(&chunk);  // rows 1-2 parse fine
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(chunk.size(), 2u);
-  EXPECT_FALSE((*reader)->Next(&chunk).ok());  // row 3 is malformed
+  // A non-finite value is not a coordinate: it still loads.
+  {
+    std::ofstream out(csv_.path(), std::ios::trunc);
+    out << "x,y,value\n1,2,3\n4,5,nan\n";
+  }
+  auto loaded = ReadCsv(csv_.path());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), 2u);
+}
+
+TEST_F(DatasetStreamTest, BinaryPointWithANanCoordinateIsRefused) {
+  Dataset d;
+  d.points = {{0.0, 0.0}, {1.0, 1.0}, {std::nan(""), 0.5}};
+  ASSERT_TRUE(WriteBinary(d, bin_.path()).ok());
+  auto back = ReadBinary(bin_.path());
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(back.status().ToString().find("data row 3"), std::string::npos)
+      << back.status().ToString();
 }
 
 TEST_F(DatasetStreamTest, EmptyCsvStreamsZeroRows) {

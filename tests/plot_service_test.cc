@@ -118,9 +118,9 @@ TEST(PlotServiceTest, SecondFetchIsACacheHitSharingTheBytes) {
   EXPECT_TRUE(second->cache_hit);
   EXPECT_EQ(second->png.get(), first->png.get())
       << "a hit must serve the cached bytes, not a copy";
-  auto stats = service.cache_stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(Count(service, "vas_tile_cache_hits_total"), 1);
+  EXPECT_EQ(Count(service, "vas_tile_cache_misses_total"), 1);
+  EXPECT_EQ(service.cache().entries(), 1u);
 }
 
 TEST(PlotServiceTest, ServedTileIsByteIdenticalToDirectRender) {
@@ -172,16 +172,16 @@ TEST(PlotServiceTest, ConditionalRenderTileHonorsEtags) {
 
   // A matching If-None-Match answers from the tag alone: no bytes, no
   // render, not even a cache lookup.
-  auto before = service.cache_stats();
+  const int64_t hits = Count(service, "vas_tile_cache_hits_total");
+  const int64_t misses = Count(service, "vas_tile_cache_misses_total");
   auto conditional = service.RenderTile("geo", tile, cold->etag);
   ASSERT_TRUE(conditional.ok());
   EXPECT_TRUE(conditional->not_modified);
   EXPECT_EQ(conditional->png, nullptr);
   EXPECT_EQ(conditional->etag, cold->etag);
   EXPECT_EQ(conditional->sample_size, cold->sample_size);
-  auto after = service.cache_stats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(Count(service, "vas_tile_cache_hits_total"), hits);
+  EXPECT_EQ(Count(service, "vas_tile_cache_misses_total"), misses);
 
   // RFC 9110 weak comparison: W/ prefixes, lists, and "*" all match.
   EXPECT_TRUE(
@@ -239,7 +239,7 @@ TEST(PlotServiceTest, EtagRotatesWhenASharperRungLands) {
   EXPECT_TRUE(upgraded->build_done);
 }
 
-TEST(PlotServiceTest, RungUpgradeInvalidatesCachedTiles) {
+TEST(PlotServiceTest, RungUpgradeServesAFreshSharperTile) {
   std::promise<void> gate;
   std::shared_future<void> future = gate.get_future().share();
   PlotService service;
@@ -264,19 +264,13 @@ TEST(PlotServiceTest, RungUpgradeInvalidatesCachedTiles) {
   ASSERT_TRUE(service.manager().WaitUntilDone(CatalogKey{"geo"}).ok());
 
   // The sharper rung must now serve — freshly rendered, not the stale
-  // cached tile (rung size is part of the cache key, and the upgrade
-  // hook swept the table's namespace).
+  // cached tile: rung size is part of the cache key.
   auto sharper = service.RenderTile("geo", TileKey{0, 0, 0});
   ASSERT_TRUE(sharper.ok());
   EXPECT_EQ(sharper->sample_size, 2000u);
   EXPECT_FALSE(sharper->cache_hit);
   EXPECT_EQ(sharper->rungs_ready, sharper->rungs_total);
-  // The upgrade hook fires from the build worker after publication, so
-  // it may land shortly after WaitUntilDone returns.
-  for (int i = 0; i < 500 && service.cache_stats().invalidated == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GE(service.cache_stats().invalidated, 1u);
+  EXPECT_NE(*sharper->png, *early->png);
 }
 
 TEST(PlotServiceTest, TileTimeBudgetPicksTheRung) {
@@ -317,6 +311,14 @@ TEST(PlotServiceTest, AddAndLoadTableServePrebuiltLadders) {
   ASSERT_EQ(service.Tables().size(), 2u);
   EXPECT_EQ(service.Tables()[0].key.table, "disk");
   EXPECT_EQ(service.Tables()[1].key.table, "mem");
+
+  // A retired CAT1 file is refused and registers no table.
+  test::ScopedTempFile cat1("plot_service_test_cat1.vascat");
+  ASSERT_TRUE(test::WriteCatalogV1(catalog, cat1.path()).ok());
+  EXPECT_EQ(service.LoadTable("old", dataset, cat1.path()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.GetTable("old").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.Tables().size(), 2u);
 }
 
 TEST(PlotServiceTest, ViewportQueryCountsMatchBruteForce) {
@@ -414,13 +416,16 @@ TEST(PlotServiceTest, DropTableForgetsStateAndAllowsReRegistration) {
                   .ok());
   ASSERT_TRUE(service.manager().WaitUntilDone(CatalogKey{"geo"}).ok());
   ASSERT_TRUE(service.RenderTile("geo", TileKey{0, 0, 0}).ok());
-  ASSERT_GE(service.cache_stats().entries, 1u);
+  const size_t cached = service.cache().entries();
+  ASSERT_GE(cached, 1u);
 
   ASSERT_TRUE(service.DropTable("geo").ok());
   EXPECT_EQ(service.RenderTile("geo", TileKey{0, 0, 0}).status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(service.cache_stats().entries, 0u)
+  EXPECT_EQ(service.cache().entries(), 0u)
       << "dropping a table must drop its cached tiles";
+  EXPECT_EQ(Count(service, "vas_tile_cache_invalidations_total"),
+            static_cast<int64_t>(cached));
   EXPECT_TRUE(service.Tables().empty());
 
   ASSERT_TRUE(service

@@ -1,6 +1,6 @@
 // Shared test fixtures: the standard seeded datasets every suite draws
 // from, an RAII scratch-file helper for I/O round-trip tests, and a
-// writer for legacy CAT1 catalog files. Keeping the generator defaults
+// writer for retired CAT1 catalog files. Keeping the generator defaults
 // here (seed 7 Geolife, seed 11 SPLOM — the same defaults bench_common.h
 // uses) means every suite exercises the same deterministic workload.
 #ifndef VAS_TESTS_TEST_UTIL_H_
@@ -18,9 +18,7 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "data/serial.h"
-#include "engine/catalog_store.h"
 #include "engine/sample_catalog.h"
-#include "sampling/sample_io.h"
 #include "util/status.h"
 
 namespace vas {
@@ -89,18 +87,27 @@ class TempFileTest : public ::testing::Test {
   ScopedTempFile file_;
 };
 
-/// Writes `catalog` in the legacy CAT1 serial format: the u64 magic,
-/// the u64 rung count, then each rung in the standalone sample framing.
-/// The library reads CAT1 but no longer writes it; this is the fixture
-/// for its readers.
+/// Writes `catalog` in the retired CAT1 serial format: the u64 magic
+/// "VAS\0CAT1", the u64 rung count, then per rung its method
+/// (length-prefixed), u64 id count, u64 density flag, the packed ids
+/// and the packed densities when flagged. The library no longer reads
+/// CAT1; this is the fixture that checks every reader refuses it.
 inline Status WriteCatalogV1(const SampleCatalog& catalog,
                              const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open for write: " + path);
-  VAS_RETURN_IF_ERROR(WriteU64(out, kCatalogMagicV1, path));
+  VAS_RETURN_IF_ERROR(WriteU64(out, 0x5641530043415431ULL, path));
   VAS_RETURN_IF_ERROR(WriteU64(out, catalog.samples().size(), path));
   for (const SampleSet& rung : catalog.samples()) {
-    VAS_RETURN_IF_ERROR(WriteSampleSetTo(out, rung, path));
+    VAS_RETURN_IF_ERROR(WriteLengthPrefixedString(out, rung.method, path));
+    VAS_RETURN_IF_ERROR(WriteU64(out, rung.size(), path));
+    VAS_RETURN_IF_ERROR(WriteU64(out, rung.has_density() ? 1 : 0, path));
+    VAS_RETURN_IF_ERROR(WriteRaw(out, rung.ids.data(),
+                                 rung.size() * sizeof(uint64_t), path));
+    if (rung.has_density()) {
+      VAS_RETURN_IF_ERROR(WriteRaw(out, rung.density.data(),
+                                   rung.size() * sizeof(uint64_t), path));
+    }
   }
   return Status::OK();
 }

@@ -10,13 +10,14 @@
 //   curl -o tile.png http://localhost:8080/tiles/taxi/2/1/1.png
 //   curl 'http://localhost:8080/plot?table=taxi&xmin=0&ymin=0&xmax=5&ymax=5'
 //
-// Tiles are cached under a byte budget and invalidated per table as
-// larger rungs land, so clients see progressively sharper plots simply
-// by refetching.
+// Tiles are cached under a byte budget, keyed by the rung they were
+// drawn from, so clients see progressively sharper plots simply by
+// refetching as larger rungs land.
 #include "serve_main.h"
 
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -44,27 +45,38 @@ std::atomic<bool> g_stop_requested{false};
 
 void HandleStopSignal(int) { g_stop_requested.store(true); }
 
-int FailServe(const Status& status) {
+}  // namespace
+
+int Fail(const Status& status) {
   obs::Log(obs::LogLevel::kError, status.ToString());
   return 1;
 }
 
-StatusOr<Dataset> LoadServeInput(const std::string& path) {
+StatusOr<Dataset> LoadInput(const std::string& path) {
   if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
     return ReadBinary(path);
   }
   return ReadCsv(path);
 }
 
-StatusOr<SamplerFactory> MakeServeSamplerFactory(const std::string& method) {
+StatusOr<SamplerFactory> MakeSamplerFactory(
+    const std::string& method, const InterchangeSampler::Options& vopt) {
   if (method == "vas") {
     return SamplerFactory(
-        []() { return std::make_unique<InterchangeSampler>(); });
+        [vopt]() { return std::make_unique<InterchangeSampler>(vopt); });
   }
   if (method == "vas-parallel") {
-    return SamplerFactory([]() {
-      return std::make_unique<ParallelInterchangeSampler>(
-          ParallelInterchangeSampler::Options{});
+    ParallelInterchangeSampler::Options popt;
+    popt.base = vopt;
+    return SamplerFactory([popt]() {
+      return std::make_unique<ParallelInterchangeSampler>(popt);
+    });
+  }
+  if (method == "vas-outlier") {
+    OutlierAugmentedSampler::Options oopt;
+    oopt.base = vopt;
+    return SamplerFactory([oopt]() {
+      return std::make_unique<OutlierAugmentedSampler>(oopt);
     });
   }
   if (method == "uniform") {
@@ -78,7 +90,17 @@ StatusOr<SamplerFactory> MakeServeSamplerFactory(const std::string& method) {
   return Status::InvalidArgument("unknown --method=" + method);
 }
 
-}  // namespace
+StatusOr<std::vector<size_t>> ParseLadder(const std::string& flag) {
+  std::vector<size_t> ladder;
+  for (const std::string& field : Split(flag, ',')) {
+    VAS_ASSIGN_OR_RETURN(int64_t k, ParseInt64(StripWhitespace(field)));
+    if (k <= 0) {
+      return Status::InvalidArgument("ladder rungs must be positive");
+    }
+    ladder.push_back(static_cast<size_t>(k));
+  }
+  return ladder;
+}
 
 int ServeMain(int argc, char** argv) {
   FlagSet flags;
@@ -91,7 +113,8 @@ int ServeMain(int argc, char** argv) {
   flags.Define("ladder", "1000,10000,100000",
                "rung sizes for tables built at startup");
   flags.Define("method", "stratified",
-               "build sampler: vas | vas-parallel | uniform | stratified");
+               "build sampler: vas | vas-parallel | vas-outlier | uniform | "
+               "stratified");
   flags.Define("density", "true", "run the density-embedding pass");
   flags.Define("threads", "0", "build workers (0 = hardware concurrency)");
   flags.Define("memory-budget", "0",
@@ -144,14 +167,14 @@ int ServeMain(int argc, char** argv) {
     return 0;
   }
   if (flags.GetString("data").empty()) {
-    return FailServe(Status::InvalidArgument(
+    return Fail(Status::InvalidArgument(
         "--data is required (comma-separated dataset paths)"));
   }
   const std::string log_format = flags.GetString("log-format");
   if (log_format == "json") {
     obs::SetLogFormat(obs::LogFormat::kJson);
   } else if (log_format != "text") {
-    return FailServe(
+    return Fail(
         Status::InvalidArgument("unknown --log-format=" + log_format));
   }
 
@@ -162,7 +185,7 @@ int ServeMain(int argc, char** argv) {
   obs::MetricsRegistry registry;
   const int64_t ring_size = flags.GetInt("trace-ring-size");
   if (ring_size <= 0) {
-    return FailServe(
+    return Fail(
         Status::InvalidArgument("--trace-ring-size must be positive"));
   }
   obs::TraceRing trace_ring(static_cast<size_t>(ring_size));
@@ -184,22 +207,15 @@ int ServeMain(int argc, char** argv) {
   if (heatmap_colormap == "grayscale") {
     options.heatmap_colormap = ColormapKind::kGrayscale;
   } else if (heatmap_colormap != "viridis") {
-    return FailServe(Status::InvalidArgument(
+    return Fail(Status::InvalidArgument(
         "unknown --heatmap-colormap=" + heatmap_colormap));
   }
   PlotService service(options);
 
   SampleCatalog::Options catalog_options;
-  catalog_options.ladder.clear();
-  for (const std::string& field : Split(flags.GetString("ladder"), ',')) {
-    auto k = ParseInt64(StripWhitespace(field));
-    if (!k.ok()) return FailServe(k.status());
-    if (*k <= 0) {
-      return FailServe(
-          Status::InvalidArgument("ladder rungs must be positive"));
-    }
-    catalog_options.ladder.push_back(static_cast<size_t>(*k));
-  }
+  auto ladder = ParseLadder(flags.GetString("ladder"));
+  if (!ladder.ok()) return Fail(ladder.status());
+  catalog_options.ladder = std::move(*ladder);
   catalog_options.embed_density = flags.GetBool("density");
 
   std::vector<std::string> data_paths =
@@ -209,14 +225,14 @@ int ServeMain(int argc, char** argv) {
           ? std::vector<std::string>(data_paths.size())
           : Split(flags.GetString("catalogs"), ',');
   if (catalog_paths.size() != data_paths.size()) {
-    return FailServe(Status::InvalidArgument(
+    return Fail(Status::InvalidArgument(
         "--catalogs must list one entry per --data path"));
   }
 
   for (size_t i = 0; i < data_paths.size(); ++i) {
     const std::string& path = data_paths[i];
-    auto loaded = LoadServeInput(path);
-    if (!loaded.ok()) return FailServe(loaded.status());
+    auto loaded = LoadInput(path);
+    if (!loaded.ok()) return Fail(loaded.status());
     auto dataset = std::make_shared<Dataset>(std::move(*loaded));
     dataset->CacheBounds();  // shared read-only across render workers
     std::string table = std::filesystem::path(path).stem().string();
@@ -230,8 +246,8 @@ int ServeMain(int argc, char** argv) {
                     catalog_paths[i].c_str());
       }
     } else {
-      auto factory = MakeServeSamplerFactory(flags.GetString("method"));
-      if (!factory.ok()) return FailServe(factory.status());
+      auto factory = MakeSamplerFactory(flags.GetString("method"));
+      if (!factory.ok()) return Fail(factory.status());
       registered = service.RegisterTable(table, dataset, std::move(*factory),
                                          catalog_options);
       if (registered.ok()) {
@@ -241,7 +257,7 @@ int ServeMain(int argc, char** argv) {
                     catalog_options.ladder.size());
       }
     }
-    if (!registered.ok()) return FailServe(registered);
+    if (!registered.ok()) return Fail(registered);
   }
 
   HttpServer::Options server_options;
@@ -266,7 +282,7 @@ int ServeMain(int argc, char** argv) {
   HttpServer server(server_options,
                     MakeServiceHandler(&service, handler_options));
   Status started = server.Start();
-  if (!started.ok()) return FailServe(started);
+  if (!started.ok()) return Fail(started);
   std::printf("vas_serve listening on %s:%u\n",
               server_options.bind_address.c_str(), server.port());
   std::printf("  GET /healthz | /catalogs | /stats | /metrics | "
@@ -281,13 +297,14 @@ int ServeMain(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
   server.Stop();
-  auto cache = service.cache_stats();
   std::printf("shutting down: %zu requests over %zu connections (%zu "
-              "refused), tile cache %zu hits / %zu misses / %zu "
-              "evictions\n",
+              "refused), tile cache %" PRId64 " hits / %" PRId64
+              " misses / %" PRId64 " evictions\n",
               server.requests_served(), server.connections_accepted(),
-              server.connections_refused(), cache.hits, cache.misses,
-              cache.evictions);
+              server.connections_refused(),
+              registry.Total("vas_tile_cache_hits_total"),
+              registry.Total("vas_tile_cache_misses_total"),
+              registry.Total("vas_tile_cache_evictions_total"));
   return 0;
 }
 

@@ -10,7 +10,6 @@
 //                          --out=catalog.vascat
 //   vas_tool load-catalog  --in=data.bin --catalog=catalog.vascat
 //   vas_tool catalog-info  --in=catalog.vascat
-//   vas_tool convert-catalog --in=old.vascat --data=data.bin
 //   vas_tool sample        --in=data.csv --k=10000 --method=vas
 //                          --density=true --out=sample.bin
 //   vas_tool render        --in=data.csv --sample=sample.bin --out=plot.ppm
@@ -39,7 +38,6 @@
 #include "core/vas.h"
 #include "data/dataset_io.h"
 #include "data/dataset_stream.h"
-#include "engine/catalog_io.h"
 #include "engine/catalog_manager.h"
 #include "engine/catalog_store.h"
 #include "engine/session.h"
@@ -60,53 +58,7 @@
   } while (false)
 
 namespace vas::tool {
-
-int Fail(const Status& status) {
-  obs::Log(obs::LogLevel::kError, status.ToString());
-  return 1;
-}
-
 namespace {
-
-StatusOr<Dataset> LoadInput(const std::string& path) {
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
-    return ReadBinary(path);
-  }
-  return ReadCsv(path);
-}
-
-/// Maps a --method flag to a factory producing fresh sampler instances
-/// (catalog rung builds run concurrently, one sampler each).
-StatusOr<SamplerFactory> MakeSamplerFactory(
-    const std::string& method, const InterchangeSampler::Options& vopt) {
-  if (method == "vas") {
-    return SamplerFactory(
-        [vopt]() { return std::make_unique<InterchangeSampler>(vopt); });
-  }
-  if (method == "vas-parallel") {
-    ParallelInterchangeSampler::Options popt;
-    popt.base = vopt;
-    return SamplerFactory([popt]() {
-      return std::make_unique<ParallelInterchangeSampler>(popt);
-    });
-  }
-  if (method == "vas-outlier") {
-    OutlierAugmentedSampler::Options oopt;
-    oopt.base = vopt;
-    return SamplerFactory([oopt]() {
-      return std::make_unique<OutlierAugmentedSampler>(oopt);
-    });
-  }
-  if (method == "uniform") {
-    return SamplerFactory(
-        []() { return std::make_unique<UniformReservoirSampler>(1); });
-  }
-  if (method == "stratified") {
-    return SamplerFactory(
-        []() { return std::make_unique<StratifiedSampler>(); });
-  }
-  return Status::InvalidArgument("unknown --method=" + method);
-}
 
 int CmdGenerate(FlagSet& flags, int argc, char** argv) {
   flags.Define("kind", "geolife", "geolife | splom | uniform | mixture");
@@ -235,15 +187,7 @@ int CmdIngest(FlagSet& flags, int argc, char** argv) {
 /// build flags into catalog options and a sampler factory.
 Status ParseBuildFlags(const FlagSet& flags, SampleCatalog::Options* copt,
                        SamplerFactory* factory) {
-  copt->ladder.clear();
-  for (const std::string& field : Split(flags.GetString("ladder"), ',')) {
-    auto k = ParseInt64(StripWhitespace(field));
-    if (!k.ok()) return k.status();
-    if (*k <= 0) {
-      return Status::InvalidArgument("ladder rungs must be positive");
-    }
-    copt->ladder.push_back(static_cast<size_t>(*k));
-  }
+  VAS_ASSIGN_OR_RETURN(copt->ladder, ParseLadder(flags.GetString("ladder")));
   copt->embed_density = flags.GetBool("density");
   InterchangeSampler::Options vopt;
   vopt.max_passes = static_cast<size_t>(flags.GetInt("passes"));
@@ -437,24 +381,6 @@ int CmdCatalogInfo(FlagSet& flags, int argc, char** argv) {
   VAS_RETURN_IF_ERROR_INT(flags.Parse(argc, argv));
   const std::string path = flags.GetString("in");
 
-  auto format = SniffCatalogFormat(path);
-  if (!format.ok()) return Fail(format.status());
-  if (*format == CatalogFormat::kV1) {
-    auto catalog = ReadCatalog(path);
-    if (!catalog.ok()) return Fail(catalog.status());
-    std::printf("format:  CAT1 (legacy serial blob)\n");
-    std::printf("rungs:   %zu\n", catalog->samples().size());
-    for (const SampleSet& rung : catalog->samples()) {
-      std::printf("  %s rung: %s points, density %s\n", rung.method.c_str(),
-                  FormatWithCommas(static_cast<int64_t>(rung.size())).c_str(),
-                  rung.has_density() ? "yes" : "no");
-    }
-    std::printf(
-        "hint: convert-catalog rewrites this file in the paged CAT2 "
-        "format\n");
-    return 0;
-  }
-
   auto store = CatalogStore::Open(path);
   if (!store.ok()) return Fail(store.status());
   const CatalogStore& s = **store;
@@ -484,50 +410,6 @@ int CmdCatalogInfo(FlagSet& flags, int argc, char** argv) {
         rung.grid_x, rung.grid_y, rung.occupied_cells,
         rung.grid_x * rung.grid_y, rung.max_cell_entries);
   }
-  return 0;
-}
-
-int CmdConvertCatalog(FlagSet& flags, int argc, char** argv) {
-  flags.Define("in", "catalog.vascat", "catalog file to convert");
-  flags.Define("out", "",
-               "output path (empty = rewrite --in in place via a "
-               "temporary file)");
-  flags.Define("data", "",
-               "source dataset (.csv or .bin); when given, rungs are "
-               "partitioned into cell grids for partial loads");
-  flags.Define("page-size", "4096", "CAT2 page size in bytes");
-  flags.Define("cell-entries", "2048",
-               "grid sizing target: entries per cell");
-  VAS_RETURN_IF_ERROR_INT(flags.Parse(argc, argv));
-  const std::string in = flags.GetString("in");
-  std::string out = flags.GetString("out");
-  if (out.empty()) out = in;
-
-  auto catalog = ReadCatalog(in);
-  if (!catalog.ok()) return Fail(catalog.status());
-
-  CatalogWriteOptions wopt;
-  wopt.page_size = static_cast<size_t>(flags.GetInt("page-size"));
-  wopt.target_entries_per_cell =
-      static_cast<size_t>(flags.GetInt("cell-entries"));
-  Dataset dataset;
-  if (!flags.GetString("data").empty()) {
-    auto loaded = LoadInput(flags.GetString("data"));
-    if (!loaded.ok()) return Fail(loaded.status());
-    dataset = std::move(*loaded);
-    Status valid = ValidateCatalogAgainst(*catalog, dataset.size());
-    if (!valid.ok()) return Fail(valid);
-    wopt.dataset = &dataset;
-  }
-
-  // The writer renames a complete file into place, so an interrupted
-  // conversion never leaves a half-written catalog under the final name
-  // (in-place rewrites keep the original intact until then).
-  Status written = WriteCatalogPaged(*catalog, out, wopt);
-  if (!written.ok()) return Fail(written);
-  std::printf("converted %zu-rung catalog -> %s (%s grids)\n",
-              catalog->samples().size(), out.c_str(),
-              wopt.dataset != nullptr ? "cell-partitioned" : "1x1");
   return 0;
 }
 
@@ -629,7 +511,7 @@ int Main(int argc, char** argv) {
              obs::LogFields().Add(
                  "usage", std::string(argv[0]) +
                               " <generate|ingest|build-catalog|save-catalog|"
-                              "load-catalog|catalog-info|convert-catalog|"
+                              "load-catalog|catalog-info|"
                               "sample|render|loss|info|serve> [flags]"));
     return 1;
   }
@@ -651,9 +533,6 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "catalog-info") {
     return CmdCatalogInfo(flags, sub_argc, sub_argv);
-  }
-  if (cmd == "convert-catalog") {
-    return CmdConvertCatalog(flags, sub_argc, sub_argv);
   }
   if (cmd == "sample") return CmdSample(flags, sub_argc, sub_argv);
   if (cmd == "render") return CmdRender(flags, sub_argc, sub_argv);
