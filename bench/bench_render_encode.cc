@@ -5,9 +5,10 @@
 //       (tests/render_reference.h) vs the served binned RenderSample
 //       (must be pixel-identical; binned must be no slower, target
 //       >=1.5x),
-//   (2) PNG encode p50 and bytes/tile of the served filtered
-//       fixed-Huffman stream (tiles must decode to byte-identical pixels
-//       and be <=40% of the closed-form stored size on scatter content),
+//   (2) PNG encode p50 and bytes/tile of the served stream (indexed
+//       or filtered RGB, fixed-Huffman DEFLATE; tiles must decode to
+//       byte-identical pixels and be <=40% of the closed-form stored
+//       size on scatter content),
 //   (3) the heatmap style (RenderCounts -> RenderDensityImage) render +
 //       encode p50 and bytes/tile.
 #include "bench_common.h"
@@ -56,8 +57,9 @@ uint8_t Paeth(uint8_t a, uint8_t b, uint8_t c) {
 }
 
 /// Decodes a PNG written by Image::EncodePng back to raw RGB bytes
-/// (chunk walk + reference inflater + unfilter). The decode-identity
-/// gate runs through this, so a filter or DEFLATE bug cannot pass.
+/// (chunk walk + reference inflater + unfilter, then the palette lookup
+/// for an indexed image). The decode-identity gate runs through this,
+/// so a filter, palette or DEFLATE bug cannot pass.
 StatusOr<std::string> DecodePngPixels(const std::string& png) {
   if (png.size() < 8 ||
       png.substr(0, 8) != std::string("\x89PNG\r\n\x1a\n", 8)) {
@@ -65,7 +67,8 @@ StatusOr<std::string> DecodePngPixels(const std::string& png) {
   }
   size_t at = 8;
   size_t width = 0, height = 0;
-  std::string idat;
+  uint8_t color_type = 0;
+  std::string palette, idat;
   while (at + 8 <= png.size()) {
     uint32_t len = ReadBe32(png, at);
     std::string type = png.substr(at + 4, 4);
@@ -75,13 +78,25 @@ StatusOr<std::string> DecodePngPixels(const std::string& png) {
     if (type == "IHDR") {
       width = ReadBe32(png, at + 8);
       height = ReadBe32(png, at + 12);
+      color_type = static_cast<uint8_t>(png[at + 17]);
+    } else if (type == "PLTE") {
+      palette = png.substr(at + 8, len);
     } else if (type == "IDAT") {
       idat += png.substr(at + 8, len);
     }
     at += 12 + len;
   }
+  if (color_type != 2 && color_type != 3) {
+    return Status::InvalidArgument("unsupported color type");
+  }
+  const size_t entries = palette.size() / 3;
+  if (color_type == 3 && (palette.size() % 3 != 0 || entries == 0 ||
+                          entries > 256)) {
+    return Status::InvalidArgument("bad palette");
+  }
   VAS_ASSIGN_OR_RETURN(std::string raw, ZlibDecompress(idat));
-  size_t stride = width * 3;
+  const size_t bpp = color_type == 3 ? 1 : 3;
+  size_t stride = width * bpp;
   if (raw.size() != (stride + 1) * height) {
     return Status::InvalidArgument("scanline size mismatch");
   }
@@ -95,9 +110,9 @@ StatusOr<std::string> DecodePngPixels(const std::string& png) {
         y > 0 ? reinterpret_cast<uint8_t*>(out.data()) + (y - 1) * stride
               : nullptr;
     for (size_t i = 0; i < stride; ++i) {
-      uint8_t left = i >= 3 ? cur[i - 3] : 0;
+      uint8_t left = i >= bpp ? cur[i - bpp] : 0;
       uint8_t up = prev != nullptr ? prev[i] : 0;
-      uint8_t upleft = (prev != nullptr && i >= 3) ? prev[i - 3] : 0;
+      uint8_t upleft = (prev != nullptr && i >= bpp) ? prev[i - bpp] : 0;
       uint8_t recon = in[i];
       switch (filter) {
         case 0: break;
@@ -115,7 +130,17 @@ StatusOr<std::string> DecodePngPixels(const std::string& png) {
       cur[i] = recon;
     }
   }
-  return out;
+  if (color_type == 2) return out;
+  std::string rgb;
+  rgb.reserve(out.size() * 3);
+  for (char index : out) {
+    const size_t at = static_cast<uint8_t>(index);
+    if (at >= entries) {
+      return Status::InvalidArgument("palette index out of range");
+    }
+    rgb.append(palette, at * 3, 3);
+  }
+  return rgb;
 }
 
 std::string RawPixels(const Image& img) {

@@ -176,9 +176,10 @@ StatusOr<std::unique_ptr<DatasetReader>> OpenDatasetReader(
 
 BinaryDatasetWriter::BinaryDatasetWriter(const std::string& path)
     : path_(path),
+      tmp_path_(path + ".tmp"),
       values_spool_path_(path + ".values.spool"),
-      out_(path, std::ios::binary | std::ios::in | std::ios::out |
-                     std::ios::trunc) {}
+      out_(tmp_path_, std::ios::binary | std::ios::in | std::ios::out |
+                          std::ios::trunc) {}
 
 StatusOr<std::unique_ptr<BinaryDatasetWriter>> BinaryDatasetWriter::Open(
     const std::string& path) {
@@ -197,6 +198,8 @@ BinaryDatasetWriter::~BinaryDatasetWriter() {
   if (!finished_) {
     if (values_spool_.is_open()) values_spool_.close();
     std::remove(values_spool_path_.c_str());
+    if (out_.is_open()) out_.close();
+    std::remove(tmp_path_.c_str());
   }
 }
 
@@ -268,9 +271,11 @@ Status BinaryDatasetWriter::Finish() {
   VAS_RETURN_IF_ERROR(WriteU64(out_, kBinaryMagic, path_));
   VAS_RETURN_IF_ERROR(WriteU64(out_, rows_written_, path_));
   VAS_RETURN_IF_ERROR(WriteU64(out_, has_values_ ? 1 : 0, path_));
-  out_.flush();
-  if (!out_) return Status::IoError("write failed: " + path_);
   out_.close();
+  if (!out_) return Status::IoError("write failed: " + path_);
+  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+    return Status::IoError("cannot rename " + tmp_path_ + " to " + path_);
+  }
   finished_ = true;
   return Status::OK();
 }

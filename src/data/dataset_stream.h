@@ -145,8 +145,10 @@ StatusOr<std::unique_ptr<DatasetReader>> OpenDatasetReader(
 /// row count and the trailing value section are only known at the end of
 /// the stream, so Append() spools values to a sidecar file and Finish()
 /// splices them in and patches the header. Memory stays bounded by the
-/// chunk size. Finish() must be called for the file to be readable; an
-/// unfinished writer leaves no spool behind.
+/// chunk size. The file is built as `path + ".tmp"` and Finish() renames
+/// it over `path`, so a stream that fails part-way leaves any previous
+/// file at `path` as it was; an unfinished writer leaves neither the
+/// temporary file nor the spool behind.
 class BinaryDatasetWriter {
  public:
   static StatusOr<std::unique_ptr<BinaryDatasetWriter>> Open(
@@ -165,8 +167,9 @@ class BinaryDatasetWriter {
   /// without copying them into a chunk first.
   Status Append(const Point* points, const double* values, size_t count);
 
-  /// Seals the file: splices the spooled values after the points and
-  /// rewrites the header with the final row count.
+  /// Seals the file: splices the spooled values after the points,
+  /// rewrites the header with the final row count and renames the
+  /// temporary file over `path`.
   Status Finish();
 
   size_t rows_written() const { return rows_written_; }
@@ -176,6 +179,7 @@ class BinaryDatasetWriter {
   explicit BinaryDatasetWriter(const std::string& path);
 
   std::string path_;
+  std::string tmp_path_;
   std::string values_spool_path_;
   std::fstream out_;
   std::ofstream values_spool_;

@@ -375,6 +375,22 @@ StatusOr<std::shared_ptr<const CatalogStore>> CatalogStore::Open(
     return Status::IoError("cannot stat catalog file: " + path);
   }
   const auto file_bytes = static_cast<size_t>(st.st_size);
+  // The superblock's magic sits at file offset 8, behind page 0's
+  // header. A file without it is not a catalog at all; one with it
+  // that is too short or has no footer was cut short.
+  uint8_t magic[8] = {};
+  if (file_bytes >= kPageHeaderBytes + sizeof(magic)) {
+    if (::pread(fd, magic, sizeof(magic), kPageHeaderBytes) !=
+        static_cast<ssize_t>(sizeof(magic))) {
+      ::close(fd);
+      return Status::IoError("cannot read catalog file: " + path);
+    }
+    if (LoadU64(magic) != kCatalogMagicV2) {
+      ::close(fd);
+      return Status::InvalidArgument("not a CAT2 catalog (bad magic): " +
+                                     path);
+    }
+  }
   if (file_bytes < kMinPageSize + kFooterBytes) {
     ::close(fd);
     return Status::InvalidArgument("truncated catalog file: " + path);
@@ -392,7 +408,8 @@ StatusOr<std::shared_ptr<const CatalogStore>> CatalogStore::Open(
   // Footer → page geometry. Everything after this is CRC-protected.
   const uint8_t* footer = store->base_ + file_bytes - kFooterBytes;
   if (LoadU64(footer) != kFooterMagic) {
-    return Status::InvalidArgument("not a CAT2 catalog (bad footer): " + path);
+    return Status::InvalidArgument("truncated catalog file (no footer): " +
+                                   path);
   }
   const uint64_t crc_stored = LoadU64(footer + 40);
   if (Crc32(footer, 40) != crc_stored) {

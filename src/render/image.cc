@@ -13,8 +13,8 @@ namespace vas {
 namespace {
 
 // --- PNG encoding helpers. The format is small enough to emit by hand:
-// chunks framed by length/type/CRC32, pixel data row-filtered and
-// wrapped in a zlib stream (render/deflate).
+// chunks framed by length/type/CRC32, pixel data as palette indices or
+// row-filtered RGB, wrapped in a zlib stream (render/deflate).
 
 void AppendBe32(std::string* out, uint32_t v) {
   out->push_back(static_cast<char>((v >> 24) & 0xff));
@@ -32,12 +32,13 @@ void AppendChunk(std::string* out, const char type[5],
   AppendBe32(out, Crc32(body));
 }
 
-// --- Row filtering (PNG filter method 0). Filters predict each byte
-// from its left (a), up (b) and up-left (c) neighbors; residuals of
-// smooth images cluster near zero, which is what makes them
-// compressible. Each row gets the first of None/Sub/Up/Average/Paeth
-// (types 0..4) with the smallest sum of absolute residuals, residual
-// bytes read as signed deltas — the standard heuristic.
+// --- Row filtering of truecolor rows (PNG filter method 0). Filters
+// predict each byte from its left (a), up (b) and up-left (c)
+// neighbors; residuals of smooth images cluster near zero, which is
+// what makes them compressible. Each row gets the first of
+// None/Sub/Up/Average/Paeth (types 0..4) with the smallest sum of
+// absolute residuals, residual bytes read as signed deltas — the
+// standard heuristic.
 //
 // All five candidates and their costs come out of one branch-free pass
 // per row, written for the auto-vectorizer (16-byte vectors at -O3).
@@ -121,21 +122,76 @@ int FilterRow(const uint8_t* __restrict__ cur,
   return best;
 }
 
-/// Builds the filtered scanline stream: per row, a filter-type byte
-/// followed by the filtered bytes.
-std::string BuildScanlines(const Rgb* pixels, size_t width, size_t height) {
+// --- Indexed color (PNG color type 3). A tile of at most 256 distinct
+// colors is written as a palette plus one index byte per pixel, every
+// row under filter None: the PNG specification's advice for palette
+// images, and a third of the truecolor bytes for DEFLATE to read.
+
+/// Builds the indexed scanline stream: per row, filter type 0 followed
+/// by one palette index per pixel. `palette` receives the colors as
+/// RGB triples in order of first appearance in raster order. Returns
+/// false on the 257th distinct color, leaving both outputs unspecified.
+///
+/// Colors are looked up in a fixed open-addressing table of 1,024
+/// slots keyed by the 24-bit color (at most a quarter full), behind a
+/// shortcut that reuses the previous pixel's index, which is what
+/// background runs hit.
+bool BuildIndexedScanlines(const Image& image, std::string* palette,
+                           std::string* raw) {
+  constexpr size_t kSlots = 1024;
+  constexpr uint32_t kOccupied = 1u << 24;  // keys are color | kOccupied
+  uint32_t keys[kSlots] = {};
+  uint8_t indices[kSlots] = {};
+  palette->clear();
+  raw->resize(image.height() * (1 + image.width()));
+  char* out = raw->data();
+  uint32_t last_key = 0;  // no color's key
+  uint8_t last_index = 0;
+  for (size_t y = 0; y < image.height(); ++y) {
+    *out++ = 0;  // filter type None
+    const Rgb* row = image.row(y);
+    for (size_t x = 0; x < image.width(); ++x) {
+      const Rgb c = row[x];
+      const uint32_t key = kOccupied | uint32_t{c.r} << 16 |
+                           uint32_t{c.g} << 8 | uint32_t{c.b};
+      if (key != last_key) {
+        size_t slot = (key * 0x9e3779b1u) >> 22;  // top 10 bits
+        while (keys[slot] != key) {
+          if (keys[slot] == 0) {
+            if (palette->size() == 3 * 256) return false;
+            keys[slot] = key;
+            indices[slot] = static_cast<uint8_t>(palette->size() / 3);
+            palette->push_back(static_cast<char>(c.r));
+            palette->push_back(static_cast<char>(c.g));
+            palette->push_back(static_cast<char>(c.b));
+            break;
+          }
+          slot = (slot + 1) % kSlots;
+        }
+        last_key = key;
+        last_index = indices[slot];
+      }
+      *out++ = static_cast<char>(last_index);
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+std::string TruecolorScanlines(const Image& image) {
   const size_t bpp = sizeof(Rgb);
-  const size_t stride = width * bpp;
+  const size_t stride = image.width() * bpp;
   std::string raw;
-  raw.reserve(height * (1 + stride));
+  raw.reserve(image.height() * (1 + stride));
   // The zero row row 0 filters against, then the four residual rows.
   std::vector<uint8_t> rows(5 * stride, 0);
   uint8_t* sub = rows.data() + stride;
   uint8_t* up = sub + stride;
   uint8_t* avg = up + stride;
   uint8_t* paeth = avg + stride;
-  for (size_t y = 0; y < height; ++y) {
-    const uint8_t* cur = reinterpret_cast<const uint8_t*>(pixels + y * width);
+  for (size_t y = 0; y < image.height(); ++y) {
+    const uint8_t* cur = reinterpret_cast<const uint8_t*>(image.row(y));
     const uint8_t* prev = y > 0 ? cur - stride : rows.data();
     const int type = FilterRow(cur, prev, stride, bpp, sub, up, avg, paeth);
     const uint8_t* const filtered[5] = {cur, sub, up, avg, paeth};
@@ -144,8 +200,6 @@ std::string BuildScanlines(const Rgb* pixels, size_t width, size_t height) {
   }
   return raw;
 }
-
-}  // namespace
 
 Image::Image(size_t width, size_t height, Rgb fill)
     : width_(width), height_(height), pixels_(width * height, fill) {}
@@ -171,18 +225,22 @@ Status Image::WritePpm(const std::string& path) const {
 
 std::string Image::EncodePng(const PngEncodeOptions& options) const {
   if (width_ == 0 || height_ == 0) return std::string();
-  std::string raw = BuildScanlines(pixels_.data(), width_, height_);
+  std::string palette;
+  std::string raw;
+  const bool indexed = BuildIndexedScanlines(*this, &palette, &raw);
+  if (!indexed) raw = TruecolorScanlines(*this);
 
   std::string png("\x89PNG\r\n\x1a\n", 8);
   std::string ihdr;
   AppendBe32(&ihdr, static_cast<uint32_t>(width_));
   AppendBe32(&ihdr, static_cast<uint32_t>(height_));
   ihdr.push_back('\x08');  // bit depth
-  ihdr.push_back('\x02');  // color type: truecolor RGB
-  ihdr.push_back('\0');    // compression: deflate
-  ihdr.push_back('\0');    // filter method 0
-  ihdr.push_back('\0');    // no interlace
+  ihdr.push_back(indexed ? '\x03' : '\x02');  // color type: indexed or RGB
+  ihdr.push_back('\0');  // compression: deflate
+  ihdr.push_back('\0');  // filter method 0
+  ihdr.push_back('\0');  // no interlace
   AppendChunk(&png, "IHDR", ihdr);
+  if (indexed) AppendChunk(&png, "PLTE", palette);
   AppendChunk(&png, "IDAT", ZlibCompress(raw, options.deflate));
   AppendChunk(&png, "IEND", std::string());
   return png;

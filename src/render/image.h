@@ -1,7 +1,8 @@
 // Minimal RGB8 raster image with PPM and PNG output. The renderer draws
 // scatter plots into it; the evaluation harness also reads pixels back
 // (the simulated clustering user counts blobs on the rendered bitmap),
-// and the tile server encodes it to PNG for browser consumption.
+// and the tile server encodes it to PNG for browser consumption:
+// indexed color when it has at most 256 colors, else 8-bit RGB.
 #ifndef VAS_RENDER_IMAGE_H_
 #define VAS_RENDER_IMAGE_H_
 
@@ -23,9 +24,12 @@ struct Rgb {
   }
 };
 
-/// How EncodePng turns pixels into bytes. Every row gets the PNG filter
-/// with the smallest absolute-residual sum (None/Sub/Up/Average/Paeth),
-/// and the scanlines go through fixed-Huffman DEFLATE; only the
+/// How EncodePng turns pixels into bytes. An image of at most 256
+/// distinct colors is written indexed: a palette in first-appearance
+/// raster order and one index byte per pixel, every row under filter
+/// None. Any other image is 8-bit RGB, each row under the PNG filter
+/// with the smallest absolute-residual sum (None/Sub/Up/Average/Paeth).
+/// Either way the scanlines go through fixed-Huffman DEFLATE; only the
 /// matcher's search depth is tunable.
 struct PngEncodeOptions {
   DeflateOptions deflate;
@@ -66,11 +70,12 @@ class Image {
   /// Binary PPM (P6).
   Status WritePpm(const std::string& path) const;
 
-  /// Encodes the raster as a complete PNG byte stream (8-bit RGB, no
-  /// interlace). Self-contained and deterministic — identical pixels
-  /// and options yield identical bytes, which is what lets the tile
-  /// cache serve byte-identical responses. Returns an empty string for
-  /// zero-area images (PNG forbids zero dimensions).
+  /// Encodes the raster as a complete PNG byte stream (indexed when at
+  /// most 256 colors, else 8-bit RGB; no interlace). Self-contained
+  /// and deterministic — identical pixels and options yield identical
+  /// bytes, which is what lets the tile cache serve byte-identical
+  /// responses. Returns an empty string for zero-area images (PNG
+  /// forbids zero dimensions).
   std::string EncodePng(const PngEncodeOptions& options = {}) const;
 
   /// EncodePng() written to `path`; InvalidArgument for zero-area
@@ -83,6 +88,11 @@ class Image {
   size_t height_;
   std::vector<Rgb> pixels_;
 };
+
+/// The truecolor scanline stream EncodePng compresses for an image of
+/// more than 256 colors: per row, the chosen filter type byte followed
+/// by the filtered RGB bytes. Exposed for tests.
+std::string TruecolorScanlines(const Image& image);
 
 }  // namespace vas
 

@@ -117,14 +117,16 @@ TEST_F(CatalogIoTest, RejectsTruncatedFiles) {
 
 TEST_F(CatalogIoTest, LegacyV1FilesAreRefused) {
   // CAT1 is retired: a real CAT1 ladder and CAT1 headers with garbage
-  // counts all come back as InvalidArgument, before any allocation.
+  // counts all come back as InvalidArgument "not a CAT2 catalog (bad
+  // magic)", before any allocation.
   Dataset d = test::Skewed(1500);
   SampleCatalog catalog = Build(d, {40, 300, 1000}, /*density=*/true);
   ASSERT_TRUE(test::WriteCatalogV1(catalog, path()).ok());
   auto refused = ReadCatalog(path());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.status().ToString().find("not a CAT2 catalog"),
-            std::string::npos)
+  EXPECT_NE(
+      refused.status().ToString().find("not a CAT2 catalog (bad magic)"),
+      std::string::npos)
       << refused.status().ToString();
 
   constexpr uint64_t kMagic = 0x5641530043415431ULL;  // "VAS\0CAT1"
@@ -138,8 +140,12 @@ TEST_F(CatalogIoTest, LegacyV1FilesAreRefused) {
       out.write(reinterpret_cast<const char*>(words.data()),
                 static_cast<std::streamsize>(words.size() * sizeof(uint64_t)));
     }
-    EXPECT_EQ(ReadCatalog(path()).status().code(),
-              StatusCode::kInvalidArgument);
+    auto garbage = ReadCatalog(path());
+    EXPECT_EQ(garbage.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(
+        garbage.status().ToString().find("not a CAT2 catalog (bad magic)"),
+        std::string::npos)
+        << garbage.status().ToString();
   }
 }
 

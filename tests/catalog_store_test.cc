@@ -111,26 +111,44 @@ class CatalogStoreTest : public test::TempFileTest {
   }
 };
 
+/// Expects Open(path) to be InvalidArgument with `message` in it.
+void ExpectRefused(const std::string& path, const std::string& message) {
+  auto opened = CatalogStore::Open(path);
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().ToString().find(message), std::string::npos)
+      << opened.status().ToString();
+}
+
 TEST_F(CatalogStoreTest, OpenRefusesFilesThatAreNotCat2) {
-  // CAT2 is the only catalog format: a retired CAT1 file (large enough
-  // to reach the footer check) and junk bytes are InvalidArgument, a
-  // missing file IoError.
+  // CAT2 is the only catalog format: a retired CAT1 file, its bare
+  // 16-byte header and junk bytes, short or long, lack the superblock
+  // magic at offset 8 and are "not a CAT2 catalog"; a file too short to
+  // hold that magic, and a real CAT2 file cut short, are "truncated".
+  // All are InvalidArgument; a missing file is IoError.
   Dataset d = test::Skewed(2000);
   SampleCatalog catalog = Build(d, {100, 1000}, /*density=*/true);
   ASSERT_TRUE(test::WriteCatalogV1(catalog, path()).ok());
   ASSERT_GT(std::filesystem::file_size(path()), 4096u);
-  auto cat1 = CatalogStore::Open(path());
-  EXPECT_EQ(cat1.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(cat1.status().ToString().find("not a CAT2 catalog"),
-            std::string::npos)
-      << cat1.status().ToString();
+  const std::string cat1 = ReadFileBytes(path());
+  ExpectRefused(path(), "not a CAT2 catalog (bad magic)");
+  WriteFileBytes(path(), cat1.substr(0, 16));
+  ExpectRefused(path(), "not a CAT2 catalog (bad magic)");
 
   WriteFileBytes(path(), "definitely not a catalog of any format");
-  EXPECT_EQ(CatalogStore::Open(path()).status().code(),
-            StatusCode::kInvalidArgument);
+  ExpectRefused(path(), "not a CAT2 catalog (bad magic)");
   WriteFileBytes(path(), std::string(8192, '\x5a'));
-  EXPECT_EQ(CatalogStore::Open(path()).status().code(),
-            StatusCode::kInvalidArgument);
+  ExpectRefused(path(), "not a CAT2 catalog (bad magic)");
+  WriteFileBytes(path(), std::string(12, '\x5a'));
+  ExpectRefused(path(), "truncated catalog file");
+
+  ASSERT_TRUE(WriteCatalogPaged(catalog, path()).ok());
+  const std::string cat2 = ReadFileBytes(path());
+  ASSERT_GT(cat2.size(), 600u);
+  WriteFileBytes(path(), cat2.substr(0, 600));
+  ExpectRefused(path(), "truncated catalog file");
+  WriteFileBytes(path(), cat2.substr(0, 100));
+  ExpectRefused(path(), "truncated catalog file");
+
   EXPECT_EQ(CatalogStore::Open("/nonexistent/nope.vascat").status().code(),
             StatusCode::kIoError);
 }

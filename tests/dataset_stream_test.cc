@@ -1,13 +1,15 @@
 // Streaming ingest: chunked CSV/binary readers (bounded per-chunk
 // memory, running bounds/row-count accumulation, non-finite
-// coordinates refused), the chunk-at-a-time binary writer, and the
-// CSV -> binary ingest pipeline vas_tool uses.
+// coordinates refused), the chunk-at-a-time binary writer (a failed
+// stream leaves the previous file and no temporaries), and the CSV ->
+// binary ingest pipeline vas_tool uses.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -153,6 +155,44 @@ TEST_F(DatasetStreamTest, WriterRejectsValuePresenceFlips) {
   without_values.points = {{1, 1}};
   ASSERT_TRUE((*writer)->Append(with_values).ok());
   EXPECT_FALSE((*writer)->Append(without_values).ok());
+  // Abandoned unfinished: no file appears, temporary or final.
+  writer->reset();
+  EXPECT_FALSE(std::filesystem::exists(out_.path()));
+  EXPECT_FALSE(std::filesystem::exists(out_.path() + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(out_.path() + ".values.spool"));
+}
+
+TEST_F(DatasetStreamTest, FailedIngestLeavesThePreviousFileIntact) {
+  // A stream that fails on its last row must not touch what is already
+  // at the output path, and must leave no temporary or spool file.
+  Dataset d = test::Skewed(300);
+  ASSERT_TRUE(WriteBinary(d, out_.path()).ok());
+  std::string before;
+  {
+    std::ifstream in(out_.path(), std::ios::binary);
+    before.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_FALSE(before.empty());
+  {
+    std::ofstream out(csv_.path(), std::ios::trunc);
+    out << "x,y,value\n";
+    for (int i = 0; i < 100; ++i) out << i << "," << i * 2 << ",1\n";
+    out << "0.5,inf,3\n";
+  }
+  auto reader = CsvDatasetReader::Open(csv_.path(), 16);
+  ASSERT_TRUE(reader.ok());
+  auto stats = IngestToBinary(**reader, out_.path());
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+
+  std::string after;
+  {
+    std::ifstream in(out_.path(), std::ios::binary);
+    after.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  EXPECT_EQ(after, before);
+  EXPECT_FALSE(std::filesystem::exists(out_.path() + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(out_.path() + ".values.spool"));
 }
 
 TEST_F(DatasetStreamTest, IngestConvertsCsvToBinaryWithProgress) {

@@ -1,22 +1,27 @@
-// Image::EncodePng / WritePng: the self-contained encoder (per-row
-// filtering + fixed-Huffman DEFLATE) must produce structurally valid
-// PNGs that decode back to the exact pixels — verified via chunk/CRC
-// parsing here plus the reference inflater in render/deflate and an
-// independent unfilter pass — plus length+CRC goldens of the served
-// bytes, a differential check of the row-filter choice against a
-// scalar reference chooser, determinism (the tile cache's
-// byte-identity contract), zero-size and >65535-byte-row edge cases,
-// and a compression-wins check on renderer-like content against the
-// closed-form stored-stream size.
+// Image::EncodePng / WritePng: the self-contained encoder (indexed
+// color for at most 256 colors, else per-row filtered RGB, then
+// fixed-Huffman DEFLATE) must produce structurally valid PNGs that
+// decode back to the exact pixels — verified via chunk/CRC parsing
+// here plus the reference inflater in render/deflate, an independent
+// unfilter pass and a palette lookup — plus length+CRC goldens of the
+// served bytes, differential checks of the truecolor row-filter choice
+// against a scalar reference chooser and of the indexed scanlines
+// against a reference palette builder, the 256-color boundary,
+// determinism (the tile cache's byte-identity contract), zero-size and
+// >65535-byte-row edge cases, and a compression-wins check on
+// renderer-like content against the closed-form stored-stream size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "render/deflate.h"
@@ -60,21 +65,27 @@ struct DecodedPng {
   uint32_t height = 0;
   uint8_t bit_depth = 0;
   uint8_t color_type = 0;
+  /// The PLTE payload (RGB triples); empty for truecolor.
+  std::string palette;
   /// The inflated IDAT payload: per row, a filter-type byte followed
   /// by that row's residuals.
   std::string scanlines;
-  /// Row-major RGB triples after unfiltering.
+  /// Row-major RGB triples after unfiltering and, for color type 3,
+  /// mapping each index through the palette.
   std::vector<uint8_t> rgb;
 };
 
-/// Parses the subset of PNG the encoder emits: IHDR/IDAT/IEND chunk
-/// framing with CRCs verified, the zlib payload inflated through the
-/// reference inflater, and all five filter types reversed.
+/// Parses the subset of PNG the encoder emits: IHDR/PLTE/IDAT/IEND
+/// chunk framing with CRCs verified, color type 2 (RGB) or 3 (indexed,
+/// with a PLTE of 1-256 entries before IDAT), the zlib payload inflated
+/// through the reference inflater, all five filter types reversed, and
+/// palette indices mapped back to RGB.
 void DecodePng(const std::string& png, DecodedPng* out) {
+  *out = DecodedPng();
   ASSERT_GE(png.size(), 8u);
   ASSERT_EQ(png.substr(0, 8), std::string("\x89PNG\r\n\x1a\n", 8));
   std::string idat;
-  bool saw_ihdr = false, saw_iend = false;
+  bool saw_ihdr = false, saw_plte = false, saw_iend = false;
   size_t pos = 8;
   while (pos < png.size()) {
     ASSERT_GE(png.size(), pos + 12) << "truncated chunk header";
@@ -94,6 +105,15 @@ void DecodePng(const std::string& png, DecodedPng* out) {
       EXPECT_EQ(png[pos + 19], '\0');  // filter method 0
       EXPECT_EQ(png[pos + 20], '\0');  // no interlace
       saw_ihdr = true;
+    } else if (type == "PLTE") {
+      ASSERT_TRUE(saw_ihdr) << "PLTE before IHDR";
+      ASSERT_FALSE(saw_plte) << "second PLTE";
+      ASSERT_TRUE(idat.empty()) << "PLTE after IDAT";
+      ASSERT_EQ(length % 3, 0u) << "PLTE length " << length;
+      ASSERT_GE(length, 3u);
+      ASSERT_LE(length, 3u * 256);
+      out->palette = png.substr(pos + 8, length);
+      saw_plte = true;
     } else if (type == "IDAT") {
       idat += png.substr(pos + 8, length);
     } else if (type == "IEND") {
@@ -105,6 +125,9 @@ void DecodePng(const std::string& png, DecodedPng* out) {
   ASSERT_TRUE(saw_ihdr);
   ASSERT_TRUE(saw_iend);
   ASSERT_EQ(pos, png.size());
+  ASSERT_TRUE(out->color_type == 2 || out->color_type == 3)
+      << "color type " << int{out->color_type};
+  ASSERT_EQ(saw_plte, out->color_type == 3);
 
   auto inflated = ZlibDecompress(idat);
   ASSERT_TRUE(inflated.ok()) << inflated.status().message();
@@ -114,18 +137,17 @@ void DecodePng(const std::string& png, DecodedPng* out) {
   // Unfilter. Reconstruction uses already-reconstructed neighbors, so
   // this independently reverses whatever per-row choice the encoder
   // made.
-  const size_t bpp = 3;
+  const size_t bpp = out->color_type == 3 ? 1 : 3;
   size_t stride = static_cast<size_t>(out->width) * bpp;
   ASSERT_EQ(raw.size(), (1 + stride) * out->height);
-  std::vector<uint8_t>& rgb = out->rgb;
-  rgb.resize(stride * out->height);
+  std::vector<uint8_t> samples(stride * out->height);
   for (uint32_t y = 0; y < out->height; ++y) {
     uint8_t filter = static_cast<uint8_t>(raw[y * (1 + stride)]);
     ASSERT_LE(filter, 4u) << "row " << y << " filter type";
     const uint8_t* in =
         reinterpret_cast<const uint8_t*>(raw.data() + y * (1 + stride) + 1);
-    uint8_t* cur = rgb.data() + y * stride;
-    const uint8_t* up = y > 0 ? rgb.data() + (y - 1) * stride : nullptr;
+    uint8_t* cur = samples.data() + y * stride;
+    const uint8_t* up = y > 0 ? samples.data() + (y - 1) * stride : nullptr;
     for (size_t i = 0; i < stride; ++i) {
       uint8_t a = i >= bpp ? cur[i - bpp] : 0;
       uint8_t b = up != nullptr ? up[i] : 0;
@@ -140,6 +162,19 @@ void DecodePng(const std::string& png, DecodedPng* out) {
         default: pred = RefPaeth(a, b, c); break;
       }
       cur[i] = static_cast<uint8_t>(in[i] + pred);
+    }
+  }
+  if (out->color_type == 2) {
+    out->rgb = std::move(samples);
+    return;
+  }
+  const size_t entries = out->palette.size() / 3;
+  out->rgb.reserve(samples.size() * 3);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    ASSERT_LT(samples[i], entries) << "palette index at pixel " << i;
+    for (size_t k = 0; k < 3; ++k) {
+      out->rgb.push_back(
+          static_cast<uint8_t>(out->palette[samples[i] * 3 + k]));
     }
   }
 }
@@ -300,13 +335,50 @@ std::string RefScanlines(const Image& image) {
   return raw;
 }
 
+/// The indexed scanline stream and palette a reference builder makes:
+/// colors numbered in order of first appearance in raster order, and
+/// per row filter type 0 followed by one index byte per pixel. Only
+/// meaningful for images of at most 256 colors.
+std::string RefIndexedScanlines(const Image& image, std::string* palette) {
+  std::map<uint32_t, size_t> index_of;
+  std::string raw;
+  palette->clear();
+  for (size_t y = 0; y < image.height(); ++y) {
+    raw.push_back('\0');
+    for (size_t x = 0; x < image.width(); ++x) {
+      const Rgb c = image.Get(x, y);
+      const uint32_t key = (uint32_t{c.r} << 16) | (uint32_t{c.g} << 8) | c.b;
+      auto [it, inserted] = index_of.emplace(key, index_of.size());
+      if (inserted) {
+        palette->push_back(static_cast<char>(c.r));
+        palette->push_back(static_cast<char>(c.g));
+        palette->push_back(static_cast<char>(c.b));
+      }
+      raw.push_back(static_cast<char>(it->second));
+    }
+  }
+  return raw;
+}
+
+size_t DistinctColors(const Image& image) {
+  std::set<uint32_t> colors;
+  for (size_t y = 0; y < image.height(); ++y) {
+    for (size_t x = 0; x < image.width(); ++x) {
+      const Rgb c = image.Get(x, y);
+      colors.insert((uint32_t{c.r} << 16) | (uint32_t{c.g} << 8) | c.b);
+    }
+  }
+  return colors.size();
+}
+
 void ExpectDecodesBack(const Image& image) {
   DecodedPng decoded;
   ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(), &decoded));
   ASSERT_EQ(decoded.width, image.width());
   ASSERT_EQ(decoded.height, image.height());
   EXPECT_EQ(decoded.bit_depth, 8);
-  EXPECT_EQ(decoded.color_type, 2);  // truecolor RGB
+  // Indexed exactly when the image has at most 256 colors.
+  EXPECT_EQ(decoded.color_type, DistinctColors(image) <= 256 ? 3 : 2);
   ASSERT_EQ(decoded.rgb.size(), image.width() * image.height() * 3);
   for (size_t y = 0; y < image.height(); ++y) {
     for (size_t x = 0; x < image.width(); ++x) {
@@ -346,7 +418,9 @@ TEST(ImagePngTest, StoredPngBytesMatchesTheStoredStream) {
 TEST(ImagePngTest, GoldenLengthAndCrcForDefaultOptions) {
   // Length and CRC-32 of whole default-options PNGs — the bytes tiles
   // ship with, and so their ETags, cache entries and wire size. Any
-  // encoder change that alters a served byte fails here.
+  // encoder change that alters a served byte fails here. 1x1, 2x1,
+  // 3x2 and the two tiles have at most 256 colors and are indexed;
+  // pattern 31x17, 22000x2 and noise 37x29 pin the truecolor path.
   struct Golden {
     const char* name;
     Image image;
@@ -364,12 +438,12 @@ TEST(ImagePngTest, GoldenLengthAndCrcForDefaultOptions) {
   three_by_two.Set(1, 1, Rgb{0, 0, 0});
   three_by_two.Set(2, 1, Rgb{128, 64, 250});
   const Golden goldens[] = {
-      {"1x1", Image(1, 1, Rgb{1, 2, 3}), 69, 0xdc180e86u},
-      {"2x1", two_by_one, 72, 0x740044c8u},
-      {"3x2", three_by_two, 85, 0x1a133577u},
+      {"1x1", Image(1, 1, Rgb{1, 2, 3}), 82, 0xc4f1e59cu},
+      {"2x1", two_by_one, 86, 0x7cdc1b9eu},
+      {"3x2", three_by_two, 103, 0x6a27476cu},
       {"pattern 31x17", TestPattern(31, 17), 184, 0xc7963693u},
-      {"dot tile", DotTile(), 3268, 0x5d963dc7u},
-      {"heatmap-like tile", HeatmapLikeTile(), 7601, 0xf7b63732u},
+      {"dot tile", DotTile(), 1744, 0x54866eb6u},
+      {"heatmap-like tile", HeatmapLikeTile(), 4295, 0xc5ddda42u},
       {"22000x2", WideImage(), 1449, 0xb9a2edb9u},
       {"noise 37x29", NoiseImage(37, 29, 5), 3488, 0xd5a6a33eu},
   };
@@ -381,10 +455,12 @@ TEST(ImagePngTest, GoldenLengthAndCrcForDefaultOptions) {
 }
 
 TEST(ImagePngTest, FilterChoiceMatchesReferenceChooser) {
-  // Seeded differential check: the encoder's per-row filter-type bytes
-  // and residuals equal the reference chooser's for every width 1-40
-  // and height 1-4, over full noise, few-level noise (ties between
-  // filters) and flat images.
+  // Seeded differential check: the truecolor builder's per-row
+  // filter-type bytes and residuals equal the reference chooser's for
+  // every width 1-40 and height 1-4, over full noise, few-level noise
+  // (ties between filters) and flat images. None of these has more
+  // than 160 pixels, so EncodePng writes each indexed; its scanlines
+  // must equal the reference indexed builder's.
   int type_seen[5] = {0, 0, 0, 0, 0};
   for (size_t width = 1; width <= 40; ++width) {
     for (size_t height = 1; height <= 4; ++height) {
@@ -394,11 +470,15 @@ TEST(ImagePngTest, FilterChoiceMatchesReferenceChooser) {
                               NoiseImage(width, height, seed, 2),
                               Image(width, height, Rgb{30, 60, 90})};
       for (const Image& image : images) {
+        const std::string expected = RefScanlines(image);
+        ASSERT_EQ(TruecolorScanlines(image), expected)
+            << width << "x" << height << " seed " << seed;
         DecodedPng decoded;
         ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(), &decoded));
-        const std::string expected = RefScanlines(image);
-        ASSERT_EQ(decoded.scanlines, expected)
+        std::string palette;
+        ASSERT_EQ(decoded.scanlines, RefIndexedScanlines(image, &palette))
             << width << "x" << height << " seed " << seed;
+        ASSERT_EQ(decoded.palette, palette);
         for (size_t y = 0; y < height; ++y) {
           ++type_seen[static_cast<uint8_t>(expected[y * (1 + width * 3)])];
         }
@@ -408,6 +488,36 @@ TEST(ImagePngTest, FilterChoiceMatchesReferenceChooser) {
   for (int type = 0; type < 5; ++type) {
     EXPECT_GT(type_seen[type], 0) << "filter type " << type << " never chosen";
   }
+}
+
+TEST(ImagePngTest, IndexedUpTo256Colors) {
+  // 256 distinct colors, each on a 16x16 image's own pixel: indexed,
+  // with a full 768-byte palette. A 257th color (one more column) tips
+  // it to truecolor, with the truecolor builder's scanlines.
+  Image image(16, 16);
+  for (size_t y = 0; y < 16; ++y) {
+    for (size_t x = 0; x < 16; ++x) {
+      image.Set(x, y, Rgb{static_cast<uint8_t>(x * 16), 7,
+                          static_cast<uint8_t>(y * 16)});
+    }
+  }
+  DecodedPng decoded;
+  ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(), &decoded));
+  EXPECT_EQ(decoded.color_type, 3);
+  EXPECT_EQ(decoded.palette.size(), 768u);
+  ExpectDecodesBack(image);
+
+  Image wider(17, 16);
+  for (size_t y = 0; y < 16; ++y) {
+    for (size_t x = 0; x < 16; ++x) wider.Set(x, y, image.Get(x, y));
+    wider.Set(16, y, image.Get(15, y));
+  }
+  wider.Set(16, 15, Rgb{1, 2, 3});
+  ASSERT_EQ(DistinctColors(wider), 257u);
+  ASSERT_NO_FATAL_FAILURE(DecodePng(wider.EncodePng(), &decoded));
+  EXPECT_EQ(decoded.color_type, 2);
+  EXPECT_EQ(decoded.scanlines, TruecolorScanlines(wider));
+  ExpectDecodesBack(wider);
 }
 
 TEST(ImagePngTest, RoundTripsThroughIndependentDecoder) {
@@ -420,8 +530,9 @@ TEST(ImagePngTest, SinglePixelRoundTrips) {
 }
 
 TEST(ImagePngTest, FlatAndGradientImagesRoundTripFiltered) {
-  // Flat fill: Up filter zeroes everything after row 0. Gradient: Sub
-  // residuals are constant. Both exercise the filter heuristic.
+  // Flat fill: one color, so it is written indexed (one palette entry,
+  // filter None). Gradient: more than 256 colors, so truecolor, where
+  // Sub residuals are constant and the filter heuristic is exercised.
   Image flat(64, 48, Rgb{30, 60, 90});
   ExpectDecodesBack(flat);
   Image gradient(64, 48);
@@ -467,6 +578,8 @@ TEST(ImagePngTest, ZeroSizedImagesEncodeEmptyAndRefuseWrite) {
 TEST(ImagePngTest, EncodingIsDeterministic) {
   Image image = TestPattern(64, 64);
   EXPECT_EQ(image.EncodePng(), image.EncodePng());
+  Image tile = DotTile();
+  EXPECT_EQ(tile.EncodePng(), tile.EncodePng());
 }
 
 class ImagePngFileTest : public test::TempFileTest {

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -154,6 +155,10 @@ TEST(PlotServiceTest, ServedTileIsByteIdenticalToDirectRender) {
   ScatterRenderer renderer(service.TileRenderOptions());
   Image direct = renderer.RenderSample(*dataset, rung, viewport);
   EXPECT_EQ(direct.EncodePng(), *served->png);
+  // A scatter tile has at most 256 colors, so it ships indexed: IHDR's
+  // color type (byte 25) is 3.
+  ASSERT_GT(served->png->size(), 25u);
+  EXPECT_EQ(static_cast<uint8_t>((*served->png)[25]), 3);
 }
 
 TEST(PlotServiceTest, ConditionalRenderTileHonorsEtags) {
@@ -540,6 +545,10 @@ TEST(PlotServiceTest, HeatmapTileMatchesDirectDensityRender) {
                          service.options().heatmap_colormap,
                          service.options().renderer.background);
   EXPECT_EQ(direct.EncodePng(service.options().png), *served->png);
+  // A heatmap tile has at most 256 colors, so it ships indexed: IHDR's
+  // color type (byte 25) is 3.
+  ASSERT_GT(served->png->size(), 25u);
+  EXPECT_EQ(static_cast<uint8_t>((*served->png)[25]), 3);
 }
 
 TEST(PlotServiceTest, ResidentTilesFromCellsMatchWholeRungRenders) {
