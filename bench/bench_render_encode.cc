@@ -6,7 +6,7 @@
 //       (must be pixel-identical; binned must be no slower, target
 //       >=1.5x),
 //   (2) PNG encode p50 and bytes/tile of the served stream (indexed
-//       or filtered RGB, fixed-Huffman DEFLATE; tiles must decode to
+//       or filtered RGB, then DEFLATE; tiles must decode to
 //       byte-identical pixels and be <=40% of the closed-form stored
 //       size on scatter content),
 //   (3) the heatmap style (RenderCounts -> RenderDensityImage) render +

@@ -78,9 +78,9 @@ class PlotService {
     /// Renderer styling for tiles; width/height are overridden per tile
     /// with tile_px.
     ScatterRenderer::Options renderer;
-    /// PNG encoding of tile bytes: every tile is row-filtered and
-    /// fixed-Huffman DEFLATE compressed; the matcher's search depth is
-    /// the one setting.
+    /// PNG encoding of tile bytes. It has no settings: the pixels pick
+    /// indexed or row-filtered RGB scanlines, and DEFLATE takes their
+    /// geometry from the image (see PngEncodeOptions).
     PngEncodeOptions png;
     /// Colormap for ?style=heatmap tiles.
     ColormapKind heatmap_colormap = ColormapKind::kViridis;

@@ -1,6 +1,6 @@
 // Image::EncodePng / WritePng: the self-contained encoder (indexed
 // color for at most 256 colors, else per-row filtered RGB, then
-// fixed-Huffman DEFLATE) must produce structurally valid PNGs that
+// DEFLATE with dynamic or fixed Huffman codes) must produce structurally valid PNGs that
 // decode back to the exact pixels — verified via chunk/CRC parsing
 // here plus the reference inflater in render/deflate, an independent
 // unfilter pass and a palette lookup — plus length+CRC goldens of the
@@ -441,11 +441,11 @@ TEST(ImagePngTest, GoldenLengthAndCrcForDefaultOptions) {
       {"1x1", Image(1, 1, Rgb{1, 2, 3}), 82, 0xc4f1e59cu},
       {"2x1", two_by_one, 86, 0x7cdc1b9eu},
       {"3x2", three_by_two, 103, 0x6a27476cu},
-      {"pattern 31x17", TestPattern(31, 17), 184, 0xc7963693u},
-      {"dot tile", DotTile(), 1744, 0x54866eb6u},
-      {"heatmap-like tile", HeatmapLikeTile(), 4295, 0xc5ddda42u},
-      {"22000x2", WideImage(), 1449, 0xb9a2edb9u},
-      {"noise 37x29", NoiseImage(37, 29, 5), 3488, 0xd5a6a33eu},
+      {"pattern 31x17", TestPattern(31, 17), 177, 0xd68cfc59u},
+      {"dot tile", DotTile(), 1381, 0x861c52c2u},
+      {"heatmap-like tile", HeatmapLikeTile(), 4262, 0xeb3485dcu},
+      {"22000x2", WideImage(), 730, 0x4b583228u},
+      {"noise 37x29", NoiseImage(37, 29, 5), 3355, 0x69a94a9bu},
   };
   for (const Golden& golden : goldens) {
     const std::string png = golden.image.EncodePng();
