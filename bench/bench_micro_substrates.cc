@@ -9,8 +9,8 @@
 #include "core/kernel.h"
 #include "core/loss.h"
 #include "data/generators.h"
+#include "index/hashed_grid.h"
 #include "index/kdtree.h"
-#include "index/rtree.h"
 #include "render/scatter_renderer.h"
 #include "sampling/stratified_sampler.h"
 #include "sampling/uniform_sampler.h"
@@ -59,40 +59,48 @@ void BM_KdTreeNearest(benchmark::State& state) {
 }
 BENCHMARK(BM_KdTreeNearest);
 
-void BM_RTreeSwapChurn(benchmark::State& state) {
+// Cells as wide as the locality-mode Interchange uses: half the cutoff
+// radius of the dataset's default kernel.
+double InterchangeCellWidth(const Dataset& d) {
+  GaussianKernel pair =
+      GaussianKernel::PairKernelFor(GaussianKernel::DefaultEpsilon(d.Bounds()));
+  return pair.EffectiveRadius(1.1e-7) / 2.0;
+}
+
+void BM_HashedGridSwapChurn(benchmark::State& state) {
   // The Interchange workload: remove one point, insert another.
   size_t k = static_cast<size_t>(state.range(0));
   Dataset d = SharedDataset(k * 2);
-  RTree tree;
-  for (size_t i = 0; i < k; ++i) tree.Insert(d.points[i], i);
+  HashedGrid grid(InterchangeCellWidth(d));
+  for (size_t i = 0; i < k; ++i) grid.Insert(d.points[i], i);
   Rng rng(3);
   std::vector<Point> current(d.points.begin(),
                              d.points.begin() + static_cast<long>(k));
   for (auto _ : state) {
     size_t slot = rng.Below(static_cast<uint32_t>(k));
     Point next = d.points[k + rng.Below(static_cast<uint32_t>(k))];
-    tree.Remove(current[slot], slot);
-    tree.Insert(next, slot);
+    grid.Remove(current[slot], slot);
+    grid.Insert(next, slot);
     current[slot] = next;
   }
 }
-BENCHMARK(BM_RTreeSwapChurn)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_HashedGridSwapChurn)->Arg(1000)->Arg(10000);
 
-void BM_RTreeRadiusQuery(benchmark::State& state) {
+void BM_HashedGridRadiusQuery(benchmark::State& state) {
   Dataset d = SharedDataset(50000);
-  RTree tree;
-  for (size_t i = 0; i < d.size(); ++i) tree.Insert(d.points[i], i);
-  Rng rng(4);
   Rect b = d.Bounds();
   double radius = b.width() / 50.0;
+  HashedGrid grid(radius / 2.0);
+  for (size_t i = 0; i < d.size(); ++i) grid.Insert(d.points[i], i);
+  Rng rng(4);
   for (auto _ : state) {
     Point q{rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)};
     size_t count = 0;
-    tree.RadiusQuery(q, radius, [&](size_t, Point) { ++count; });
+    grid.ForEachWithin(q, radius, [&](size_t, Point) { ++count; });
     benchmark::DoNotOptimize(count);
   }
 }
-BENCHMARK(BM_RTreeRadiusQuery);
+BENCHMARK(BM_HashedGridRadiusQuery);
 
 void BM_UniformReservoir(benchmark::State& state) {
   Dataset d = SharedDataset(200000);

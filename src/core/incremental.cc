@@ -8,37 +8,11 @@ namespace vas {
 
 IncrementalVas::IncrementalVas(size_t k, Options options)
     : k_(k),
-      options_(options),
-      kernel_(GaussianKernel::PairKernelFor(options.epsilon)),
-      radius_(kernel_.EffectiveRadius(options.locality_threshold)),
       slots_(k),
-      heap_(k),
-      rng_(options.seed, /*seq=*/1111) {
+      step_(GaussianKernel::PairKernelFor(options.epsilon),
+            options.locality_threshold, k) {
   VAS_CHECK_MSG(k_ > 0, "sample capacity must be positive");
-  VAS_CHECK_MSG(options_.epsilon > 0.0, "epsilon must be positive");
-}
-
-void IncrementalVas::Admit(size_t slot, Point p, double value) {
-  // Replace/insert `slot` with the new element, keeping heap and
-  // R-tree consistent.
-  if (slot < filled_) {
-    Point old = slots_[slot].point;
-    rtree_.RadiusQuery(old, radius_, [&](size_t other, Point q) {
-      if (other == slot) return;
-      heap_.Add(other, -kernel_(old, q));
-    });
-    VAS_CHECK(rtree_.Remove(old, slot));
-  }
-  double resp = 0.0;
-  rtree_.RadiusQuery(p, radius_, [&](size_t other, Point q) {
-    if (other == slot) return;
-    double v = kernel_(p, q);
-    heap_.Add(other, v);
-    resp += v;
-  });
-  heap_.Update(slot, resp);
-  rtree_.Insert(p, slot);
-  slots_[slot] = Element{tuples_seen_, p, value};
+  VAS_CHECK_MSG(options.epsilon > 0.0, "epsilon must be positive");
 }
 
 void IncrementalVas::Observe(Point p, double value) {
@@ -47,38 +21,12 @@ void IncrementalVas::Observe(Point p, double value) {
     // random-start role of Interchange's initialization; the stream
     // order provides the randomness, and every slot will be contested
     // from tuple K+1 on anyway).
-    Admit(filled_, p, value);
+    step_.Fill(filled_, p);
+    slots_[filled_] = Element{tuples_seen_, p, value};
     ++filled_;
-    ++tuples_seen_;
-    return;
-  }
-  // Expand: add the candidate's kernel mass to its neighborhood.
-  double cand_resp = 0.0;
-  std::vector<std::pair<size_t, double>> touched;
-  rtree_.RadiusQuery(p, radius_, [&](size_t slot, Point q) {
-    double v = kernel_(p, q);
-    touched.emplace_back(slot, v);
-    cand_resp += v;
-  });
-  for (const auto& [slot, v] : touched) heap_.Add(slot, v);
-  // Shrink: evict the max-responsibility element of the K+1 set.
-  if (heap_.TopKey() <= cand_resp) {
-    for (const auto& [slot, v] : touched) heap_.Add(slot, -v);  // revert
   } else {
-    size_t victim = heap_.Top();
-    Point old = slots_[victim].point;
-    rtree_.RadiusQuery(old, radius_, [&](size_t slot, Point q) {
-      if (slot == victim) return;
-      heap_.Add(slot, -kernel_(old, q));
-    });
-    double d2 = SquaredDistance(p, old);
-    if (d2 <= radius_ * radius_) {
-      cand_resp -= kernel_.FromSquaredDistance(d2);
-    }
-    VAS_CHECK(rtree_.Remove(old, victim));
-    rtree_.Insert(p, victim);
-    heap_.Update(victim, cand_resp);
-    slots_[victim] = Element{tuples_seen_, p, value};
+    const LocalExpandShrink::Outcome step = step_.Offer(p);
+    if (step.replaced) slots_[step.slot] = Element{tuples_seen_, p, value};
   }
   ++tuples_seen_;
 }
@@ -107,10 +55,6 @@ Dataset IncrementalVas::SampleDataset() const {
   return out;
 }
 
-double IncrementalVas::objective() const {
-  double total = 0.0;
-  for (size_t i = 0; i < filled_; ++i) total += heap_.KeyOf(i);
-  return total / 2.0;
-}
+double IncrementalVas::objective() const { return step_.Objective(); }
 
 }  // namespace vas

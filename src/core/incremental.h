@@ -12,11 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/indexed_heap.h"
-#include "core/kernel.h"
+#include "core/expand_shrink.h"
 #include "data/dataset.h"
-#include "index/rtree.h"
-#include "util/random.h"
 
 namespace vas {
 
@@ -30,6 +27,8 @@ class IncrementalVas {
     double epsilon = 0.1;
     /// Kernel values below this are ignored (locality truncation).
     double locality_threshold = 1.1e-7;
+    /// Unused: the fill phase takes the stream's first K tuples, so
+    /// nothing is drawn at random.
     uint64_t seed = 19;
   };
 
@@ -42,7 +41,8 @@ class IncrementalVas {
 
   IncrementalVas(size_t k, Options options);
 
-  /// Feeds one tuple; O(neighborhood · log K).
+  /// Feeds one tuple: one Expand/Shrink step once the sample is full;
+  /// O(neighborhood · log K).
   void Observe(Point p, double value = 0.0);
 
   /// Feeds a batch (convenience).
@@ -62,22 +62,11 @@ class IncrementalVas {
   size_t capacity() const { return k_; }
 
  private:
-  /// Reservoir admission while the sample is still filling: every
-  /// prefix tuple is retained until K are present; afterwards the
-  /// stream is fed through Expand/Shrink.
-  void Admit(size_t slot, Point p, double value);
-
   size_t k_;
-  Options options_;
-  GaussianKernel kernel_;
-  double radius_;
-
   std::vector<Element> slots_;
   size_t filled_ = 0;
   uint64_t tuples_seen_ = 0;
-  IndexedMaxHeap heap_;
-  RTree rtree_;
-  Rng rng_;
+  LocalExpandShrink step_;
 };
 
 }  // namespace vas

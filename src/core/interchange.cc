@@ -1,13 +1,10 @@
 #include "core/interchange.h"
 
 #include <algorithm>
-#include <limits>
+#include <optional>
 
-#include "core/indexed_heap.h"
-#include "core/objective.h"
-#include "index/rtree.h"
+#include "core/expand_shrink.h"
 #include "sampling/uniform_sampler.h"
-#include "util/logging.h"
 #include "util/stopwatch.h"
 
 namespace vas {
@@ -81,23 +78,26 @@ InterchangeSampler::Result InterchangeSampler::Run(const Dataset& dataset,
   SlotState state;
   InitSlots(dataset, init.Sample(dataset, k).ids, kernel, state);
 
-  // Locality-mode structures.
-  const bool use_locality =
-      options_.optimization == Optimization::kExpandShrinkLocality;
-  double radius = kernel.EffectiveRadius(options_.locality_threshold);
-  RTree rtree;
-  IndexedMaxHeap heap(use_locality ? k : 0);
-  if (use_locality) {
-    for (size_t i = 0; i < k; ++i) rtree.Insert(state.points[i], i);
-    for (size_t i = 0; i < k; ++i) heap.Update(i, state.resp[i]);
+  // Locality mode: the slots in a cell grid, responsibilities in a heap.
+  std::optional<LocalExpandShrink> local;
+  if (options_.optimization == Optimization::kExpandShrinkLocality) {
+    local.emplace(kernel, options_.locality_threshold, k);
+    local->Start(state.points, state.resp);
   }
 
   // Scratch: kernel value of the candidate against each slot.
   std::vector<double> cand_kernel(k, 0.0);
-  // Locality mode: slots actually touched by the candidate.
-  std::vector<std::pair<size_t, double>> neighbors;
 
   size_t replacements_this_pass = 0;
+  // Tuple t, at `cand`, takes `slot`; each level updates its own
+  // responsibilities and objective.
+  auto take_slot = [&](size_t slot, size_t t, Point cand) {
+    state.in_sample[state.ids[slot]] = 0;
+    state.in_sample[t] = 1;
+    state.ids[slot] = t;
+    state.points[slot] = cand;
+    ++replacements_this_pass;
+  };
   auto emit_progress = [&](size_t pass) {
     if (!options_.progress) return;
     Progress p;
@@ -153,12 +153,8 @@ InterchangeSampler::Result InterchangeSampler::Run(const Dataset& dataset,
             new_resp += inc;
           }
           state.objective += new_resp - state.resp[best_slot];
-          state.in_sample[state.ids[best_slot]] = 0;
-          state.in_sample[t] = 1;
-          state.ids[best_slot] = t;
-          state.points[best_slot] = cand;
           state.resp[best_slot] = new_resp;
-          ++replacements_this_pass;
+          take_slot(best_slot, t, cand);
         }
       } else if (options_.optimization == Optimization::kExpandShrink) {
         // Algorithm 1. Expand: grow to K+1, updating every slot.
@@ -188,55 +184,16 @@ InterchangeSampler::Result InterchangeSampler::Run(const Dataset& dataset,
             state.resp[i] -= kernel(old, state.points[i]);
           }
           state.objective += cand_resp - victim_resp;
-          cand_resp -= cand_kernel[victim];
-          state.in_sample[state.ids[victim]] = 0;
-          state.in_sample[t] = 1;
-          state.ids[victim] = t;
-          state.points[victim] = cand;
-          state.resp[victim] = cand_resp;
-          ++replacements_this_pass;
+          state.resp[victim] = cand_resp - cand_kernel[victim];
+          take_slot(victim, t, cand);
         }
       } else {
         // Expand/Shrink + locality: only slots within the kernel's
         // effective radius of the candidate participate.
-        neighbors.clear();
-        double cand_resp = 0.0;
-        rtree.RadiusQuery(cand, radius, [&](size_t slot, Point p) {
-          double v = kernel(cand, p);
-          neighbors.emplace_back(slot, v);
-          cand_resp += v;
-        });
-        for (const auto& [slot, v] : neighbors) heap.Add(slot, v);
-        size_t top = heap.Top();
-        if (heap.TopKey() <= cand_resp) {
-          // Candidate is the worst element of the expanded set: revert.
-          for (const auto& [slot, v] : neighbors) heap.Add(slot, -v);
-        } else {
-          size_t victim = top;
-          Point old = state.points[victim];
-          // Both responsibilities below refer to the expanded (K+1) set:
-          // the heap key already includes the candidate's contribution,
-          // and cand_resp includes the victim's. The objective after
-          // Shrink is obj + cand_resp_expanded - victim_resp_expanded.
-          double victim_resp = heap.KeyOf(victim);
-          state.objective += cand_resp - victim_resp;
-          // Subtract the victim's kernel mass from *its* neighborhood.
-          rtree.RadiusQuery(old, radius, [&](size_t slot, Point p) {
-            if (slot == victim) return;
-            heap.Add(slot, -kernel(old, p));
-          });
-          double cand_to_victim = SquaredDistance(cand, old);
-          if (cand_to_victim <= radius * radius) {
-            cand_resp -= kernel.FromSquaredDistance(cand_to_victim);
-          }
-          rtree.Remove(old, victim);
-          rtree.Insert(cand, victim);
-          heap.Update(victim, cand_resp);
-          state.in_sample[state.ids[victim]] = 0;
-          state.in_sample[t] = 1;
-          state.ids[victim] = t;
-          state.points[victim] = cand;
-          ++replacements_this_pass;
+        const LocalExpandShrink::Outcome step = local->Offer(cand);
+        if (step.replaced) {
+          state.objective += step.objective_change;
+          take_slot(step.slot, t, cand);
         }
       }
 
@@ -265,14 +222,9 @@ InterchangeSampler::Result InterchangeSampler::Run(const Dataset& dataset,
   // Copy slots out, sorted for reproducible downstream iteration.
   result.sample.ids = state.ids;
   std::sort(result.sample.ids.begin(), result.sample.ids.end());
-  if (use_locality) {
-    // Heap keys are the authoritative responsibilities in this mode.
-    double obj = 0.0;
-    for (size_t i = 0; i < k; ++i) obj += heap.KeyOf(i);
-    result.objective = obj / 2.0;
-  } else {
-    result.objective = state.objective;
-  }
+  // In locality mode the heap keys are the authoritative
+  // responsibilities.
+  result.objective = local ? local->Objective() : state.objective;
   return result;
 }
 

@@ -8,10 +8,11 @@
 //    responsibility against every slot: O(K²) per tuple.
 //  * kExpandShrink — Algorithm 1's Expand/Shrink: temporarily grow the
 //    set to K+1, evict the max-responsibility element: O(K) per tuple.
-//  * kExpandShrinkLocality — additionally keeps the sample in an R-tree
-//    and truncates the kernel beyond its effective radius, so only the
-//    candidate's spatial neighborhood is touched; an addressable max-heap
-//    yields the eviction victim in O(1).
+//  * kExpandShrinkLocality — additionally truncates the kernel beyond its
+//    effective radius and keeps the sample in a hashed cell grid, so only
+//    the candidate's spatial neighborhood is touched; an addressable
+//    max-heap yields the eviction victim in O(1). The step is
+//    LocalExpandShrink (core/expand_shrink.h), shared with IncrementalVas.
 #ifndef VAS_CORE_INTERCHANGE_H_
 #define VAS_CORE_INTERCHANGE_H_
 

@@ -577,23 +577,6 @@ StatusOr<std::shared_ptr<const SampleCatalog>> CatalogManager::WaitUntilDone(
       Resolve(key, FindEntry(key), WaitMode::kAll, /*in_memory=*/true));
 }
 
-std::vector<CatalogKey> CatalogManager::Keys() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<CatalogKey> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) keys.push_back(key);
-  return keys;
-}
-
-StatusOr<std::shared_ptr<const Dataset>> CatalogManager::DatasetFor(
-    const CatalogKey& key) const {
-  std::shared_ptr<Entry> entry = FindEntry(key);
-  if (entry == nullptr) {
-    return Status::NotFound("no catalog registered: " + key.ToString());
-  }
-  return entry->dataset;
-}
-
 CatalogManager::MemoryStats CatalogManager::memory_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   MemoryStats stats;

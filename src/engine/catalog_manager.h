@@ -185,14 +185,6 @@ class CatalogManager {
   /// intersect.
   StatusOr<CatalogView> ViewFor(const CatalogKey& key) const;
 
-  /// Registered keys, sorted.
-  std::vector<CatalogKey> Keys() const;
-
-  /// The dataset registered for `key` (for sessions serving that
-  /// catalog); NotFound for unregistered keys.
-  StatusOr<std::shared_ptr<const Dataset>> DatasetFor(
-      const CatalogKey& key) const;
-
   /// Memory accounting snapshot (racy by nature, exact under quiesce).
   MemoryStats memory_stats() const;
 

@@ -1,5 +1,5 @@
-// Axis-aligned rectangles: dataset extents, R-tree bounding boxes,
-// stratification cells, and plot viewports all use Rect.
+// Axis-aligned rectangles: dataset extents, stratification cells, and
+// plot viewports all use Rect.
 #ifndef VAS_GEOM_RECT_H_
 #define VAS_GEOM_RECT_H_
 

@@ -27,10 +27,11 @@ void AppendBe32(std::string* out, uint32_t v) {
 void AppendChunk(std::string* out, const char type[5],
                  const std::string& data) {
   AppendBe32(out, static_cast<uint32_t>(data.size()));
-  std::string body(type, 4);
-  body += data;
-  out->append(body);
-  AppendBe32(out, Crc32(body));
+  const size_t body = out->size();
+  out->append(type, 4);
+  out->append(data);
+  // The CRC covers type and data, read where they landed in `out`.
+  AppendBe32(out, Crc32(out->data() + body, out->size() - body));
 }
 
 // --- Row filtering of truecolor rows (PNG filter method 0). Filters

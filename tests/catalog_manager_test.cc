@@ -137,11 +137,8 @@ TEST(CatalogManagerTest, RegistrationAndStatusLifecycle) {
   EXPECT_EQ(status->rungs_ready, 2u);
   EXPECT_EQ(status->rungs_total, 2u);
 
-  ASSERT_EQ(manager.Keys().size(), 1u);
-  EXPECT_EQ(manager.Keys()[0], key);
-  auto dataset = manager.DatasetFor(key);
-  ASSERT_TRUE(dataset.ok());
-  EXPECT_EQ((*dataset).get(), d.get());
+  EXPECT_EQ(manager.GetStatus(CatalogKey{"other"}).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(CatalogManagerTest, SnapshotUnavailableBeforeFirstRung) {
@@ -186,7 +183,10 @@ TEST(CatalogManagerTest, ManagesMultipleColumnPairs) {
   ASSERT_TRUE(c2.ok());
   EXPECT_EQ((*c1)->samples().size(), 2u);
   EXPECT_EQ((*c2)->samples().size(), 3u);
-  EXPECT_EQ(manager.Keys().size(), 2u);
+  EXPECT_TRUE(manager.GetStatus(k1).ok());
+  EXPECT_TRUE(manager.GetStatus(k2).ok());
+  EXPECT_EQ(manager.GetStatus(CatalogKey{"geo", "c0", "c1"}).status().code(),
+            StatusCode::kNotFound);
 }
 
 // The acceptance property for the async refactor: with a >=1M-point

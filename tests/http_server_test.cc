@@ -848,11 +848,11 @@ class ServiceEndpointTest : public ::testing::Test {
     PlotService::Options service_options;
     service_options.registry = &registry_;
     service_ = std::make_unique<PlotService>(service_options);
-    auto dataset = std::make_shared<Dataset>(test::Skewed(4000));
-    dataset->CacheBounds();
+    dataset_ = std::make_shared<Dataset>(test::Skewed(4000));
+    dataset_->CacheBounds();
     ASSERT_TRUE(service_
                     ->RegisterTable(
-                        "geo", dataset,
+                        "geo", dataset_,
                         []() {
                           return std::make_unique<UniformReservoirSampler>(3);
                         },
@@ -880,6 +880,7 @@ class ServiceEndpointTest : public ::testing::Test {
   }
 
   obs::MetricsRegistry registry_;
+  std::shared_ptr<Dataset> dataset_;
   std::unique_ptr<PlotService> service_;
   std::unique_ptr<HttpServer> server_;
 };
@@ -1108,13 +1109,11 @@ TEST_F(ServiceEndpointTest, PlotReturnsViewportCounts) {
 
   // A viewport reaching far past the data counts what the same viewport
   // clipped to the world does: the brute-force count of its points.
-  auto dataset = service_->manager().DatasetFor(CatalogKey{"geo"});
-  ASSERT_TRUE(dataset.ok());
-  const Rect world = (*dataset)->Bounds();
+  const Rect world = dataset_->Bounds();
   const Point center = world.Center();
   const Rect far = Rect::Of(center.x, center.y, 1e20, 1e20);
   size_t brute = 0;
-  for (const Point& p : (*dataset)->points) {
+  for (const Point& p : dataset_->points) {
     if (far.Contains(p)) ++brute;
   }
   ASSERT_GT(brute, 0u);

@@ -128,5 +128,48 @@ TEST(IncrementalVasTest, ValuesTravelWithPoints) {
   EXPECT_DOUBLE_EQ(s.values[1], 2.5);
 }
 
+// The samples of the inputs above, pinned by a fingerprint of the
+// sorted stream ids. Not pinned: MatchesOneShotInterchangeQuality's
+// sparse sample holds tied heap keys; which tied slot is evicted
+// follows the index's visit order, not the objective.
+uint64_t StreamFingerprint(const IncrementalVas& stream) {
+  std::vector<size_t> ids;
+  for (const auto& e : stream.Sample()) ids.push_back(e.stream_id);
+  return test::Fingerprint(ids);
+}
+
+TEST(IncrementalVasTest, InputsKeepTheirSamples) {
+  {
+    IncrementalVas stream(10, StreamOptions(0.2));
+    Dataset d = GenerateUniform(Rect::Of(0, 0, 10, 10), 100, 1);
+    for (size_t i = 0; i < 5; ++i) stream.Observe(d.points[i]);
+    stream.ObserveDataset(d);
+    EXPECT_EQ(StreamFingerprint(stream), 0x911dfdbe541968a7ull);
+  }
+  {
+    IncrementalVas stream(20, StreamOptions(0.2));
+    stream.ObserveDataset(GenerateUniform(Rect::Of(0, 0, 10, 10), 500, 2));
+    EXPECT_EQ(StreamFingerprint(stream), 0xeea40990741c991cull);
+  }
+  {
+    IncrementalVas stream(25, StreamOptions(0.15));
+    stream.ObserveDataset(GenerateUniform(Rect::Of(0, 0, 5, 5), 800, 3));
+    EXPECT_EQ(StreamFingerprint(stream), 0x6329d37f4eb1e900ull);
+  }
+  {
+    Dataset d = test::Skewed(100000);
+    IncrementalVas stream(30, StreamOptions(0.14));
+    for (size_t i = 0; i < 5000; ++i) stream.Observe(d.points[i]);
+    EXPECT_EQ(StreamFingerprint(stream), 0x662238e242f602b6ull);
+  }
+  {
+    IncrementalVas stream(40, StreamOptions(0.2));
+    stream.ObserveDataset(GenerateUniform(Rect::Of(0, 0, 4, 10), 5000, 5));
+    EXPECT_EQ(StreamFingerprint(stream), 0xda0eef27ac1f4168ull);
+    stream.ObserveDataset(GenerateUniform(Rect::Of(6, 0, 10, 10), 5000, 6));
+    EXPECT_EQ(StreamFingerprint(stream), 0x6697e2e24cb99795ull);
+  }
+}
+
 }  // namespace
 }  // namespace vas

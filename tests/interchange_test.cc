@@ -260,5 +260,53 @@ TEST(InterchangeTest, SampleConcentratesLessThanData) {
   EXPECT_LT(sample_top, data_top);
 }
 
+// Every seeded locality-mode input above, pinned by a fingerprint of
+// the sorted ids and the replacement count, so a change to the step or
+// its index that moves a sample shows here. EdgeCases is left out: its
+// k of 0 or >= n returns before the first step.
+void ExpectPinned(const char* input, const Dataset& d,
+                  const InterchangeSampler::Options& opt, size_t k,
+                  uint64_t fingerprint, size_t replacements) {
+  SCOPED_TRACE(input);
+  auto result = InterchangeSampler(opt).Run(d, k);
+  EXPECT_EQ(test::Fingerprint(result.sample.ids), fingerprint);
+  EXPECT_EQ(result.replacements, replacements);
+}
+
+TEST(InterchangeTest, LocalityInputsKeepTheirSamples) {
+  auto loc = BaseOptions(Optimization::kExpandShrinkLocality);
+  ExpectPinned("ProducesValidSample", Skewed(2000), loc, 100,
+               0xf57aac53b8721742ull, 592);
+  ExpectPinned("ReportedObjectiveMatchesRecomputation", Skewed(1500), loc,
+               60, 0x292281e1d73e56b8ull, 449);
+  ExpectPinned("BeatsRandomSampleObjective", Skewed(3000), loc, 80,
+               0x5dcb0819abcf1836ull, 702);
+  ExpectPinned("SampleConcentratesLessThanData", Skewed(20000), loc, 200,
+               0xddf393b580483185ull, 2378);
+  ExpectPinned("DeterministicGivenSeed, seed 5", Skewed(1000), loc, 64,
+               0x41399f5324dc39bdull, 372);
+  auto seed1234 = loc;
+  seed1234.seed = 1234;
+  ExpectPinned("DeterministicGivenSeed, seed 1234", Skewed(1000), seed1234,
+               64, 0x947a6664351d7965ull, 405);
+  auto untruncated = loc;
+  untruncated.locality_threshold = 1e-300;
+  ExpectPinned("LocalityTracksExactExpandShrink", Skewed(800), untruncated,
+               40, 0x67bf3ae12a86c2e0ull, 289);
+
+  ExpectPinned("SingletonSampleIsAnyPoint", Skewed(100), {}, 1,
+               0x025f9da21a9934aaull, 0);
+  InterchangeSampler::Options two_passes;
+  two_passes.max_passes = 2;
+  ExpectPinned("ProgressReportsMonotoneTupleCounts", Skewed(3000),
+               two_passes, 30, 0x93127a480089a543ull, 235);
+  Dataset duplicates;
+  for (int i = 0; i < 500; ++i) duplicates.Add({1.0, 1.0}, double(i));
+  auto degenerate = two_passes;
+  degenerate.epsilon = 0.5;
+  ExpectPinned("AllDuplicatePointsStillSamplesK", duplicates, degenerate, 10,
+               0xa6c285edd6fae3b3ull, 0);
+}
+
 }  // namespace
 }  // namespace vas

@@ -161,6 +161,37 @@ TEST(ParallelSamplerTest, SharedPoolFromWithinPoolTaskDoesNotDeadlock) {
   EXPECT_EQ(from_task.ids, outside.ids);  // sharding is deterministic
 }
 
+// Every seeded input of this suite, pinned by a fingerprint of the
+// sorted ids (the sampler reports no replacement count), plus the
+// single-threaded run QualityNearSingleThreaded compares with. Not
+// pinned: the input of
+// SharedPoolFromWithinPoolTaskDoesNotDeadlock (4 shards, k = 100, one
+// pass), whose sparse shards hold tied heap keys; which tied slot is
+// evicted follows the index's visit order, not the objective.
+TEST(ParallelSamplerTest, LocalityInputsKeepTheirSamples) {
+  auto fingerprint = [](const Dataset& d, size_t shards, size_t k) {
+    ParallelInterchangeSampler::Options opt;
+    opt.num_shards = shards;
+    return test::Fingerprint(ParallelInterchangeSampler(opt).Sample(d, k).ids);
+  };
+  Dataset d = test::Skewed(20000);
+  EXPECT_EQ(fingerprint(d, 1, 500), 0xe6e2d168e46ab258ull);
+  EXPECT_EQ(fingerprint(d, 2, 500), 0xac14cb9b1fceddfcull);
+  EXPECT_EQ(fingerprint(d, 4, 500), 0x3d5148ea3a4a2a61ull);
+  EXPECT_EQ(fingerprint(d, 8, 500), 0xa8675146255a7063ull);
+  EXPECT_EQ(fingerprint(d, 1, 300), 0xb1346dda277660a4ull);
+  EXPECT_EQ(fingerprint(d, 2, 300), 0x2f689c02ae00fd95ull);
+  EXPECT_EQ(fingerprint(d, 4, 300), 0xfab56d8d7e153b27ull);
+  EXPECT_EQ(fingerprint(d, 8, 300), 0xe6f940d22f444edbull);
+  EXPECT_EQ(fingerprint(test::Skewed(100000), 4, 200), 0x63e7256c134a5355ull);
+  EXPECT_EQ(fingerprint(GenerateUniform(Rect::Of(0, 0, 1, 1), 50, 1), 64, 3),
+            0x14ba61b5520b33ebull);
+
+  auto single = InterchangeSampler().Run(d, 300);
+  EXPECT_EQ(test::Fingerprint(single.sample.ids), 0xb1346dda277660a4ull);
+  EXPECT_EQ(single.replacements, 2998u);
+}
+
 TEST(ParallelSamplerTest, EdgeCases) {
   Dataset d = GenerateUniform(Rect::Of(0, 0, 1, 1), 50, 1);
   ParallelInterchangeSampler sampler;

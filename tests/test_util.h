@@ -14,6 +14,7 @@
 #include <random>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/generators.h"
@@ -41,6 +42,20 @@ inline Dataset Splom(size_t n, uint64_t seed = 11) {
   opt.num_rows = n;
   opt.seed = seed;
   return SplomGenerator(opt).Generate(0, 1, 2);
+}
+
+/// FNV-1a over the ids' 8 little-endian bytes each: a short pin for a
+/// sample's sorted ids.
+inline uint64_t Fingerprint(const std::vector<size_t>& ids) {
+  uint64_t h = 14695981039346656037ull;
+  for (size_t id : ids) {
+    const uint64_t v = id;
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
 }
 
 /// Drawn once per process; keeps concurrent runs of the same test

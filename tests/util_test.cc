@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/flags.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -237,6 +239,48 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+// The bytewise table loop Crc32 ran before slicing-by-8, kept as the
+// oracle.
+uint32_t ReferenceCrc32(const unsigned char* bytes, size_t len) {
+  uint32_t table[256];
+  for (uint32_t n = 0; n < 256; ++n) {
+    uint32_t c = n;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[n] = c;
+  }
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32(std::string("123456789")), 0xcbf43926u);
+  EXPECT_EQ(Crc32(std::string()), 0u);
+}
+
+TEST(Crc32Test, MatchesTheBytewiseLoop) {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 70; ++n) sizes.push_back(n);
+  for (size_t n : {4096u, 65792u, 200000u}) sizes.push_back(n);
+  Rng rng(31);
+  std::vector<unsigned char> random(200000 + 8);
+  for (auto& b : random) b = static_cast<unsigned char>(rng.Below(256));
+  const std::vector<unsigned char> ones(200000 + 8, 0xff);
+  for (size_t n : sizes) {
+    // Start offsets 0-7 put the 8-byte steps at every alignment.
+    for (size_t offset = 0; offset < 8; ++offset) {
+      EXPECT_EQ(Crc32(random.data() + offset, n),
+                ReferenceCrc32(random.data() + offset, n))
+          << "n=" << n << " offset=" << offset;
+      EXPECT_EQ(Crc32(ones.data() + offset, n),
+                ReferenceCrc32(ones.data() + offset, n))
+          << "0xff n=" << n << " offset=" << offset;
+    }
+  }
 }
 
 TEST(StopwatchTest, MeasuresElapsed) {
