@@ -1,8 +1,8 @@
 // Interactive-dashboard scenario (paper §II architecture, Figure 3):
 // a BI tool explores a big table through the sample catalog. The session
-// converts each latency budget into a sample size, serves
-// viewport-filtered tuples, and reports what rendering the full result
-// would have cost instead.
+// converts each latency budget into a sample size, counts the sampled
+// tuples inside the viewport, and reports what rendering the full
+// result would have cost instead.
 //
 // Simulates an analyst's zooming session: overview -> zoom -> deeper
 // zoom, under interactive (0.5 s), relaxed (2 s), and batch (120 s)
@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
       req.time_budget_seconds = budget;
       auto plot = session.RequestPlot(req);
       std::printf("%-12s %7.1fs %12zu %12zu %14.2f %14.1f\n", view.name,
-                  budget, plot.catalog_sample_size, plot.tuples.size(),
+                  budget, plot.catalog_sample_size,
+                  plot.sample_points_in_viewport,
                   plot.estimated_viz_seconds,
                   plot.estimated_full_viz_seconds);
     }

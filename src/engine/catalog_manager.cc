@@ -419,12 +419,14 @@ Status CatalogManager::ReloadLocked(const CatalogKey& key, Entry& entry,
   // Reading back through the mapped store reuses its verified pages, and
   // each rung's layout comes with it from the file.
   VAS_RETURN_IF_ERROR(EnsureStoreLocked(key, entry));
-  auto loaded = entry.store->ReadAll(/*dataset_size=*/0);
   // A damaged (or swapped) spill file must never reach a session: ids
   // out of range for the entry's dataset would index out of bounds.
-  Status valid = loaded.ok()
-                     ? ValidateCatalogAgainst(*loaded, entry.dataset->size())
-                     : loaded.status();
+  // ReadAll checks each id as it reads it; against 0 rows it checks
+  // none, and then any id at all is out of range.
+  const size_t rows = entry.dataset->size();
+  auto loaded = entry.store->ReadAll(rows);
+  Status valid = loaded.status();
+  if (valid.ok() && rows == 0) valid = ValidateCatalogAgainst(*loaded, 0);
   if (!valid.ok()) {
     load_failures_read_->Increment();
     return Status::Internal("spill file corrupt for " + key.ToString() +

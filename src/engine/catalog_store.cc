@@ -146,9 +146,8 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
     const SampleSet& rung = rungs[k];
     PlacedRung& p = placed[k];
     VAS_ASSIGN_OR_RETURN(
-        p.layout, LayOutRung(options.dataset, rung,
-                             options.target_entries_per_cell,
-                             options.max_grid_dim));
+        p.layout,
+        LayOutRung(options.dataset, rung, options.target_entries_per_cell));
     for (size_t id : rung.ids) {
       p.max_id = std::max<uint64_t>(p.max_id, id);
     }

@@ -75,10 +75,9 @@ struct CatalogWriteOptions {
   const Dataset* dataset = nullptr;
   /// Page size in bytes. Must be a multiple of 8 in [512, 1 MiB].
   size_t page_size = 4096;
-  /// Grid sizing target: aim for roughly this many entries per cell.
+  /// Grid sizing target: aim for roughly this many entries per cell
+  /// (at most kMaxGridDim cells along either axis).
   size_t target_entries_per_cell = kDefaultEntriesPerCell;
-  /// Upper bound on grid_x / grid_y.
-  size_t max_grid_dim = kDefaultMaxGridDim;
 };
 
 /// Writes every rung of `catalog` to `path` in the CAT2 paged format,

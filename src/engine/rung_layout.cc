@@ -22,38 +22,78 @@ size_t CellCoord(double v, double lo, double hi, uint64_t dim) {
   return static_cast<size_t>(scaled);
 }
 
+/// The cell columns [cx0, cx1] and rows [cy0, cy1] a query spans.
+struct CellSpan {
+  size_t cx0 = 0;
+  size_t cx1 = 0;
+  size_t cy0 = 0;
+  size_t cy1 = 0;
+};
+
+/// The cells of `grid` that `query` spans, or nullopt when no point
+/// can lie inside it. Every point of the rung lies inside its domain,
+/// so a query that misses the domain selects nothing. (A rung laid out
+/// without a dataset has an empty domain and one cell, which every
+/// other query selects.)
+std::optional<CellSpan> SpanOf(const CellGrid& grid, const Rect& query) {
+  // Also false for a NaN bound, which Rect::Contains never accepts.
+  const bool can_hold_points =
+      query.min_x <= query.max_x && query.min_y <= query.max_y;
+  if (!can_hold_points || grid.cell_counts.empty()) return std::nullopt;
+  const Rect& domain = grid.domain;
+  if (!domain.empty() && !query.Intersects(domain)) return std::nullopt;
+  CellSpan span;
+  span.cx0 = CellCoord(query.min_x, domain.min_x, domain.max_x, grid.grid_x);
+  span.cx1 = CellCoord(query.max_x, domain.min_x, domain.max_x, grid.grid_x);
+  span.cy0 = CellCoord(query.min_y, domain.min_y, domain.max_y, grid.grid_y);
+  span.cy1 = CellCoord(query.max_y, domain.min_y, domain.max_y, grid.grid_y);
+  return span;
+}
+
 }  // namespace
 
-uint64_t GridDimFor(size_t count, size_t target_entries_per_cell,
-                    size_t max_grid_dim) {
+uint64_t GridDimFor(size_t count, size_t target_entries_per_cell) {
   size_t per_cell = std::max<size_t>(1, target_entries_per_cell);
   double cells =
       static_cast<double>(count) / static_cast<double>(per_cell);
   auto dim = static_cast<uint64_t>(std::ceil(std::sqrt(std::max(cells, 1.0))));
-  return std::max<uint64_t>(
-      1, std::min<uint64_t>(dim, std::max<size_t>(1, max_grid_dim)));
+  return std::min<uint64_t>(dim, kMaxGridDim);
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> CellGrid::RowRanges(
     const Rect& query) const {
   std::vector<std::pair<uint64_t, uint64_t>> ranges;
-  // Every point of the rung lies inside its domain, so a query that
-  // misses the domain selects nothing. (A rung laid out without a
-  // dataset has an empty domain and one cell, which every query
-  // selects.)
-  if (query.empty() || cell_counts.empty()) return ranges;
-  if (!domain.empty() && !query.Intersects(domain)) return ranges;
-  const size_t cx0 = CellCoord(query.min_x, domain.min_x, domain.max_x, grid_x);
-  const size_t cx1 = CellCoord(query.max_x, domain.min_x, domain.max_x, grid_x);
-  const size_t cy0 = CellCoord(query.min_y, domain.min_y, domain.max_y, grid_y);
-  const size_t cy1 = CellCoord(query.max_y, domain.min_y, domain.max_y, grid_y);
-  ranges.reserve(cy1 - cy0 + 1);
-  for (size_t cy = cy0; cy <= cy1; ++cy) {
-    const size_t last = cy * grid_x + cx1;
-    ranges.emplace_back(cell_starts[cy * grid_x + cx0],
+  const auto span = SpanOf(*this, query);
+  if (!span) return ranges;
+  ranges.reserve(span->cy1 - span->cy0 + 1);
+  for (size_t cy = span->cy0; cy <= span->cy1; ++cy) {
+    const size_t last = cy * grid_x + span->cx1;
+    ranges.emplace_back(cell_starts[cy * grid_x + span->cx0],
                         cell_starts[last] + cell_counts[last]);
   }
   return ranges;
+}
+
+CellGrid::Split CellGrid::SplitCells(const Rect& query) const {
+  Split split;
+  const auto span = SpanOf(*this, query);
+  if (!span) return split;
+  const auto [cx0, cx1, cy0, cy1] = *span;
+  for (size_t cy = cy0; cy <= cy1; ++cy) {
+    const size_t first = cy * grid_x + cx0;
+    const size_t last = cy * grid_x + cx1;
+    const uint64_t first_end = cell_starts[first] + cell_counts[first];
+    const uint64_t last_end = cell_starts[last] + cell_counts[last];
+    if (cy == cy0 || cy == cy1 || cx1 - cx0 < 2) {
+      // The row's cells are consecutive: one range holds them all.
+      split.boundary.emplace_back(cell_starts[first], last_end);
+      continue;
+    }
+    split.boundary.emplace_back(cell_starts[first], first_end);
+    split.interior_entries += cell_starts[last] - first_end;
+    split.boundary.emplace_back(cell_starts[last], last_end);
+  }
+  return split;
 }
 
 SampleSet RungLayout::Select(const SampleSet& rung, const Rect& query) const {
@@ -94,9 +134,21 @@ size_t RungLayout::CountSelected(const Rect& query) const {
   return total;
 }
 
+size_t RungLayout::CountInside(const Dataset& dataset, const SampleSet& rung,
+                               const Rect& query) const {
+  const Split split = SplitCells(query);
+  auto count = static_cast<size_t>(split.interior_entries);
+  for (const auto& [begin, end] : split.boundary) {
+    for (uint64_t e = begin; e < end; ++e) {
+      count += query.Contains(dataset.points[rung.ids[positions[e]]]) ? 1 : 0;
+    }
+  }
+  return count;
+}
+
 StatusOr<std::shared_ptr<const RungLayout>> LayOutRung(
     const Dataset* dataset, const SampleSet& rung,
-    size_t target_entries_per_cell, size_t max_grid_dim) {
+    size_t target_entries_per_cell) {
   const size_t n = rung.size();
   if (rung.has_density() && rung.density.size() != n) {
     return Status::InvalidArgument("rung density column not parallel to ids");
@@ -115,7 +167,7 @@ StatusOr<std::shared_ptr<const RungLayout>> LayOutRung(
       }
       layout->domain.Extend(dataset->points[id]);
     }
-    layout->grid_x = GridDimFor(n, target_entries_per_cell, max_grid_dim);
+    layout->grid_x = GridDimFor(n, target_entries_per_cell);
     layout->grid_y = layout->grid_x;
   }
   if (dataset != nullptr && dataset->has_values()) {

@@ -15,6 +15,17 @@ std::shared_ptr<const Dataset> OwnDataset(Dataset dataset) {
   return owned;
 }
 
+/// How many of `sample`'s points lie inside `viewport`, by testing
+/// each: the count for a rung without a cell layout.
+size_t CountByScan(const Dataset& dataset, const SampleSet& sample,
+                   const Rect& viewport) {
+  size_t count = 0;
+  for (size_t id : sample.ids) {
+    count += viewport.Contains(dataset.points[id]) ? 1 : 0;
+  }
+  return count;
+}
+
 }  // namespace
 
 InteractiveSession::InteractiveSession(Dataset dataset,
@@ -64,29 +75,24 @@ StatusOr<InteractiveSession::PlotResult> InteractiveSession::Plot(
       catalog->ChooseForTimeBudget(request.time_budget_seconds, model_);
   result.catalog_sample_size = sample.size();
 
-  bool whole_domain = request.viewport.empty();
-  size_t full_matches = 0;
-  result.tuples.name = dataset_->name + "/plot";
-  for (size_t i = 0; i < sample.ids.size(); ++i) {
-    size_t id = sample.ids[i];
-    if (whole_domain || request.viewport.Contains(dataset_->points[id])) {
-      result.tuples.points.push_back(dataset_->points[id]);
-      if (dataset_->has_values()) {
-        result.tuples.values.push_back(dataset_->values[id]);
-      }
-      if (sample.has_density()) {
-        result.density.push_back(sample.density[i]);
-      }
-    }
-  }
-  if (whole_domain) {
-    full_matches = dataset_->size();
+  if (request.viewport.empty()) {
+    result.sample_points_in_viewport = sample.size();
+    result.points_in_viewport = dataset_->size();
   } else {
-    full_matches = CountInViewport(request.viewport);
+    // ChooseForTimeBudget returns one of samples(), so its offset there
+    // is its rung index.
+    const auto k = static_cast<size_t>(&sample - catalog->samples().data());
+    const auto& layout = catalog->layout(k);
+    result.sample_points_in_viewport =
+        layout != nullptr
+            ? layout->CountInside(*dataset_, sample, request.viewport)
+            : CountByScan(*dataset_, sample, request.viewport);
+    result.points_in_viewport = CountInViewport(request.viewport);
   }
-  result.points_in_viewport = full_matches;
-  result.estimated_viz_seconds = model_.SecondsFor(result.tuples.size());
-  result.estimated_full_viz_seconds = model_.SecondsFor(full_matches);
+  result.estimated_viz_seconds =
+      model_.SecondsFor(result.sample_points_in_viewport);
+  result.estimated_full_viz_seconds =
+      model_.SecondsFor(result.points_in_viewport);
   return result;
 }
 

@@ -1,8 +1,9 @@
 // Interactive visualization session: the ScalaR-style dynamic-reduction
 // layer between a visualization tool and the table (paper §II-A,
 // Figure 3). The tool submits a viewport (zoom rectangle) and a latency
-// budget; the session converts the budget into a sample size, fetches
-// the sampled tuples under the viewport predicate, and reports what an
+// budget; the session converts the budget into a sample size, counts
+// the sampled tuples under the viewport predicate from the chosen
+// rung's cell layout (copying none of them), and reports what an
 // external renderer would have cost with and without sampling.
 //
 // A session serves either a fully built catalog it owns (the original
@@ -37,12 +38,11 @@ class InteractiveSession {
   };
 
   struct PlotResult {
-    /// Tuples to hand to the renderer (already viewport-filtered).
-    Dataset tuples;
-    /// Density counts aligned with `tuples` rows (empty when the chosen
-    /// sample has none).
-    std::vector<uint64_t> density;
     size_t catalog_sample_size = 0;
+    /// How many of the chosen rung's sampled tuples lie inside the
+    /// viewport (the whole rung for an empty viewport): the tuples a
+    /// renderer of this plot would draw.
+    size_t sample_points_in_viewport = 0;
     /// Exact number of dataset tuples inside the viewport (the whole
     /// dataset for an empty viewport), answered from the session's
     /// cached count grid — what the plot would show unsampled.

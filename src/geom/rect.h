@@ -23,7 +23,6 @@ struct Rect {
 
   double width() const { return empty() ? 0.0 : max_x - min_x; }
   double height() const { return empty() ? 0.0 : max_y - min_y; }
-  double Area() const { return width() * height(); }
   Point Center() const {
     return {(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
   }
@@ -45,27 +44,10 @@ struct Rect {
     max_y = std::max(max_y, p.y);
   }
 
-  /// Grows this rectangle to cover `o`.
-  void Extend(const Rect& o) {
-    if (o.empty()) return;
-    min_x = std::min(min_x, o.min_x);
-    min_y = std::min(min_y, o.min_y);
-    max_x = std::max(max_x, o.max_x);
-    max_y = std::max(max_y, o.max_y);
-  }
-
   /// Rectangle inflated by `margin` on every side.
   Rect Inflated(double margin) const {
     return Rect{min_x - margin, min_y - margin, max_x + margin,
                 max_y + margin};
-  }
-
-  /// Squared distance from `p` to the nearest point of the rectangle
-  /// (zero when contained). Used by index pruning.
-  double SquaredDistanceTo(Point p) const {
-    double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
-    double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
-    return dx * dx + dy * dy;
   }
 
   friend bool operator==(const Rect& a, const Rect& b) {

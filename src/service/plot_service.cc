@@ -72,12 +72,19 @@ PlotService::PlotService(const Options& options)
         "vas_tile_render_ns", "Tile rasterization wall time.", labels);
     obs::Histogram* encode = registry_->GetHistogram(
         "vas_tile_encode_ns", "Tile PNG encode wall time.", labels);
+    obs::Counter* entries = registry_->GetCounter(
+        "vas_tile_materialized_entries_total",
+        "Rung entries cold renders drew from: the cells a tile's viewport "
+        "touches, or the whole rung.",
+        labels);
     if (std::string(style) == "heatmap") {
       metrics_.heatmap_render_ns = render;
       metrics_.heatmap_encode_ns = encode;
+      metrics_.heatmap_entries = entries;
     } else {
       metrics_.scatter_render_ns = render;
       metrics_.scatter_encode_ns = encode;
+      metrics_.scatter_entries = entries;
     }
   }
   CatalogManager::Options manager_options = options_.catalog;
@@ -335,6 +342,8 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
   auto png = std::make_shared<const std::string>(image.EncodePng(options_.png));
   const uint64_t encode_end = obs::MonotonicNowNs();
   (heatmap ? metrics_.heatmap_tiles : metrics_.scatter_tiles)->Increment();
+  (heatmap ? metrics_.heatmap_entries : metrics_.scatter_entries)
+      ->Increment(sample->size());
   if (cells_suffice && view.partial()) {
     metrics_.partial_loads->Increment();
     metrics_.partial_load_bytes->Increment(touched_bytes);
@@ -374,7 +383,7 @@ StatusOr<PlotService::ViewportInfo> PlotService::QueryViewport(
                        state.session->Plot(request));
   ViewportInfo info;
   info.sample_size = plot.catalog_sample_size;
-  info.sample_points_in_viewport = plot.tuples.size();
+  info.sample_points_in_viewport = plot.sample_points_in_viewport;
   info.points_in_viewport = plot.points_in_viewport;
   info.estimated_viz_seconds = plot.estimated_viz_seconds;
   info.estimated_full_viz_seconds = plot.estimated_full_viz_seconds;

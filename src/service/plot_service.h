@@ -117,7 +117,8 @@ class PlotService {
   };
 
   /// /plot's answer: viewport aggregates from the engine session (the
-  /// exact count comes from the cached UniformGrid, not a rescan).
+  /// exact count comes from the cached UniformGrid, not a rescan, and
+  /// the sample count from the chosen rung's cell layout).
   struct ViewportInfo {
     size_t sample_size = 0;
     size_t sample_points_in_viewport = 0;
@@ -260,6 +261,8 @@ class PlotService {
   struct RenderMetrics {
     obs::Counter* scatter_tiles = nullptr;
     obs::Counter* heatmap_tiles = nullptr;
+    obs::Counter* scatter_entries = nullptr;
+    obs::Counter* heatmap_entries = nullptr;
     obs::Counter* partial_loads = nullptr;
     obs::Counter* partial_load_bytes = nullptr;
     obs::Counter* encode_bytes_in = nullptr;

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -19,9 +20,11 @@
 
 #include "core/parallel.h"
 #include "engine/catalog_manager.h"
+#include "engine/catalog_store.h"
 #include "engine/session.h"
 #include "sampling/uniform_sampler.h"
 #include "test_util.h"
+#include "util/crc32.h"
 
 namespace vas {
 namespace {
@@ -223,7 +226,7 @@ TEST(CatalogManagerTest, MillionPointBuildServesSmallestRungFirst) {
   InteractiveSession::PlotRequest req;
   req.time_budget_seconds = 3600.0;  // everything built would fit
   auto plot = session.RequestPlot(req);
-  EXPECT_GE(plot.tuples.size(), 1000u);
+  EXPECT_GE(plot.sample_points_in_viewport, 1000u);
   EXPECT_LE(plot.catalog_sample_size, 10000u);  // largest rung absent
   EXPECT_LT(plot.catalog_rungs_ready, plot.catalog_rungs_total);
 
@@ -258,7 +261,7 @@ TEST(CatalogManagerTest, SessionBlocksOnlyUntilFirstRung) {
             std::future_status::timeout);
   gate.Release();
   auto plot = pending.get();
-  EXPECT_GE(plot.tuples.size(), 100u);
+  EXPECT_GE(plot.sample_points_in_viewport, 100u);
 }
 
 TEST(CatalogManagerTest, SessionOfADroppedKeyGetsNotFound) {
@@ -439,11 +442,21 @@ TEST(CatalogManagerTest, ManagerBackedSessionSurvivesEvictReloadCycle) {
   InteractiveSession session(d, &manager, key, VizTimeModel{1e-6, 0.0});
   InteractiveSession::PlotRequest req;
   req.time_budget_seconds = 3600.0;
+  const Rect b = d->Bounds();
+  req.viewport = Rect::Of(b.min_x, b.min_y, b.Center().x, b.Center().y);
   auto first = session.RequestPlot(req);
   EXPECT_EQ(first.catalog_sample_size, 1000u);
+  auto served = manager.Snapshot(key);
+  ASSERT_TRUE(served.ok());
+  size_t inside = 0;
+  for (size_t id : (*served)->samples().back().ids) {
+    inside += req.viewport.Contains(d->points[id]) ? 1 : 0;
+  }
+  EXPECT_EQ(first.sample_points_in_viewport, inside);
 
   // Force the session's ladder out of memory, then plot again: the
-  // session must transparently reload and serve identical tuples.
+  // session must transparently reload and count the same tuples from
+  // the layout read back with it.
   CatalogKey other{"other"};
   ASSERT_TRUE(manager
                   .StartBuild(other, d, UniformFactory(4),
@@ -455,10 +468,8 @@ TEST(CatalogManagerTest, ManagerBackedSessionSurvivesEvictReloadCycle) {
 
   auto again = session.RequestPlot(req);
   EXPECT_EQ(again.catalog_sample_size, first.catalog_sample_size);
-  ASSERT_EQ(again.tuples.points.size(), first.tuples.points.size());
-  for (size_t i = 0; i < first.tuples.points.size(); ++i) {
-    EXPECT_EQ(again.tuples.points[i], first.tuples.points[i]);
-  }
+  EXPECT_EQ(again.sample_points_in_viewport, inside);
+  EXPECT_GE(Count(manager, "vas_catalog_reloads_total"), 1);
 }
 
 TEST(CatalogManagerTest, ConcurrentSnapshotsDuringEvictionAreSafe) {
@@ -871,6 +882,95 @@ TEST(CatalogManagerTest, CorruptSpillFileSurfacesAsCleanError) {
   std::filesystem::resize_file(file.path(), 200);
   CatalogManager fresh(1);
   EXPECT_FALSE(fresh.LoadCatalog(CatalogKey{"t"}, d, file.path()).ok());
+}
+
+TEST(CatalogManagerTest, ReadBackRefusesIdsBeyondTheDataset) {
+  // A spill file whose pages pass their CRCs but whose ids do not fit
+  // the entry's dataset must never reach a session. The read-back checks
+  // each id as it reads it: an id past the recorded largest one, and a
+  // recorded largest id past the dataset, both fail it as "spill file
+  // corrupt" and count as read failures.
+  auto d = std::make_shared<Dataset>(test::Skewed(3000));
+  d->CacheBounds();
+  const Dataset bigger = test::Skewed(9000);
+  CatalogKey key{"swapped"};
+  for (const bool past_recorded_max : {true, false}) {
+    SCOPED_TRACE(past_recorded_max ? "id past the recorded max"
+                                   : "recorded max past the dataset");
+    test::ScopedTempFile spill_dir("catalog_manager_swapped_spills");
+    ASSERT_TRUE(std::filesystem::create_directory(spill_dir.path()));
+    CatalogManager::Options options;
+    options.num_threads = 1;
+    options.memory_budget_bytes = 1;  // evict everything not in use
+    options.spill_dir = spill_dir.path();
+    CatalogManager manager(options);
+    ASSERT_TRUE(manager
+                    .StartBuild(key, d, UniformFactory(71),
+                                NoDensityLadder({100, 800}))
+                    .ok());
+    ASSERT_TRUE(manager.WaitUntilDone(key).ok());
+    CatalogKey pusher{"pusher"};
+    ASSERT_TRUE(manager
+                    .StartBuild(pusher, d, UniformFactory(72),
+                                NoDensityLadder({100}))
+                    .ok());
+    ASSERT_TRUE(manager.WaitUntilDone(pusher).ok());
+    ASSERT_TRUE(EvictedWithin(manager, key));
+    std::string spill_path;
+    for (const auto& file :
+         std::filesystem::directory_iterator(spill_dir.path())) {
+      if (file.path().filename().string().find("_swapped_") !=
+          std::string::npos) {
+        spill_path = file.path().string();
+      }
+    }
+    ASSERT_FALSE(spill_path.empty());
+
+    if (past_recorded_max) {
+      // Overwrite data page 1's first slot, rung 0's first id, and
+      // re-seal the page's CRC. The footer's second u64, 40 bytes from
+      // the end, is the page size.
+      std::fstream io(spill_path,
+                      std::ios::binary | std::ios::in | std::ios::out);
+      io.seekg(-40, std::ios::end);
+      uint64_t page_size = 0;
+      io.read(reinterpret_cast<char*>(&page_size), sizeof(page_size));
+      std::string page(page_size, '\0');
+      io.seekg(static_cast<std::streamoff>(page_size));
+      io.read(page.data(), static_cast<std::streamsize>(page_size));
+      const uint64_t bad_id = d->size() + 5;
+      std::memcpy(page.data() + 8, &bad_id, sizeof(bad_id));
+      uint32_t payload_len = 0;
+      std::memcpy(&payload_len, page.data() + 4, sizeof(payload_len));
+      const uint32_t crc = Crc32(page.data() + 8, payload_len);
+      std::memcpy(page.data(), &crc, sizeof(crc));
+      io.seekp(static_cast<std::streamoff>(page_size));
+      io.write(page.data(), static_cast<std::streamsize>(page_size));
+      ASSERT_TRUE(io.good());
+    } else {
+      // A ladder of the bigger dataset, whose ids run past this one's.
+      UniformReservoirSampler sampler(73);
+      SampleCatalog swapped(bigger, sampler, NoDensityLadder({100, 800}));
+      ASSERT_GE(swapped.samples().back().ids.size(), 800u);
+      ASSERT_TRUE(WriteCatalogPaged(swapped, spill_path).ok());
+    }
+
+    auto snapshot = manager.Snapshot(key);
+    ASSERT_FALSE(snapshot.ok());
+    EXPECT_EQ(snapshot.status().code(), StatusCode::kInternal);
+    EXPECT_NE(snapshot.status().ToString().find("spill file corrupt"),
+              std::string::npos)
+        << snapshot.status().ToString();
+    EXPECT_NE(snapshot.status().ToString().find("out of dataset range"),
+              std::string::npos)
+        << snapshot.status().ToString();
+    const obs::MetricsRegistry& registry = *manager.metrics_registry();
+    EXPECT_EQ(registry.Total("vas_catalog_load_failures_total",
+                             {{"stage", "read"}}),
+              1);
+    EXPECT_EQ(Count(manager, "vas_catalog_reloads_total"), 0);
+    EXPECT_FALSE(manager.GetStatus(key)->resident);
+  }
 }
 
 TEST(CatalogManagerTest, EveryAccessorReportsADamagedSpillFileTheSameWay) {

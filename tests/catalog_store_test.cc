@@ -3,10 +3,10 @@
 // loads (coverage, rung order and density fidelity vs the resident
 // rung), resident views answering the same cell ranges from each
 // rung's layout, one partitioner for published and written layouts,
-// crash-safe writes, per-rung value ranges, the touched-page
-// accounting that proves one viewport reads fewer bytes than full
-// materialization and charges each page to exactly one materialize
-// call, CatalogView parity with SampleCatalog, and corruption
+// cell-layout counts against brute force on every grid, crash-safe
+// writes, per-rung value ranges, the touched-page accounting that
+// proves one viewport reads fewer bytes than full materialization and
+// charges each page to exactly one materialize call, CatalogView parity with SampleCatalog, and corruption
 // hardening — truncation, bit flips, out-of-range page directories,
 // oversized cell counts, bad rung flags and value ranges, and bad
 // positions must all come back as clean Status errors, never crashes
@@ -22,6 +22,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -504,6 +505,101 @@ TEST_F(CatalogStoreTest, CellLoadIsTheRungFilteredToItsCellsInRungOrder) {
   }
 }
 
+TEST_F(CatalogStoreTest, CellCountsMatchBruteForceOnEveryGrid) {
+  // RungLayout::CountInside takes the interior cells of a query whole
+  // and tests only the boundary cells' entries; it must equal a
+  // brute-force count over the rung's ids on any grid, for any query.
+  // The store's rung metadata splits a query's cells the same way.
+  Dataset d = test::Skewed(60000);
+  UniformReservoirSampler sampler(13);
+  const SampleSet rung = sampler.Sample(d, 20000);
+  SampleCatalog catalog(std::vector<SampleSet>{rung});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  struct Grid {
+    const Dataset* dataset;
+    size_t target;
+    uint64_t dim;
+  };
+  for (const Grid& g : {Grid{nullptr, kDefaultEntriesPerCell, 1},
+                        Grid{&d, 313, 8}, Grid{&d, 20, 32}, Grid{&d, 1, 64}}) {
+    auto laid_out = LayOutRung(g.dataset, rung, g.target);
+    ASSERT_TRUE(laid_out.ok());
+    const RungLayout& layout = **laid_out;
+    ASSERT_EQ(layout.grid_x, g.dim);
+    ASSERT_EQ(layout.grid_y, g.dim);
+    ASSERT_EQ(layout.domain.empty(), g.dataset == nullptr);
+    CatalogWriteOptions wopt;
+    wopt.dataset = g.dataset;
+    wopt.target_entries_per_cell = g.target;
+    ASSERT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
+    auto store = CatalogStore::Open(path());
+    ASSERT_TRUE(store.ok());
+    const CatalogStore::Rung& meta = (*store)->rung(0);
+
+    // The grid's own cell edges, from the domain of the rung's points.
+    const Rect domain = Rect::BoundingBox(rung.MaterializePoints(d));
+    auto edge_x = [&](uint64_t i) {
+      return domain.min_x + domain.width() * static_cast<double>(i) /
+                                static_cast<double>(g.dim);
+    };
+    auto edge_y = [&](uint64_t i) {
+      return domain.min_y + domain.height() * static_cast<double>(i) /
+                                static_cast<double>(g.dim);
+    };
+    const Point p = d.points[rung.ids[17]];
+    const Point q = d.points[rung.ids[4242]];
+    const Point c = domain.Center();
+    std::vector<Rect> queries = {
+        Rect::Of(edge_x(g.dim / 4), edge_y(g.dim / 8), edge_x(3 * g.dim / 4),
+                 edge_y(g.dim)),  // edges on cell boundaries
+        Rect::Of(edge_x(1), edge_y(1), edge_x(1), edge_y(g.dim)),
+        Rect::Of(std::min(p.x, q.x), std::min(p.y, q.y), std::max(p.x, q.x),
+                 std::max(p.y, q.y)),  // corners on sample points
+        Rect::Of(p.x, p.y, p.x, p.y),  // degenerate: one point
+        Rect::Of(p.x, domain.min_y, p.x, domain.max_y),  // a vertical line
+        Rect::Of(c.x, c.y, 1e20, 1e20),
+        Rect::Of(-1e20, -1e20, c.x, c.y),
+        Rect::Of(-1e20, -1e20, 1e20, 1e20),
+        Rect::Of(-kInf, c.y, c.x, kInf),
+        Rect::Of(-kInf, -kInf, kInf, kInf),
+        Rect::Of(domain.max_x + 1, domain.min_y, domain.max_x + 2,
+                 domain.max_y),  // misses the domain
+        Rect::Of(domain.min_x - 2, domain.min_y - 2, domain.min_x - 1,
+                 domain.min_y - 1),
+        Rect::Of(kNaN, domain.min_y, domain.max_x, domain.max_y),
+        Rect(),  // empty
+        domain};
+    std::mt19937_64 rng(29 + g.dim);
+    std::uniform_real_distribution<double> fx(domain.min_x - 0.1 * domain.width(),
+                                              domain.max_x + 0.1 * domain.width());
+    std::uniform_real_distribution<double> fy(
+        domain.min_y - 0.1 * domain.height(),
+        domain.max_y + 0.1 * domain.height());
+    for (int i = 0; i < 200; ++i) {
+      const double x0 = fx(rng), x1 = fx(rng), y0 = fy(rng), y1 = fy(rng);
+      queries.push_back(Rect::Of(std::min(x0, x1), std::min(y0, y1),
+                                 std::max(x0, x1), std::max(y0, y1)));
+    }
+    for (const Rect& query : queries) {
+      size_t brute = 0;
+      for (size_t id : rung.ids) brute += query.Contains(d.points[id]) ? 1 : 0;
+      EXPECT_EQ(layout.CountInside(d, rung, query), brute)
+          << g.dim << "x" << g.dim << " grid, query [" << query.min_x << ", "
+          << query.min_y << ", " << query.max_x << ", " << query.max_y << "]";
+      const CellGrid::Split split = layout.SplitCells(query);
+      uint64_t boundary = 0;
+      for (const auto& [begin, end] : split.boundary) boundary += end - begin;
+      EXPECT_LE(split.interior_entries, brute);
+      EXPECT_EQ(split.interior_entries + boundary,
+                layout.CountSelected(query));
+      const CellGrid::Split mapped = meta.SplitCells(query);
+      EXPECT_EQ(mapped.interior_entries, split.interior_entries);
+      EXPECT_EQ(mapped.boundary, split.boundary);
+    }
+  }
+}
+
 TEST_F(CatalogStoreTest, ResidentAndMappedViewsSelectTheSameCells) {
   // A resident view answers MaterializeForRect from each rung's layout;
   // a mapped view of the same ladder loads the same cells from the
@@ -630,11 +726,12 @@ TEST_F(CatalogStoreTest, OnePartitionerForPublishedAndWrittenLayouts) {
   }
 
   // A writer asked for a different grid writes the rung on that grid.
-  wopt.target_entries_per_cell = 128;
+  wopt.target_entries_per_cell = 16 * kDefaultEntriesPerCell;
   ASSERT_TRUE(WriteCatalogPaged(published, path(), wopt).ok());
   auto regridded = CatalogStore::Open(path());
   ASSERT_TRUE(regridded.ok());
-  EXPECT_EQ((*regridded)->rung(1).grid_x, GridDimFor(9000, 128, 64));
+  EXPECT_EQ((*regridded)->rung(1).grid_x,
+            GridDimFor(9000, 16 * kDefaultEntriesPerCell));
   EXPECT_NE((*regridded)->rung(1).grid_x, layout.grid_x);
   auto whole = (*regridded)->MaterializeRung(1, d.size());
   ASSERT_TRUE(whole.ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/interchange.h"
 #include "data/generators.h"
@@ -115,6 +116,7 @@ TEST(InteractiveSessionTest, ServesViewportFilteredSample) {
   SampleCatalog::Options copt;
   copt.ladder = {200, 2000};
   auto catalog = std::make_unique<SampleCatalog>(d, vas_sampler, copt);
+  const SampleSet top = catalog->samples().back();
   VizTimeModel model = VizTimeModel::Tableau();
   InteractiveSession session(d, std::move(catalog), model);
 
@@ -122,21 +124,22 @@ TEST(InteractiveSessionTest, ServesViewportFilteredSample) {
   req.time_budget_seconds = 100.0;  // everything fits
   auto result = session.RequestPlot(req);
   EXPECT_EQ(result.catalog_sample_size, 2000u);
-  EXPECT_EQ(result.tuples.size(), 2000u);
-  EXPECT_EQ(result.density.size(), 2000u);
+  EXPECT_EQ(result.sample_points_in_viewport, 2000u);
   EXPECT_GT(result.estimated_full_viz_seconds,
             result.estimated_viz_seconds);
 
-  // Zoomed request: tuples restricted to the viewport.
+  // Zoomed request: only the rung's tuples inside the viewport count.
   Rect bounds = session.dataset().Bounds();
   Rect zoom = Rect::Of(bounds.min_x, bounds.min_y,
                        bounds.Center().x, bounds.Center().y);
   req.viewport = zoom;
   auto zoomed = session.RequestPlot(req);
-  EXPECT_LT(zoomed.tuples.size(), result.tuples.size());
-  for (const Point& p : zoomed.tuples.points) {
-    EXPECT_TRUE(zoom.Contains(p));
-  }
+  EXPECT_LT(zoomed.sample_points_in_viewport,
+            result.sample_points_in_viewport);
+  size_t inside = 0;
+  for (size_t id : top.ids) inside += zoom.Contains(d.points[id]) ? 1 : 0;
+  EXPECT_EQ(zoomed.sample_points_in_viewport, inside);
+  EXPECT_DOUBLE_EQ(zoomed.estimated_viz_seconds, model.SecondsFor(inside));
 }
 
 TEST(InteractiveSessionTest, ViewportCountMatchesBruteForceRescan) {
@@ -189,27 +192,38 @@ TEST(InteractiveSessionTest, EmptyViewportIntersection) {
   // above overhead, and no crash.
   req.viewport = Rect::Of(1e6, 1e6, 2e6, 2e6);
   auto plot = session.RequestPlot(req);
-  EXPECT_EQ(plot.tuples.size(), 0u);
+  EXPECT_EQ(plot.sample_points_in_viewport, 0u);
   EXPECT_DOUBLE_EQ(plot.estimated_full_viz_seconds,
                    VizTimeModel::MathGL().SecondsFor(0));
 }
 
-TEST(InteractiveSessionTest, DensityRowsStayAlignedUnderFilter) {
+TEST(InteractiveSessionTest, RungsWithAndWithoutLayoutsCountAlike) {
+  // A rung published with a cell layout is counted from its cells; one
+  // wrapped without a layout is scanned. Both give the brute-force
+  // count over the rung's ids.
   Dataset d = Skewed(5000);
   InterchangeSampler vas_sampler;
   SampleCatalog::Options copt;
   copt.ladder = {400};
-  auto catalog = std::make_unique<SampleCatalog>(d, vas_sampler, copt);
-  InteractiveSession session(d, std::move(catalog), VizTimeModel::Tableau());
-  Rect b = session.dataset().Bounds();
+  auto laid_out = std::make_unique<SampleCatalog>(d, vas_sampler, copt);
+  ASSERT_NE(laid_out->layout(0), nullptr);
+  const SampleSet rung = laid_out->samples()[0];
+  auto bare = std::make_unique<SampleCatalog>(std::vector<SampleSet>{rung});
+  ASSERT_EQ(bare->layout(0), nullptr);
+  InteractiveSession cells(d, std::move(laid_out), VizTimeModel::Tableau());
+  InteractiveSession scan(d, std::move(bare), VizTimeModel::Tableau());
+  Rect b = cells.dataset().Bounds();
   InteractiveSession::PlotRequest req;
-  req.viewport = Rect::Of(b.min_x, b.min_y, b.Center().x, b.Center().y);
   req.time_budget_seconds = 1e9;
-  auto plot = session.RequestPlot(req);
-  ASSERT_EQ(plot.density.size(), plot.tuples.size());
-  // Every served tuple is inside the viewport.
-  for (const Point& p : plot.tuples.points) {
-    EXPECT_TRUE(req.viewport.Contains(p));
+  for (const Rect& viewport :
+       {Rect::Of(b.min_x, b.min_y, b.Center().x, b.Center().y),
+        Rect::Of(b.Center().x, b.min_y, b.max_x, b.Center().y),
+        Rect::Of(b.min_x, b.min_y, b.max_x, b.max_y)}) {
+    req.viewport = viewport;
+    size_t inside = 0;
+    for (size_t id : rung.ids) inside += viewport.Contains(d.points[id]) ? 1 : 0;
+    EXPECT_EQ(cells.RequestPlot(req).sample_points_in_viewport, inside);
+    EXPECT_EQ(scan.RequestPlot(req).sample_points_in_viewport, inside);
   }
 }
 

@@ -28,30 +28,17 @@ TEST(RectTest, DefaultIsEmpty) {
   Rect r;
   EXPECT_TRUE(r.empty());
   EXPECT_DOUBLE_EQ(r.width(), 0.0);
-  EXPECT_DOUBLE_EQ(r.Area(), 0.0);
 }
 
 TEST(RectTest, ExtendByPoints) {
   Rect r;
   r.Extend(Point{1.0, 2.0});
   EXPECT_FALSE(r.empty());
-  EXPECT_DOUBLE_EQ(r.Area(), 0.0);
   r.Extend(Point{3.0, -1.0});
   EXPECT_DOUBLE_EQ(r.min_x, 1.0);
   EXPECT_DOUBLE_EQ(r.max_x, 3.0);
   EXPECT_DOUBLE_EQ(r.min_y, -1.0);
   EXPECT_DOUBLE_EQ(r.max_y, 2.0);
-  EXPECT_DOUBLE_EQ(r.Area(), 6.0);
-}
-
-TEST(RectTest, ExtendByRect) {
-  Rect a = Rect::Of(0, 0, 1, 1);
-  Rect b = Rect::Of(2, 2, 3, 3);
-  a.Extend(b);
-  EXPECT_EQ(a, Rect::Of(0, 0, 3, 3));
-  Rect empty;
-  a.Extend(empty);  // extending by empty is a no-op
-  EXPECT_EQ(a, Rect::Of(0, 0, 3, 3));
 }
 
 TEST(RectTest, ContainsIsInclusive) {
@@ -76,14 +63,6 @@ TEST(RectTest, CenterAndInflated) {
   EXPECT_EQ(r.Center(), (Point{1.0, 2.0}));
   Rect big = r.Inflated(1.0);
   EXPECT_EQ(big, Rect::Of(-1, -1, 3, 5));
-}
-
-TEST(RectTest, SquaredDistanceToPoint) {
-  Rect r = Rect::Of(0, 0, 2, 2);
-  EXPECT_DOUBLE_EQ(r.SquaredDistanceTo({1.0, 1.0}), 0.0);   // inside
-  EXPECT_DOUBLE_EQ(r.SquaredDistanceTo({3.0, 1.0}), 1.0);   // right
-  EXPECT_DOUBLE_EQ(r.SquaredDistanceTo({3.0, 3.0}), 2.0);   // corner
-  EXPECT_DOUBLE_EQ(r.SquaredDistanceTo({-2.0, 1.0}), 4.0);  // left
 }
 
 TEST(RectTest, BoundingBox) {

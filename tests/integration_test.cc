@@ -115,21 +115,22 @@ TEST_F(PipelineTest, EndToEndSessionWithVasCatalog) {
   SampleCatalog::Options copt;
   copt.ladder = {100, 1000, 10000};
   auto catalog = std::make_unique<SampleCatalog>(d, vas_sampler, copt);
-  InteractiveSession session(d, std::move(catalog),
-                             VizTimeModel::Tableau());
+  const VizTimeModel model = VizTimeModel::Tableau();
+  const double budget = 0.5;  // strict interactivity
+  const SampleSet chosen = catalog->ChooseForTimeBudget(budget, model);
+  InteractiveSession session(d, std::move(catalog), model);
   InteractiveSession::PlotRequest req;
-  req.time_budget_seconds = 0.5;  // strict interactivity
+  req.time_budget_seconds = budget;
   auto plot = session.RequestPlot(req);
-  EXPECT_LE(plot.estimated_viz_seconds, 0.5 + 1e-9);
-  EXPECT_GT(plot.tuples.size(), 0u);
-  // Render the served tuples with density-driven dot sizes.
-  SampleSet served;
-  served.ids.resize(plot.tuples.size());
-  for (size_t i = 0; i < served.ids.size(); ++i) served.ids[i] = i;
-  served.density = plot.density;
+  EXPECT_LE(plot.estimated_viz_seconds, budget + 1e-9);
+  EXPECT_EQ(plot.catalog_sample_size, chosen.size());
+  EXPECT_EQ(plot.sample_points_in_viewport, chosen.size());
+  EXPECT_GT(plot.sample_points_in_viewport, 0u);
+  // Render the chosen rung with density-driven dot sizes.
+  ASSERT_TRUE(chosen.has_density());
   ScatterRenderer renderer;
-  Image img = renderer.RenderSample(plot.tuples, served,
-                                    Viewport(d.Bounds(), 128, 128));
+  Image img =
+      renderer.RenderSample(d, chosen, Viewport(d.Bounds(), 128, 128));
   EXPECT_GT(img.InkFraction(renderer.options().background), 0.0);
 }
 

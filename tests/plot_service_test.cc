@@ -4,11 +4,12 @@
 // that a served tile is byte-identical to the same rung rendered
 // directly through ScatterRenderer, rung-upgrade invalidation
 // (progressive refinement), time-budget rung selection, viewport
-// queries against brute-force counts, drop semantics, resident tiles
-// drawn from their rung's cells, partial loads of spilled tables (both
-// styles, drawn in rung order) charged page by page to the render that
-// paid them, and single-flight waiters that receive a failed render's
-// own error.
+// queries against brute-force counts (the sample count too, resident,
+// spilled, and from files on an older cell grid), drop semantics,
+// resident tiles drawn from their rung's cells, partial loads of
+// spilled tables (both styles, drawn in rung order) charged page by
+// page to the render that paid them, and single-flight waiters that
+// receive a failed render's own error.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -326,6 +327,16 @@ TEST(PlotServiceTest, AddAndLoadTableServePrebuiltLadders) {
   EXPECT_EQ(service.Tables().size(), 2u);
 }
 
+/// How many of `rung`'s points lie inside `viewport`, by testing each.
+size_t BruteForceCount(const Dataset& dataset, const SampleSet& rung,
+                       const Rect& viewport) {
+  size_t count = 0;
+  for (size_t id : rung.ids) {
+    count += viewport.Contains(dataset.points[id]) ? 1 : 0;
+  }
+  return count;
+}
+
 TEST(PlotServiceTest, ViewportQueryCountsMatchBruteForce) {
   PlotService service;
   auto dataset = SkewedShared(8000);
@@ -348,8 +359,141 @@ TEST(PlotServiceTest, ViewportQueryCountsMatchBruteForce) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->points_in_viewport, brute);
   EXPECT_EQ(info->sample_size, 500u);
-  EXPECT_LE(info->sample_points_in_viewport, info->sample_size);
+  auto snapshot = service.manager().Snapshot(CatalogKey{"geo"});
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(info->sample_points_in_viewport,
+            BruteForceCount(*dataset, (*snapshot)->samples()[0], viewport));
   EXPECT_GT(info->estimated_full_viz_seconds, info->estimated_viz_seconds);
+}
+
+/// Viewports for /plot count checks over `world`: zooms at several
+/// depths, one reaching far past the data, and one that misses it.
+std::vector<Rect> PlotViewports(const Rect& world) {
+  auto at = [&](double fx0, double fy0, double fx1, double fy1) {
+    return Rect::Of(world.min_x + world.width() * fx0,
+                    world.min_y + world.height() * fy0,
+                    world.min_x + world.width() * fx1,
+                    world.min_y + world.height() * fy1);
+  };
+  return {at(0.2, 0.3, 0.7, 0.8),     at(0.45, 0.45, 0.55, 0.52),
+          at(0.0, 0.0, 0.125, 0.125), at(0.5, 0.5, 0.5, 0.5),
+          at(0.3, 0.1, 1e18, 1e18),   at(1.5, 1.5, 2.0, 2.0)};
+}
+
+TEST(PlotServiceTest, SampleCountsAreExactOnResidentAndSpilledTables) {
+  // /plot's sample_points_in_viewport is counted from the served rung's
+  // cell layout: on a resident table from the layout it was published
+  // with, on a spilled one from the layout its read-back brings from
+  // the file. Either way it equals the brute-force count over the
+  // rung's ids, and an empty viewport answers the whole rung.
+  PlotService::Options tight;
+  tight.catalog.memory_budget_bytes = 1;  // evict everything not in use
+  PlotService service(tight);
+  auto dataset = SkewedShared(40000);
+  UniformReservoirSampler sampler(91);
+  SampleCatalog::Options ladder = Ladder({2000, 20000});
+  ladder.embed_density = true;
+  SampleCatalog catalog(*dataset, sampler, ladder);
+  const SampleSet rung = catalog.samples().back();
+  ASSERT_TRUE(service.AddTable("geo", dataset, catalog).ok());
+  CatalogKey key{"geo", "x", "y"};
+
+  auto check = [&](const char* state) {
+    for (const Rect& viewport : PlotViewports(dataset->Bounds())) {
+      auto info = service.QueryViewport("geo", viewport, 2.0);
+      ASSERT_TRUE(info.ok()) << info.status().ToString();
+      EXPECT_EQ(info->sample_size, rung.size());
+      EXPECT_EQ(info->sample_points_in_viewport,
+                BruteForceCount(*dataset, rung, viewport))
+          << state << " viewport [" << viewport.min_x << ", "
+          << viewport.min_y << ", " << viewport.max_x << ", "
+          << viewport.max_y << "]";
+    }
+    auto whole = service.QueryViewport("geo", Rect(), 2.0);
+    ASSERT_TRUE(whole.ok());
+    EXPECT_EQ(whole->sample_points_in_viewport, rung.size()) << state;
+    EXPECT_EQ(whole->points_in_viewport, dataset->size()) << state;
+  };
+  ASSERT_TRUE(service.manager().GetStatus(key)->resident);
+  check("resident");
+
+  // A second table's registration pushes "geo" out to its spill file;
+  // the next /plot reads it back.
+  auto tiny_dataset = SkewedShared(2000);
+  UniformReservoirSampler tiny_sampler(92);
+  SampleCatalog tiny_catalog(*tiny_dataset, tiny_sampler, Ladder({100}));
+  ASSERT_TRUE(service.AddTable("tiny", tiny_dataset, tiny_catalog).ok());
+  for (int i = 0; i < 500 && service.manager().GetStatus(key)->resident;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(service.manager().GetStatus(key)->resident);
+  const int64_t reloads = Count(service, "vas_catalog_reloads_total");
+  check("spilled");
+  EXPECT_GT(Count(service, "vas_catalog_reloads_total"), reloads);
+}
+
+TEST(PlotServiceTest, FilesWrittenOnTheOldGridServeTheSameTilesAndCounts) {
+  // The CAT2 format did not change with the default cell target: a
+  // file written at the earlier target of 2,048 entries per cell (a
+  // coarser grid) serves the same tile bytes as one written on
+  // today's grid and as the resident ladder, and /plot counts from its
+  // grid exactly.
+  constexpr size_t kOldTarget = 2048;
+  auto dataset = SkewedShared(60000);
+  UniformReservoirSampler sampler(93);
+  SampleCatalog::Options ladder = Ladder({3000, 30000});
+  ladder.embed_density = true;
+  SampleCatalog catalog(*dataset, sampler, ladder);
+  const SampleSet rung = catalog.samples().back();
+
+  test::ScopedTempFile old_file("plot_service_old_grid.vascat");
+  test::ScopedTempFile new_file("plot_service_new_grid.vascat");
+  CatalogWriteOptions write;
+  write.dataset = dataset.get();
+  write.target_entries_per_cell = kOldTarget;
+  ASSERT_TRUE(WriteCatalogPaged(catalog, old_file.path(), write).ok());
+  write.target_entries_per_cell = kDefaultEntriesPerCell;
+  ASSERT_TRUE(WriteCatalogPaged(catalog, new_file.path(), write).ok());
+  auto old_store = CatalogStore::Open(old_file.path());
+  auto new_store = CatalogStore::Open(new_file.path());
+  ASSERT_TRUE(old_store.ok());
+  ASSERT_TRUE(new_store.ok());
+  EXPECT_EQ((*old_store)->rung(1).grid_x, GridDimFor(rung.size(), kOldTarget));
+  EXPECT_LT((*old_store)->rung(1).grid_x, (*new_store)->rung(1).grid_x);
+
+  PlotService service;
+  ASSERT_TRUE(service.AddTable("mem", dataset, catalog).ok());
+  ASSERT_TRUE(service.LoadTable("old", dataset, old_file.path()).ok());
+  ASSERT_TRUE(service.LoadTable("new", dataset, new_file.path()).ok());
+  auto grid = service.GridFor("mem");
+  ASSERT_TRUE(grid.ok());
+  std::vector<TileKey> tiles = {{0, 0, 0}, {1, 1, 0}, {2, 1, 2}};
+  for (uint32_t z = 3; z <= 7; ++z) {
+    tiles.push_back(grid->TileAt(z, dataset->points[rung.ids[z * 31]]));
+  }
+  for (const TileKey& tile : tiles) {
+    for (TileStyle style : {TileStyle::kScatter, TileStyle::kHeatmap}) {
+      auto mem = service.RenderTile("mem", tile, "", style);
+      auto old_grid = service.RenderTile("old", tile, "", style);
+      auto new_grid = service.RenderTile("new", tile, "", style);
+      ASSERT_TRUE(mem.ok());
+      ASSERT_TRUE(old_grid.ok());
+      ASSERT_TRUE(new_grid.ok());
+      EXPECT_EQ(*old_grid->png, *mem->png)
+          << TileStyleName(style) << " tile " << tile.ToString();
+      EXPECT_EQ(*new_grid->png, *mem->png)
+          << TileStyleName(style) << " tile " << tile.ToString();
+    }
+  }
+  for (const Rect& viewport : PlotViewports(dataset->Bounds())) {
+    const size_t want = BruteForceCount(*dataset, rung, viewport);
+    for (const char* table : {"mem", "old", "new"}) {
+      auto info = service.QueryViewport(table, viewport, 2.0);
+      ASSERT_TRUE(info.ok()) << info.status().ToString();
+      EXPECT_EQ(info->sample_points_in_viewport, want) << table;
+    }
+  }
 }
 
 TEST(PlotServiceTest, ConcurrentColdFetchesOfOneTileShareOneRender) {
@@ -643,6 +787,13 @@ TEST(PlotServiceTest, RenderCountersCountColdRendersPerStyle) {
             static_cast<int64_t>(scatter->png->size() + heatmap->png->size()));
   EXPECT_GT(Count(service, "vas_tile_render_ns"), 0);
   EXPECT_GT(Count(service, "vas_tile_encode_ns"), 0);
+  // Zoom 0 covers every cell, so each render drew the whole rung.
+  EXPECT_EQ(Count(service, "vas_tile_materialized_entries_total",
+                  {{"style", "scatter"}}),
+            200);
+  EXPECT_EQ(Count(service, "vas_tile_materialized_entries_total",
+                  {{"style", "heatmap"}}),
+            200);
 }
 
 TEST(PlotServiceTest, SpilledMillionPointTableServesIdenticalTilesPartially) {

@@ -29,7 +29,7 @@ TEST(UniformGridTest, CellBoundsTileTheDomain) {
   double area = 0.0;
   for (size_t c = 0; c < grid.num_cells(); ++c) {
     Rect b = grid.CellBounds(c);
-    area += b.Area();
+    area += b.width() * b.height();
     EXPECT_GE(b.min_x, -1.0);
     EXPECT_LE(b.max_x, 1.0);
   }

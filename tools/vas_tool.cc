@@ -369,7 +369,7 @@ int CmdLoadCatalog(FlagSet& flags, int argc, char** argv) {
   std::printf(
       "served %zu of %s tuples in %.3fs (est. viz %.2fs vs %.2fs "
       "unsampled)\n",
-      plot.tuples.size(),
+      plot.sample_points_in_viewport,
       FormatWithCommas(static_cast<int64_t>(dataset->size())).c_str(),
       watch.ElapsedSeconds(), plot.estimated_viz_seconds,
       plot.estimated_full_viz_seconds);
