@@ -147,11 +147,11 @@ std::string RawPixels(const Image& img) {
   std::string out;
   out.reserve(img.width() * img.height() * 3);
   for (size_t y = 0; y < img.height(); ++y) {
-    const Rgb* row = img.row(y);
     for (size_t x = 0; x < img.width(); ++x) {
-      out.push_back(static_cast<char>(row[x].r));
-      out.push_back(static_cast<char>(row[x].g));
-      out.push_back(static_cast<char>(row[x].b));
+      const Rgb c = img.Get(x, y);
+      out.push_back(static_cast<char>(c.r));
+      out.push_back(static_cast<char>(c.g));
+      out.push_back(static_cast<char>(c.b));
     }
   }
   return out;
@@ -160,7 +160,9 @@ std::string RawPixels(const Image& img) {
 bool PixelsEqual(const Image& a, const Image& b) {
   if (a.width() != b.width() || a.height() != b.height()) return false;
   for (size_t y = 0; y < a.height(); ++y) {
-    if (!std::equal(a.row(y), a.row(y) + a.width(), b.row(y))) return false;
+    for (size_t x = 0; x < a.width(); ++x) {
+      if (!(a.Get(x, y) == b.Get(x, y))) return false;
+    }
   }
   return true;
 }

@@ -116,6 +116,52 @@ std::string ParentDirectory(const std::string& path) {
   return path.substr(0, slash);
 }
 
+/// Whether `layout`, the layout `rung` was published with, is what
+/// LayOutRung(&dataset, rung, target) computes: the same grid over the
+/// same domain, each cell's positions ascending, and the same recorded
+/// value range. Cells then hold the same entries, since the grid and
+/// domain place every point, and a spill writes the rung without laying
+/// it out again. False also for a rung LayOutRung refuses, so its error
+/// still reaches the writer.
+bool PublishedLayoutFits(const RungLayout& layout, const SampleSet& rung,
+                         const Dataset& dataset, size_t target) {
+  const size_t n = rung.size();
+  const uint64_t dim = GridDimFor(n, target);
+  if (n == 0 || layout.positions.size() != n || layout.grid_x != dim ||
+      layout.grid_y != dim ||
+      (rung.has_density() && rung.density.size() != n)) {
+    return false;
+  }
+  Rect domain;
+  for (size_t id : rung.ids) {
+    if (id >= dataset.size()) return false;
+    domain.Extend(dataset.points[id]);
+  }
+  auto same = [](double a, double b) {
+    return DoubleToU64(a) == DoubleToU64(b);
+  };
+  const Rect& have = layout.domain;
+  if (!same(domain.min_x, have.min_x) || !same(domain.min_y, have.min_y) ||
+      !same(domain.max_x, have.max_x) || !same(domain.max_y, have.max_y)) {
+    return false;
+  }
+  const auto range = RecordedValueRange(dataset, rung);
+  const auto& recorded = layout.value_range;
+  if (range.has_value() != recorded.has_value() ||
+      (range.has_value() && (!same(range->first, recorded->first) ||
+                             !same(range->second, recorded->second)))) {
+    return false;
+  }
+  for (size_t c = 0; c < layout.cell_counts.size(); ++c) {
+    const uint64_t begin = layout.cell_starts[c];
+    const uint64_t end = begin + layout.cell_counts[c];
+    for (uint64_t e = begin + 1; e < end; ++e) {
+      if (layout.positions[e - 1] >= layout.positions[e]) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
@@ -145,9 +191,16 @@ Status WriteCatalogPaged(const SampleCatalog& catalog, const std::string& path,
   for (size_t k = 0; k < rungs.size(); ++k) {
     const SampleSet& rung = rungs[k];
     PlacedRung& p = placed[k];
-    VAS_ASSIGN_OR_RETURN(
-        p.layout,
-        LayOutRung(options.dataset, rung, options.target_entries_per_cell));
+    const std::shared_ptr<const RungLayout>& published = catalog.layout(k);
+    if (options.dataset != nullptr && published != nullptr &&
+        PublishedLayoutFits(*published, rung, *options.dataset,
+                            options.target_entries_per_cell)) {
+      p.layout = published;
+    } else {
+      VAS_ASSIGN_OR_RETURN(
+          p.layout,
+          LayOutRung(options.dataset, rung, options.target_entries_per_cell));
+    }
     for (size_t id : rung.ids) {
       p.max_id = std::max<uint64_t>(p.max_id, id);
     }

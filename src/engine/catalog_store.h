@@ -82,7 +82,10 @@ struct CatalogWriteOptions {
 
 /// Writes every rung of `catalog` to `path` in the CAT2 paged format,
 /// replacing any file there. Each rung is laid out by LayOutRung, the
-/// partitioner that lays out published rungs. The file is written to
+/// partitioner that lays out published rungs; a rung whose published
+/// layout (SampleCatalog::layout) is what LayOutRung would compute over
+/// `options.dataset` at `options.target_entries_per_cell` is written
+/// from that layout, in the same bytes. The file is written to
 /// `path + ".tmp"`, synced, and renamed over `path`, and the directory
 /// is synced after the rename: a failed write, a process crash or an
 /// OS crash leaves either the previous file or the complete new one.

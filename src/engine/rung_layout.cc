@@ -146,6 +146,17 @@ size_t RungLayout::CountInside(const Dataset& dataset, const SampleSet& rung,
   return count;
 }
 
+std::optional<std::pair<double, double>> RecordedValueRange(
+    const Dataset& dataset, const SampleSet& rung) {
+  if (!dataset.has_values()) return std::nullopt;
+  // Exactly the fold a scatter render of the whole rung colors over.
+  const auto [lo, hi] = dataset.ValueRange(rung.ids);
+  if (std::isfinite(lo) && std::isfinite(hi) && lo <= hi) {
+    return std::make_pair(lo, hi);
+  }
+  return std::nullopt;
+}
+
 StatusOr<std::shared_ptr<const RungLayout>> LayOutRung(
     const Dataset* dataset, const SampleSet& rung,
     size_t target_entries_per_cell) {
@@ -170,12 +181,8 @@ StatusOr<std::shared_ptr<const RungLayout>> LayOutRung(
     layout->grid_x = GridDimFor(n, target_entries_per_cell);
     layout->grid_y = layout->grid_x;
   }
-  if (dataset != nullptr && dataset->has_values()) {
-    // Exactly the fold a scatter render of the whole rung colors over.
-    const auto [lo, hi] = dataset->ValueRange(rung.ids);
-    if (std::isfinite(lo) && std::isfinite(hi) && lo <= hi) {
-      layout->value_range = std::make_pair(lo, hi);
-    }
+  if (dataset != nullptr) {
+    layout->value_range = RecordedValueRange(*dataset, rung);
   }
 
   // Counting sort by cell: count each cell's entries, take exclusive

@@ -102,6 +102,12 @@ struct RungLayout : CellGrid {
                      const Rect& query) const;
 };
 
+/// The value range LayOutRung records for `rung` laid out against
+/// `dataset`: Dataset::ValueRange over its ids, when the dataset has
+/// values and the range is finite with lo <= hi.
+std::optional<std::pair<double, double>> RecordedValueRange(
+    const Dataset& dataset, const SampleSet& rung);
+
 /// Partitions `rung` into a grid over the bounding box of its points
 /// in `dataset`, by a counting sort on cell that keeps rung order
 /// within each cell. Without a dataset the grid is 1×1 with no domain

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 namespace vas {
 
@@ -45,34 +46,54 @@ Image RenderDensityImage(const std::vector<uint32_t>& counts, size_t width,
                          size_t height, ColormapKind kind, Rgb background) {
   Image img(width, height, background);
   if (counts.size() != width * height) return img;
+  // Most of a tile's counts are zero. One pass reads each row 8 counts
+  // at a time, takes the maximum, and lists the groups holding a
+  // nonzero count; coloring then reads only those groups and each row's
+  // last width % 8 counts.
+  constexpr size_t kGroup = 8;
+  const size_t groups_end = width - width % kGroup;
+  std::vector<size_t> groups;  // offsets of the listed groups, ascending
   uint32_t max_count = 0;
-  for (uint32_t c : counts) max_count = std::max(max_count, c);
+  for (size_t y = 0; y < height; ++y) {
+    const uint32_t* row = counts.data() + y * width;
+    for (size_t x = 0; x < groups_end; x += kGroup) {
+      uint32_t any = 0;
+      for (size_t k = 0; k < kGroup; ++k) any |= row[x + k];
+      if (any == 0) continue;
+      groups.push_back(y * width + x);
+      for (size_t k = 0; k < kGroup; ++k) {
+        max_count = std::max(max_count, row[x + k]);
+      }
+    }
+    for (size_t x = groups_end; x < width; ++x) {
+      max_count = std::max(max_count, row[x]);
+    }
+  }
   if (max_count == 0) return img;
   double log_max = std::log1p(static_cast<double>(max_count));
   // Distinct counts repeat across pixels (especially small ones), so
-  // memoize count -> color; the common case touches the table, not
-  // log1p + the colormap lerp.
-  std::vector<Rgb> color_of(std::min<size_t>(max_count + 1, 4096));
-  std::vector<uint8_t> color_set(color_of.size(), 0);
-  auto color_for = [&](uint32_t c) {
-    double t = std::log1p(static_cast<double>(c)) / log_max;
-    return MapColor(kind, t);
-  };
-  for (size_t y = 0; y < height; ++y) {
-    Rgb* row = img.row(y);
-    for (size_t x = 0; x < width; ++x) {
-      uint32_t c = counts[y * width + x];
-      if (c == 0) continue;
-      if (c < color_of.size()) {
-        if (!color_set[c]) {
-          color_of[c] = color_for(c);
-          color_set[c] = 1;
-        }
-        row[x] = color_of[c];
-      } else {
-        row[x] = color_for(c);
-      }
+  // memoize count -> pen; the common case touches the table, not log1p,
+  // the colormap lerp and the image's color lookup.
+  std::vector<std::optional<Image::Pen>> pen_of(
+      std::min<size_t>(max_count + 1, 4096));
+  auto paint = [&](size_t x, size_t y) {
+    const uint32_t c = counts[y * width + x];
+    if (c == 0) return;
+    if (c < pen_of.size() && pen_of[c]) {
+      img.Set(x, y, *pen_of[c]);
+      return;
     }
+    double t = std::log1p(static_cast<double>(c)) / log_max;
+    const Image::Pen pen = img.PenFor(MapColor(kind, t));
+    if (c < pen_of.size()) pen_of[c] = pen;
+    img.Set(x, y, pen);
+  };
+  auto group = groups.begin();
+  for (size_t y = 0; y < height; ++y) {
+    for (; group != groups.end() && *group < (y + 1) * width; ++group) {
+      for (size_t k = 0; k < kGroup; ++k) paint(*group - y * width + k, y);
+    }
+    for (size_t x = groups_end; x < width; ++x) paint(x, y);
   }
   return img;
 }

@@ -1,6 +1,7 @@
 #include "render/image.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -129,33 +130,87 @@ int FilterRow(const uint8_t* __restrict__ cur,
 // row under filter None: the PNG specification's advice for palette
 // images, and a third of the truecolor bytes for DEFLATE to read.
 
-/// Builds the indexed scanline stream: per row, filter type 0 followed
-/// by one palette index per pixel. `palette` receives the colors as
-/// RGB triples in order of first appearance in raster order. Returns
-/// false on the 257th distinct color, leaving both outputs unspecified.
+/// The indexed scanline stream of palette storage: per row, filter type
+/// 0 followed by each pixel's table index renumbered in order of first
+/// appearance in raster order, through a 256-entry table. `palette`
+/// receives the colors in that order. The table holds each color once,
+/// so this is exactly what BuildIndexedScanlines makes of the same
+/// pixels, without reading a color per pixel; colors the pixels no
+/// longer show are left out. Eight indices at a time are compared with
+/// the previous index repeated, so background runs take one compare per
+/// 8 pixels.
+void RenumberIndexedScanlines(const uint8_t* indices, size_t width,
+                              size_t height, const std::vector<Rgb>& colors,
+                              std::string* palette, std::string* raw) {
+  constexpr uint16_t kUnseen = 256;
+  constexpr uint64_t kEachByte = 0x0101010101010101ull;
+  std::array<uint16_t, 256> order;
+  order.fill(kUnseen);
+  palette->clear();
+  raw->resize(height * (1 + width));
+  char* out = raw->data();
+  bool have_run = false;
+  uint64_t run_in = 0;   // the previous index, 8 times
+  uint64_t run_out = 0;  // its renumbered index, 8 times
+  for (size_t y = 0; y < height; ++y) {
+    *out++ = 0;  // filter type None
+    const uint8_t* row = indices + y * width;
+    for (size_t x = 0; x < width;) {
+      if (have_run && x + 8 <= width) {
+        uint64_t word;
+        std::memcpy(&word, row + x, 8);
+        if (word == run_in) {
+          std::memcpy(out, &run_out, 8);
+          out += 8;
+          x += 8;
+          continue;
+        }
+      }
+      const uint8_t index = row[x++];
+      uint16_t renumbered = order[index];
+      if (renumbered == kUnseen) {
+        renumbered = static_cast<uint16_t>(palette->size() / 3);
+        order[index] = renumbered;
+        const Rgb c = colors[index];
+        palette->push_back(static_cast<char>(c.r));
+        palette->push_back(static_cast<char>(c.g));
+        palette->push_back(static_cast<char>(c.b));
+      }
+      *out++ = static_cast<char>(renumbered);
+      run_in = kEachByte * index;
+      run_out = kEachByte * renumbered;
+      have_run = true;
+    }
+  }
+}
+
+/// Builds the indexed scanline stream of RGB storage (`pixels`, row
+/// major): per row, filter type 0 followed by one palette index per
+/// pixel. `palette` receives the colors as RGB triples in order of
+/// first appearance in raster order. Returns false on the 257th
+/// distinct color, leaving both outputs unspecified.
 ///
 /// Colors are looked up in a fixed open-addressing table of 1,024
 /// slots keyed by the 24-bit color (at most a quarter full), behind a
 /// shortcut that reuses the previous pixel's index. Before the lookup,
 /// the next 4 pixels (12 bytes) are compared with the previous color
 /// repeated, so background runs take one compare per 4 pixels.
-bool BuildIndexedScanlines(const Image& image, std::string* palette,
-                           std::string* raw) {
+bool BuildIndexedScanlines(const Rgb* pixels, size_t width, size_t height,
+                           std::string* palette, std::string* raw) {
   constexpr size_t kSlots = 1024;
   constexpr uint32_t kOccupied = 1u << 24;  // keys are color | kOccupied
   constexpr size_t kStride = 4;             // pixels per run check
   uint32_t keys[kSlots] = {};
   uint8_t indices[kSlots] = {};
   palette->clear();
-  const size_t width = image.width();
-  raw->resize(image.height() * (1 + width));
+  raw->resize(height * (1 + width));
   char* out = raw->data();
   uint32_t last_key = 0;  // no color's key
   uint8_t last_index = 0;
   Rgb run[kStride] = {};  // the last color, kStride times
-  for (size_t y = 0; y < image.height(); ++y) {
+  for (size_t y = 0; y < height; ++y) {
     *out++ = 0;  // filter type None
-    const Rgb* row = image.row(y);
+    const Rgb* row = pixels + y * width;
     for (size_t x = 0; x < width;) {
       if (last_key != 0 && x + kStride <= width &&
           std::memcmp(row + x, run, sizeof(run)) == 0) {
@@ -195,7 +250,8 @@ bool BuildIndexedScanlines(const Image& image, std::string* palette,
 
 std::string TruecolorScanlines(const Image& image) {
   const size_t bpp = sizeof(Rgb);
-  const size_t stride = image.width() * bpp;
+  const size_t width = image.width();
+  const size_t stride = width * bpp;
   std::string raw;
   raw.reserve(image.height() * (1 + stride));
   // The zero row row 0 filters against, then the four residual rows.
@@ -204,35 +260,77 @@ std::string TruecolorScanlines(const Image& image) {
   uint8_t* up = sub + stride;
   uint8_t* avg = up + stride;
   uint8_t* paeth = avg + stride;
+  // Palette storage is read a row at a time into alternate halves, so
+  // the previous row stays readable.
+  std::vector<Rgb> expanded(image.indexed_ ? 2 * width : 0);
+  const uint8_t* prev = rows.data();
   for (size_t y = 0; y < image.height(); ++y) {
-    const uint8_t* cur = reinterpret_cast<const uint8_t*>(image.row(y));
-    const uint8_t* prev = y > 0 ? cur - stride : rows.data();
+    const uint8_t* cur = reinterpret_cast<const uint8_t*>(
+        image.RgbRow(y, expanded.data() + (y % 2) * width));
     const int type = FilterRow(cur, prev, stride, bpp, sub, up, avg, paeth);
     const uint8_t* const filtered[5] = {cur, sub, up, avg, paeth};
     raw.push_back(static_cast<char>(type));
     raw.append(reinterpret_cast<const char*>(filtered[type]), stride);
+    prev = cur;
   }
   return raw;
 }
 
 Image::Image(size_t width, size_t height, Rgb fill)
-    : width_(width), height_(height), pixels_(width * height, fill) {}
+    : width_(width), height_(height), indices_(width * height, 0) {
+  PenFor(fill);  // index 0, the one every pixel holds
+}
+
+Image::Pen Image::AddColor(Rgb c, uint32_t key, size_t slot) {
+  if (colors_.size() == 256) {
+    ConvertToRgb();
+    return Pen(c, 0);
+  }
+  const auto index = static_cast<uint8_t>(colors_.size());
+  keys_[slot] = key;
+  slot_index_[slot] = index;
+  colors_.push_back(c);
+  return Pen(c, index);
+}
+
+void Image::ConvertToRgb() {
+  pixels_.resize(indices_.size());
+  for (size_t i = 0; i < indices_.size(); ++i) {
+    pixels_[i] = colors_[indices_[i]];
+  }
+  indexed_ = false;
+  std::vector<uint8_t>().swap(indices_);
+  std::vector<Rgb>().swap(colors_);
+}
+
+const Rgb* Image::RgbRow(size_t y, Rgb* scratch) const {
+  if (!indexed_) return pixels_.data() + y * width_;
+  const uint8_t* row = indices_.data() + y * width_;
+  for (size_t x = 0; x < width_; ++x) scratch[x] = colors_[row[x]];
+  return scratch;
+}
 
 double Image::InkFraction(Rgb background) const {
-  if (pixels_.empty()) return 0.0;
+  const size_t area = width_ * height_;
+  if (area == 0) return 0.0;
   size_t ink = 0;
-  for (const Rgb& p : pixels_) {
-    if (!(p == background)) ++ink;
+  for (size_t y = 0; y < height_; ++y) {
+    for (size_t x = 0; x < width_; ++x) {
+      if (!(Get(x, y) == background)) ++ink;
+    }
   }
-  return static_cast<double>(ink) / static_cast<double>(pixels_.size());
+  return static_cast<double>(ink) / static_cast<double>(area);
 }
 
 Status Image::WritePpm(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open for write: " + path);
   out << "P6\n" << width_ << " " << height_ << "\n255\n";
-  out.write(reinterpret_cast<const char*>(pixels_.data()),
-            static_cast<std::streamsize>(pixels_.size() * sizeof(Rgb)));
+  std::vector<Rgb> scratch(width_);
+  for (size_t y = 0; y < height_; ++y) {
+    out.write(reinterpret_cast<const char*>(RgbRow(y, scratch.data())),
+              static_cast<std::streamsize>(width_ * sizeof(Rgb)));
+  }
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();
 }
@@ -241,8 +339,15 @@ std::string Image::EncodePng(const PngEncodeOptions& /*options*/) const {
   if (width_ == 0 || height_ == 0) return std::string();
   std::string palette;
   std::string raw;
-  const bool indexed = BuildIndexedScanlines(*this, &palette, &raw);
-  if (!indexed) raw = TruecolorScanlines(*this);
+  bool indexed = true;
+  if (indexed_) {
+    RenumberIndexedScanlines(indices_.data(), width_, height_, colors_,
+                             &palette, &raw);
+  } else {
+    indexed =
+        BuildIndexedScanlines(pixels_.data(), width_, height_, &palette, &raw);
+    if (!indexed) raw = TruecolorScanlines(*this);
+  }
 
   std::string png("\x89PNG\r\n\x1a\n", 8);
   std::string ihdr;

@@ -77,8 +77,10 @@ struct DotStencil {
   std::vector<long> max_dx;
 };
 
-/// Builds the stencil for `radius` with exactly DrawDot's circle test
-/// (dx*dx + dy*dy <= radius^2 on integer offsets).
+/// Builds the stencil for `radius`: every integer offset with
+/// dx*dx + dy*dy <= radius^2, and the center alone when the radius
+/// rounds up to 0 (tests/render_reference.h's DrawReferenceDot paints
+/// the same pixels one at a time).
 DotStencil BuildStencil(double radius) {
   DotStencil s;
   s.r = std::max<long>(0, static_cast<long>(std::ceil(radius)));
@@ -96,16 +98,19 @@ DotStencil BuildStencil(double radius) {
   return s;
 }
 
-/// Phase two of the binned pipeline: stamps a stencil as row fills,
-/// clamped to the raster once per row instead of bounds-checking every
-/// pixel. Paints exactly the pixels DrawDot would.
-void StampDot(Image& img, long cx, long cy, const DotStencil& s, Rgb color) {
-  if (s.r == 0) {
-    img.SetClipped(cx, cy, color);
-    return;
-  }
+/// Phase two of the binned pipeline: stamps a stencil as row fills in
+/// one pen, clamped to the raster once per row instead of
+/// bounds-checking every pixel.
+void StampDot(Image& img, long cx, long cy, const DotStencil& s,
+              Image::Pen pen) {
   const long w = static_cast<long>(img.width());
   const long h = static_cast<long>(img.height());
+  if (s.r == 0) {
+    if (cx >= 0 && cy >= 0 && cx < w && cy < h) {
+      img.Set(static_cast<size_t>(cx), static_cast<size_t>(cy), pen);
+    }
+    return;
+  }
   for (long dy = -s.r; dy <= s.r; ++dy) {
     long m = s.max_dx[static_cast<size_t>(dy + s.r)];
     long y = cy + dy;
@@ -113,8 +118,8 @@ void StampDot(Image& img, long cx, long cy, const DotStencil& s, Rgb color) {
     long x0 = std::max(cx - m, 0L);
     long x1 = std::min(cx + m, w - 1);
     if (x0 > x1) continue;
-    Rgb* row = img.row(static_cast<size_t>(y));
-    std::fill(row + x0, row + x1 + 1, color);
+    img.FillSpan(static_cast<size_t>(y), static_cast<size_t>(x0),
+                 static_cast<size_t>(x1) + 1, pen);
   }
 }
 
@@ -198,32 +203,6 @@ Viewport Viewport::ZoomedIn(Point center, double factor) const {
   return Viewport(zoom, width_px_, height_px_);
 }
 
-void ScatterRenderer::DrawDot(Image& img, long cx, long cy, double radius,
-                              Rgb color) const {
-  long r = std::max<long>(0, static_cast<long>(std::ceil(radius)));
-  if (r == 0) {
-    img.SetClipped(cx, cy, color);
-    return;
-  }
-  // Clamp the footprint to the raster once; only the circle test runs
-  // per pixel.
-  double r2 = radius * radius;
-  long y0 = std::max(cy - r, 0L);
-  long y1 = std::min(cy + r, static_cast<long>(img.height()) - 1);
-  long x0 = std::max(cx - r, 0L);
-  long x1 = std::min(cx + r, static_cast<long>(img.width()) - 1);
-  for (long y = y0; y <= y1; ++y) {
-    long dy = y - cy;
-    Rgb* row = img.row(static_cast<size_t>(y));
-    for (long x = x0; x <= x1; ++x) {
-      long dx = x - cx;
-      if (static_cast<double>(dx * dx + dy * dy) <= r2) {
-        row[x] = color;
-      }
-    }
-  }
-}
-
 Image ScatterRenderer::Render(const Dataset& dataset,
                               const Viewport& viewport) const {
   SampleSet all;
@@ -268,11 +247,11 @@ Image ScatterRenderer::RenderSample(const Dataset& dataset,
       const DotStencil& stencil = has_density
                                       ? stencils.ForDensity(sample.density[i])
                                       : stencils.Plain();
-      Rgb color = has_values
-                      ? MapColor(options_.colormap,
-                                 NormalizeValue(dataset.values[id], lo, hi))
-                      : default_color;
-      StampDot(img, scratch->px[j], scratch->py[j], stencil, color);
+      const Image::Pen pen = img.PenFor(
+          has_values ? MapColor(options_.colormap,
+                                NormalizeValue(dataset.values[id], lo, hi))
+                     : default_color);
+      StampDot(img, scratch->px[j], scratch->py[j], stencil, pen);
     }
   }
   return img;
@@ -284,17 +263,20 @@ Image ScatterRenderer::RenderSampleJittered(const Dataset& dataset,
                                             uint64_t seed) const {
   Image img(options_.width_px, options_.height_px, options_.background);
   auto [lo, hi] = ValueRange(options_, dataset, sample);
+  const DotStencil dot = BuildStencil(options_.dot_radius_px);
   Rng rng(seed, /*seq=*/1212);
   for (size_t i = 0; i < sample.ids.size(); ++i) {
     size_t id = sample.ids[i];
     Point p = dataset.points[id];
     if (!viewport.world().Contains(p)) continue;
     auto [px, py] = viewport.ToPixel(p);
-    Rgb color = dataset.has_values()
-                    ? MapColor(options_.colormap,
-                               NormalizeValue(dataset.values[id], lo, hi))
-                    : Rgb{31, 119, 180};
-    DrawDot(img, px, py, options_.dot_radius_px, color);
+    // One pen for the dot and its companions.
+    const Image::Pen pen = img.PenFor(
+        dataset.has_values()
+            ? MapColor(options_.colormap,
+                       NormalizeValue(dataset.values[id], lo, hi))
+            : Rgb{31, 119, 180});
+    StampDot(img, px, py, dot, pen);
     if (!sample.has_density()) continue;
     // Companion dots: log-proportional to the represented tuple count,
     // uniformly jittered inside the jitter disc.
@@ -306,7 +288,7 @@ Image ScatterRenderer::RenderSampleJittered(const Dataset& dataset,
       double r = options_.jitter_radius_px * std::sqrt(rng.NextDouble());
       long jx = px + static_cast<long>(std::lround(r * std::cos(angle)));
       long jy = py + static_cast<long>(std::lround(r * std::sin(angle)));
-      DrawDot(img, jx, jy, options_.dot_radius_px, color);
+      StampDot(img, jx, jy, dot, pen);
     }
   }
   return img;

@@ -79,7 +79,8 @@ class ScatterRenderer {
   /// per-dot radii. Two phases: an SoA viewport-transform pass over
   /// chunked coordinate arrays (branch-free, auto-vectorizable), then a
   /// blit of each dot's row spans from stencils cached per radius, in
-  /// sample order so later dots win overlaps.
+  /// sample order so later dots win overlaps. Each dot looks its color
+  /// up once (Image::PenFor) and fills its spans with that pen.
   Image RenderSample(const Dataset& dataset, const SampleSet& sample,
                      const Viewport& viewport) const;
 
@@ -101,8 +102,6 @@ class ScatterRenderer {
   const Options& options() const { return options_; }
 
  private:
-  void DrawDot(Image& img, long cx, long cy, double radius, Rgb color) const;
-
   Options options_;
 };
 

@@ -50,7 +50,9 @@ PlotService::PlotService(const Options& options)
       "Page bytes newly faulted in by partial tile materializations.");
   metrics_.encode_bytes_in = registry_->GetCounter(
       "vas_tile_encode_bytes_in_total",
-      "Raw RGB pixel bytes fed to the PNG encoder.");
+      "Scanline bytes the PNG encoder handed to DEFLATE, filter bytes "
+      "included: height x (width + 1) for an indexed tile, height x "
+      "(3 x width + 1) for a truecolor one.");
   metrics_.encode_bytes_out = registry_->GetCounter(
       "vas_tile_encode_bytes_out_total", "Encoded PNG bytes produced.");
   metrics_.cache_hits = registry_->GetCounter(
@@ -352,8 +354,11 @@ StatusOr<PlotService::TileResult> PlotService::RenderTile(
       ->Observe(encode_start - render_start);
   (heatmap ? metrics_.heatmap_encode_ns : metrics_.scatter_encode_ns)
       ->Observe(encode_end - encode_start);
+  // IHDR's color type (byte 25) gives the scanline layout: 3 is one
+  // index byte per pixel, 2 is three.
+  const uint64_t bytes_per_pixel = (*png)[25] == 3 ? 1 : 3;
   metrics_.encode_bytes_in->Increment(
-      static_cast<uint64_t>(image.width()) * image.height() * 3);
+      image.height() * (1 + bytes_per_pixel * image.width()));
   metrics_.encode_bytes_out->Increment(png->size());
   if (trace != nullptr) {
     trace->AddCompleteSpan("render", render_start, encode_start);

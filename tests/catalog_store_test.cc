@@ -739,6 +739,79 @@ TEST_F(CatalogStoreTest, OnePartitionerForPublishedAndWrittenLayouts) {
   EXPECT_EQ(whole->density, rung.density);
 }
 
+TEST_F(CatalogStoreTest, WritesFromPublishedLayoutsInTheSameBytes) {
+  // A spill writes each rung from the layout it was published with when
+  // that is the layout the writer would compute, and lays the rung out
+  // again otherwise. Either way the file is, byte for byte, what the
+  // same ladder without layouts writes.
+  Dataset d = test::Skewed(30000);
+  SampleCatalog published = Build(d, {100, 300, 9000}, /*density=*/true);
+  SampleCatalog bare(published.samples());
+  ASSERT_NE(published.layout(2), nullptr);
+  ASSERT_EQ(bare.layout(2), nullptr);
+  CatalogWriteOptions wopt;
+  wopt.dataset = &d;
+  auto expect_same_bytes = [&](const SampleCatalog& catalog,
+                               const char* what) {
+    ASSERT_TRUE(WriteCatalogPaged(bare, path(), wopt).ok());
+    const std::string want = ReadFileBytes(path());
+    ASSERT_TRUE(WriteCatalogPaged(catalog, path(), wopt).ok());
+    EXPECT_EQ(ReadFileBytes(path()), want) << what;
+  };
+  expect_same_bytes(published, "published layouts");
+
+  // The writer checks a published layout's grid, domain, value range
+  // and order within cells, not which cell holds each entry, so a
+  // layout that passes is written as it is: a cell boundary moved by
+  // one entry (the two cells still in rung order) reaches the file.
+  auto probe = std::make_shared<RungLayout>(*published.layout(2));
+  size_t c = 0;
+  while (c + 1 < probe->cell_counts.size() &&
+         !(probe->cell_counts[c] > 0 &&
+           probe->positions[probe->cell_starts[c + 1] - 1] <
+               probe->positions[probe->cell_starts[c + 1]])) {
+    ++c;
+  }
+  ASSERT_LT(c + 1, probe->cell_counts.size());
+  --probe->cell_counts[c];
+  ++probe->cell_counts[c + 1];
+  --probe->cell_starts[c + 1];
+  SampleCatalog probed(published.samples(),
+                       {published.layout(0), published.layout(1), probe});
+  ASSERT_TRUE(WriteCatalogPaged(probed, path(), wopt).ok());
+  auto store = CatalogStore::Open(path());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ((*store)->rung(2).cell_counts, probe->cell_counts);
+
+  // Laid out again: a layout on another grid (the writer asked for
+  // another target), one over another dataset's points, and one whose
+  // cell is out of rung order.
+  wopt.target_entries_per_cell = 16;
+  expect_same_bytes(published, "another target");
+  wopt.target_entries_per_cell = kDefaultEntriesPerCell;
+  Dataset other = test::Skewed(30000, /*seed=*/8);
+  std::vector<std::shared_ptr<const RungLayout>> foreign;
+  for (const SampleSet& rung : published.samples()) {
+    auto layout = LayOutRung(&other, rung);
+    ASSERT_TRUE(layout.ok());
+    foreign.push_back(*layout);
+  }
+  ASSERT_FALSE(foreign[2]->domain == published.layout(2)->domain);
+  expect_same_bytes(SampleCatalog(published.samples(), foreign),
+                    "another dataset");
+  auto shuffled = std::make_shared<RungLayout>(*published.layout(2));
+  size_t cell = 0;
+  while (shuffled->cell_counts[cell] < 2) ++cell;
+  auto first = shuffled->positions.begin() +
+               static_cast<std::ptrdiff_t>(shuffled->cell_starts[cell]);
+  std::reverse(first,
+               first + static_cast<std::ptrdiff_t>(shuffled->cell_counts[cell]));
+  expect_same_bytes(
+      SampleCatalog(published.samples(),
+                    {published.layout(0), published.layout(1), shuffled}),
+      "a cell out of rung order");
+}
+
 TEST_F(CatalogStoreTest, FailedWriteLeavesThePreviousFileIntact) {
   // The writer builds the file beside its destination and renames it
   // into place only once complete, so a write that fails leaves the

@@ -314,10 +314,17 @@ std::string RefScanlines(const Image& image) {
   std::string raw;
   std::vector<uint8_t> candidate(stride);
   std::vector<uint8_t> best(stride);
+  // Every row's RGB bytes, read pixel by pixel.
+  std::vector<uint8_t> rgb;
   for (size_t y = 0; y < image.height(); ++y) {
-    const auto* cur = reinterpret_cast<const uint8_t*>(image.row(y));
-    const auto* prev =
-        y > 0 ? reinterpret_cast<const uint8_t*>(image.row(y - 1)) : nullptr;
+    for (size_t x = 0; x < image.width(); ++x) {
+      const Rgb c = image.Get(x, y);
+      rgb.insert(rgb.end(), {c.r, c.g, c.b});
+    }
+  }
+  for (size_t y = 0; y < image.height(); ++y) {
+    const uint8_t* cur = rgb.data() + y * stride;
+    const uint8_t* prev = y > 0 ? cur - stride : nullptr;
     int best_type = 0;
     uint64_t best_cost = ~uint64_t{0};
     for (int type = 0; type < 5; ++type) {
@@ -518,6 +525,87 @@ TEST(ImagePngTest, IndexedUpTo256Colors) {
   EXPECT_EQ(decoded.color_type, 2);
   EXPECT_EQ(decoded.scanlines, TruecolorScanlines(wider));
   ExpectDecodesBack(wider);
+}
+
+/// Expects `image` to encode indexed, with exactly the palette and index
+/// stream RefIndexedScanlines builds from its pixels.
+void ExpectReferenceIndexed(const Image& image) {
+  DecodedPng decoded;
+  ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(), &decoded));
+  ASSERT_EQ(decoded.color_type, 3);
+  std::string palette;
+  EXPECT_EQ(decoded.scanlines, RefIndexedScanlines(image, &palette));
+  EXPECT_EQ(decoded.palette, palette);
+}
+
+TEST(ImagePngTest, PaletteStorageEncodesAsTheReferenceBuilds) {
+  // Palette storage keeps colors in the order they were first drawn,
+  // the fill first, and can keep colors no pixel shows any more; the
+  // encoder renumbers to first appearance in raster order and drops
+  // what is gone.
+  // The fill is not at (0,0): (0,0) is drawn over, so the palette
+  // starts with its color.
+  Image corner(9, 5, Rgb{250, 250, 250});
+  corner.Set(0, 0, Rgb{10, 20, 30});
+  corner.Set(4, 2, Rgb{200, 0, 0});
+  ExpectReferenceIndexed(corner);
+  // A color fully overwritten: drawn, then covered everywhere it was.
+  Image covered(12, 6);
+  const Image::Pen blue = covered.PenFor(Rgb{0, 0, 255});
+  const Image::Pen red = covered.PenFor(Rgb{255, 0, 0});
+  for (size_t y = 1; y < 4; ++y) covered.FillSpan(y, 2, 9, blue);
+  covered.FillSpan(0, 0, 12, red);
+  for (size_t y = 1; y < 4; ++y) covered.FillSpan(y, 1, 10, red);
+  ExpectReferenceIndexed(covered);
+  DecodedPng decoded;
+  ASSERT_NO_FATAL_FAILURE(DecodePng(covered.EncodePng(), &decoded));
+  EXPECT_EQ(decoded.palette.size(), 2u * 3);  // red and the fill
+  // One color set through separate calls is one table entry.
+  Image repeated(7, 7, Rgb{0, 0, 0});
+  for (size_t i = 0; i < 7; ++i) repeated.Set(i, i, Rgb{31, 119, 180});
+  repeated.SetClipped(-1, 3, Rgb{1, 1, 1});  // clipped: adds no color
+  repeated.Set(6, 0, Rgb{31, 119, 180});
+  ExpectReferenceIndexed(repeated);
+  ASSERT_NO_FATAL_FAILURE(DecodePng(repeated.EncodePng(), &decoded));
+  EXPECT_EQ(decoded.palette.size(), 2u * 3);
+}
+
+TEST(ImagePngTest, A257thColorConvertsOnceAndEncodesByPixels) {
+  // 256 colors stay in palette storage; the 257th converts the image to
+  // RGB storage, every earlier pixel kept, and it encodes as truecolor.
+  auto color = [](size_t i) {
+    return Rgb{static_cast<uint8_t>(i), static_cast<uint8_t>(i * 7),
+               static_cast<uint8_t>(255 - i)};
+  };
+  Image image(20, 20);  // white fill: not among color(0..255)
+  for (size_t i = 0; i < 255; ++i) image.Set(i % 20, i / 20, color(i));
+  DecodedPng decoded;
+  ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(), &decoded));
+  EXPECT_EQ(decoded.color_type, 3);
+  EXPECT_EQ(decoded.palette.size(), 256u * 3);
+  const Image::Pen early = image.PenFor(color(3));
+  image.Set(15, 12, color(255));  // the 257th color
+  image.FillSpan(13, 0, 20, early);  // a pen from before the conversion
+  for (size_t i = 0; i < 255; ++i) {
+    ASSERT_EQ(image.Get(i % 20, i / 20), color(i)) << i;
+  }
+  EXPECT_EQ(image.Get(15, 12), color(255));
+  EXPECT_EQ(image.Get(19, 13), color(3));
+  EXPECT_EQ(image.Get(19, 19), (Rgb{255, 255, 255}));
+  ASSERT_NO_FATAL_FAILURE(DecodePng(image.EncodePng(), &decoded));
+  EXPECT_EQ(decoded.color_type, 2);
+  ExpectDecodesBack(image);
+
+  // Overwritten back to at most 256 colors, the converted image encodes
+  // indexed again, in the same bytes as a fresh image of those pixels.
+  image.Set(15, 12, color(7));
+  Image fresh(20, 20);
+  for (size_t y = 0; y < 20; ++y) {
+    for (size_t x = 0; x < 20; ++x) fresh.Set(x, y, image.Get(x, y));
+  }
+  ASSERT_EQ(DistinctColors(image), 256u);
+  EXPECT_EQ(image.EncodePng(), fresh.EncodePng());
+  ExpectReferenceIndexed(image);
 }
 
 TEST(ImagePngTest, RoundTripsThroughIndependentDecoder) {

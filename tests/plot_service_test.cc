@@ -25,6 +25,7 @@
 
 #include "core/density.h"
 #include "engine/catalog_store.h"
+#include "render_reference.h"
 #include "service/plot_service.h"
 #include "sampling/uniform_sampler.h"
 #include "test_util.h"
@@ -160,6 +161,46 @@ TEST(PlotServiceTest, ServedTileIsByteIdenticalToDirectRender) {
   // color type (byte 25) is 3.
   ASSERT_GT(served->png->size(), 25u);
   EXPECT_EQ(static_cast<uint8_t>((*served->png)[25]), 3);
+}
+
+TEST(PlotServiceTest, TruecolorScatterTileMatchesTheScalarReference) {
+  // A value-colored scatter tile whose dots take more than 256 colormap
+  // colors converts from palette to RGB storage while it is drawn, once,
+  // and ships as 8-bit RGB (IHDR's color type, byte 25, is 2). Its bytes
+  // equal the scalar per-point reference's image encoded, an image drawn
+  // a pixel at a time and never through a span.
+  PlotService::Options options;
+  options.tile_px = 128;
+  PlotService service(options);
+  auto dataset = SkewedShared(20000);
+  ASSERT_TRUE(dataset->has_values());
+  SampleCatalog::Options ladder = Ladder({8000});
+  ladder.embed_density = true;
+  ASSERT_TRUE(
+      service.RegisterTable("geo", dataset, UniformFactory(29), ladder).ok());
+  CatalogKey key{"geo", "x", "y"};
+  ASSERT_TRUE(service.manager().WaitUntilDone(key).ok());
+  auto snapshot = service.manager().Snapshot(key);
+  ASSERT_TRUE(snapshot.ok());
+  const SampleSet& rung = (*snapshot)->samples()[0];
+  auto grid = service.GridFor("geo");
+  ASSERT_TRUE(grid.ok());
+
+  for (const TileKey& tile : {TileKey{0, 0, 0}, TileKey{1, 1, 0}}) {
+    auto served = service.RenderTile("geo", tile);
+    ASSERT_TRUE(served.ok());
+    ASSERT_GT(served->png->size(), 25u);
+    ASSERT_EQ(static_cast<uint8_t>((*served->png)[25]), 2)
+        << "tile " << tile.ToString() << " has at most 256 colors";
+    // The reference colors over the whole rung's values, as the served
+    // tile does, and culls what lies outside the tile.
+    Viewport viewport(grid->TileBounds(tile), options.tile_px,
+                      options.tile_px);
+    Image reference = test::RenderSampleScalar(service.TileRenderOptions(),
+                                               *dataset, rung, viewport);
+    EXPECT_EQ(reference.EncodePng(service.options().png), *served->png)
+        << "tile " << tile.ToString();
+  }
 }
 
 TEST(PlotServiceTest, ConditionalRenderTileHonorsEtags) {
@@ -781,8 +822,14 @@ TEST(PlotServiceTest, RenderCountersCountColdRendersPerStyle) {
             1);
   EXPECT_EQ(Count(service, "vas_tiles_rendered_total", {{"style", "heatmap"}}),
             1);
+  // Both tiles are indexed (IHDR's color type, byte 25, is 3), so the
+  // encoder handed DEFLATE one filter byte and one index byte per pixel
+  // for each row.
+  EXPECT_EQ((*scatter->png)[25], 3);
+  EXPECT_EQ((*heatmap->png)[25], 3);
   int64_t px = service.options().tile_px;
-  EXPECT_EQ(Count(service, "vas_tile_encode_bytes_in_total"), 2 * px * px * 3);
+  EXPECT_EQ(Count(service, "vas_tile_encode_bytes_in_total"),
+            2 * px * (px + 1));
   EXPECT_EQ(Count(service, "vas_tile_encode_bytes_out_total"),
             static_cast<int64_t>(scatter->png->size() + heatmap->png->size()));
   EXPECT_GT(Count(service, "vas_tile_render_ns"), 0);

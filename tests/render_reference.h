@@ -38,13 +38,14 @@ inline void DrawReferenceDot(Image& img, long cx, long cy, double radius,
   long y1 = std::min(cy + r, static_cast<long>(img.height()) - 1);
   long x0 = std::max(cx - r, 0L);
   long x1 = std::min(cx + r, static_cast<long>(img.width()) - 1);
+  if (y0 > y1 || x0 > x1) return;
+  const Image::Pen pen = img.PenFor(color);
   for (long y = y0; y <= y1; ++y) {
     long dy = y - cy;
-    Rgb* row = img.row(static_cast<size_t>(y));
     for (long x = x0; x <= x1; ++x) {
       long dx = x - cx;
       if (static_cast<double>(dx * dx + dy * dy) <= r2) {
-        row[x] = color;
+        img.Set(static_cast<size_t>(x), static_cast<size_t>(y), pen);
       }
     }
   }

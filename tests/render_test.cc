@@ -383,8 +383,8 @@ TEST(PipelineIdentityTest, NonFiniteValuesColorDotsWithDefinedColors) {
 }
 
 TEST(RendererTest, JitteredDotsNearEdgesStayClipped) {
-  // Jitter can push companion dot centers outside the raster; DrawDot
-  // must clamp their coverage instead of writing out of bounds.
+  // Jitter can push companion dot centers outside the raster; their
+  // stamps must clamp coverage instead of writing out of bounds.
   Dataset d;
   d.Add({0.05, 0.05}, 0.0);
   d.Add({9.95, 9.95}, 0.0);
